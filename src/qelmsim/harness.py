@@ -4,9 +4,9 @@ Work is partitioned into units of one Hamiltonian realization at one grid
 point; every unit derives its own random streams from the master seed, so the
 full record set is a pure function of the configuration regardless of how the
 units are scheduled. Within a realization the Hamiltonian is diagonalized
-once: propagators at every grid time, the sampled readout features, the
-OTOCs (rotated to the energy eigenbasis), and the per-node Holevo profile all
-reuse that single factorization.
+once and each grid time builds its propagator from that factorization. One
+evaluator turns a propagator -- from a Hamiltonian or a Haar draw -- into a
+record's sampled readout features, OTOCs and per-node Holevo profile.
 """
 
 from __future__ import annotations
@@ -298,35 +298,24 @@ def _derived_seed(master_seed: int, *key) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _draw_states(rng: np.random.Generator, count: int) -> list:
-    return [la.random_pure_qubit_state(rng) for _ in range(count)]
+def _draw_inputs(cfg: SweepConfig, n: int, topo_i: int, scheme_i: int, realization: int, rng=None) -> tuple:
+    """``(train, test, y_train, y_test)`` drawn from the realization's state stream.
+
+    ``rng`` overrides the derived stream; the Bloch targets are None unless
+    ``mse`` is requested.
+    """
+    if rng is None:
+        rng = derive_rng(cfg.master_seed, _KIND_STATES, n, topo_i, scheme_i, realization)
+    train = [la.random_pure_qubit_state(rng) for _ in range(cfg.n_train)]
+    test = [la.random_pure_qubit_state(rng) for _ in range(cfg.n_test)]
+    if "mse" not in cfg.metrics:
+        return train, test, None, None
+    return train, test, qelm.pauli_targets(train), qelm.pauli_targets(test)
 
 
 # ---------------------------------------------------------------------------
-# Per-realization evaluation.
+# Per-record evaluation.
 # ---------------------------------------------------------------------------
-
-
-def _propagator_columns(eig: la.SpectralDecomposition, t: float) -> np.ndarray:
-    """First two columns of exp(-1j H t): the reachable input subspace."""
-    ve = eig.eigenvectors
-    phases = np.exp(-1j * eig.eigenvalues * t)
-    return ve @ (phases[:, None] * ve[:2, :].conj().T)
-
-
-def _mul_input_pauli_left(m: np.ndarray, axis: str) -> np.ndarray:
-    """(I x sigma_axis) @ m with sigma acting on the last (input) qubit."""
-    out = np.empty_like(m)
-    if axis == "x":
-        out[0::2] = m[1::2]
-        out[1::2] = m[0::2]
-    elif axis == "y":
-        out[0::2] = -1j * m[1::2]
-        out[1::2] = 1j * m[0::2]
-    else:
-        out[0::2] = m[0::2]
-        out[1::2] = -m[1::2]
-    return out
 
 
 def _mul_input_pauli_right(m: np.ndarray, axis: str) -> np.ndarray:
@@ -349,143 +338,87 @@ def _sigma_z_diag(site: int, n_total: int) -> np.ndarray:
     return 1.0 - 2.0 * ((b >> (n_total - 1 - site)) & 1)
 
 
-def _otoc_eigenbasis_ops(eig: la.SpectralDecomposition, n_reservoir: int):
-    """sigma_z (reservoir sites) and input Paulis rotated to the energy basis.
-
-    In that basis the Heisenberg evolution of sigma_z^i is a pure phase mask,
-    so the whole time grid reuses these matrices.
-    """
-    ve = eig.eigenvectors
-    d = ve.shape[0]
-    n_tot = n_reservoir + 1
-    z_tilde = np.empty((n_reservoir, d, d), dtype=complex)
-    for i in range(n_reservoir):
-        z_tilde[i] = (ve.conj().T * _sigma_z_diag(i, n_tot)) @ ve
-    b_tilde = np.empty((3, d, d), dtype=complex)
-    for ai, axis in enumerate(la.PAULI_AXES):
-        b_tilde[ai] = ve.conj().T @ _mul_input_pauli_left(ve, axis)
-    return z_tilde, b_tilde
-
-
-def _otoc_per_pair_from_eig(z_tilde, b_tilde, eigenvalues, t: float, denom: int) -> np.ndarray:
-    phases = np.exp(1j * eigenvalues * t)
-    mask = phases[:, None] * phases.conj()[None, :]
-    a_t = mask[None, :, :] * z_tilde
-    per = np.empty((z_tilde.shape[0], 3))
-    for ai in range(3):
-        m = a_t @ b_tilde[ai]
-        per[:, ai] = 1.0 - np.einsum("nij,nji->n", m, m).real / denom
-    return per
+def _otoc_eigenbasis_ops(n_reservoir: int) -> list:
+    """sigma_z on each reservoir site in its eigenbasis, the computational one:
+    one row of +-1 eigenvalues per site."""
+    return [_sigma_z_diag(i, n_reservoir + 1) for i in range(n_reservoir)]
 
 
 def _otoc_per_pair_from_unitary(u: np.ndarray, n_reservoir: int, denom: int) -> np.ndarray:
-    n_tot = n_reservoir + 1
+    """OTOC of each (sigma_z on reservoir site i, input Pauli a) pair under ``u``.
+
+    sigma_z is diagonal, so its Heisenberg image costs one product; the input
+    Pauli acts as a column permutation with phases.
+    """
     per = np.empty((n_reservoir, 3))
-    for i in range(n_reservoir):
-        a_t = (u.conj().T * _sigma_z_diag(i, n_tot)) @ u
+    for i, z in enumerate(_otoc_eigenbasis_ops(n_reservoir)):
+        a_t = (u.conj().T * z) @ u
         for ai, axis in enumerate(la.PAULI_AXES):
             m = _mul_input_pauli_right(a_t, axis)
             per[i, ai] = 1.0 - np.einsum("ij,ji->", m, m).real / denom
     return per
 
 
-def _metrics_at_columns(cfg: SweepConfig, v01, n, train_states, test_states, y_train, y_test, shot_rng):
-    """(mse, condition_number) for one propagator, or Nones when not requested."""
+# The same kernel under the name Hamiltonian records call it by, so that the
+# stage tracer in bench/bench_trace.py times their OTOCs apart from the Haar
+# draws'.
+_otoc_per_pair_from_eig = _otoc_per_pair_from_unitary
+
+
+def _propagator_columns(eig: la.SpectralDecomposition, t: float) -> np.ndarray:
+    """exp(-iHt) at one grid time. The evaluator reads its first two columns
+    for features and Holevo information, and all of it for the OTOCs."""
+    return la.evolve_unitary(eig, t)
+
+
+def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, otoc_pairs) -> dict:
+    """Requested metric fields of one record under the propagator ``u``.
+
+    Features and Holevo information see only the input subspace ``u[:, :2]``
+    (the reservoir starts in |0...0>); the OTOCs need all of ``u`` and come
+    from ``otoc_pairs(u, n, dim)``.
+    """
     want = set(cfg.metrics)
-    out_mse = out_kappa = None
+    train, test, y_train, y_test = inputs
+    v01 = u[:, :2]
+    fields = {}
     if {"mse", "condition_number"} & want:
-        p_train = qelm._features_from_columns(
-            v01, train_states, n, cfg.shot_model, shot_rng, cfg.bias_row
-        )
+        p_train = qelm._features_from_columns(v01, train, n, cfg.shot_model, shot_rng, cfg.bias_row)
         if "condition_number" in want:
-            out_kappa = qelm.condition_number(p_train)
+            fields["condition_number"] = qelm.condition_number(p_train)
         if "mse" in want:
-            p_test = qelm._features_from_columns(
-                v01, test_states, n, cfg.shot_model, shot_rng, cfg.bias_row
-            )
+            p_test = qelm._features_from_columns(v01, test, n, cfg.shot_model, shot_rng, cfg.bias_row)
             trained = qelm.train_readout(p_train, y_train, cfg.rcond)
-            out_mse = qelm.mse(y_test, qelm.predict(trained, p_test))
-    return out_mse, out_kappa
-
-
-def _holevo_fields(cfg: SweepConfig, v01, n):
-    want = set(cfg.metrics)
-    if not {"holevo", "holevo_per_node"} & want:
-        return None, None
-    profile = scrambling._holevo_from_columns(v01, n, cfg.log_base)
-    avg = profile.averaged if "holevo" in want else None
-    nodes = tuple(float(x) for x in profile.per_node) if "holevo_per_node" in want else None
-    return avg, nodes
-
-
-class _RealizationContext:
-    """Per-realization precomputation shared across the time grid."""
-
-    def __init__(self, cfg: SweepConfig, ham: ReservoirHamiltonian, train_states, test_states):
-        self.ham = ham
-        self.n = ham.spec.n_reservoir
-        self.dim = 2 ** (self.n + 1)
-        self.eig = la.herm_eig(ham.h_total)
-        self.train_states = train_states
-        self.test_states = test_states
-        want = set(cfg.metrics)
-        self.need_features = bool({"mse", "condition_number"} & want)
-        self.need_holevo = bool({"holevo", "holevo_per_node"} & want)
-        self.y_train = qelm.pauli_targets(train_states) if "mse" in want else None
-        self.y_test = qelm.pauli_targets(test_states) if "mse" in want else None
-        self.otoc_ops = _otoc_eigenbasis_ops(self.eig, self.n) if "otoc" in want else None
+            fields["mse"] = qelm.mse(y_test, qelm.predict(trained, p_test))
+    if "otoc" in want:
+        fields["otoc_avg"] = float(otoc_pairs(u, n, u.shape[0]).mean())
+    if {"holevo", "holevo_per_node"} & want:
+        profile = scrambling._holevo_from_columns(v01, n, cfg.log_base)
+        if "holevo" in want:
+            fields["holevo_avg"] = profile.averaged
+        if "holevo_per_node" in want:
+            fields["holevo_per_node"] = tuple(float(x) for x in profile.per_node)
+    return fields
 
 
 def _record_at_time(
     cfg: SweepConfig,
-    ctx: _RealizationContext,
+    spec: HamiltonianSpec,
+    eig: la.SpectralDecomposition,
+    inputs: tuple,
     t: float,
     ti: int,
-    shot_rng_for,
-    realization_index: int,
+    realization: int,
 ) -> ExperimentRecord:
-    v01 = _propagator_columns(ctx.eig, t) if (ctx.need_features or ctx.need_holevo) else None
-    shot_rng = None
-    if ctx.need_features and cfg.shot_model.mode is not ShotMode.EXACT:
-        shot_rng = shot_rng_for(ti)
-    out_mse, out_kappa = _metrics_at_columns(
-        cfg, v01, ctx.n, ctx.train_states, ctx.test_states, ctx.y_train, ctx.y_test, shot_rng
-    )
-    otoc_avg = None
-    if ctx.otoc_ops is not None:
-        per = _otoc_per_pair_from_eig(ctx.otoc_ops[0], ctx.otoc_ops[1], ctx.eig.eigenvalues, t, ctx.dim)
-        otoc_avg = float(per.mean())
-    holevo_avg, holevo_nodes = _holevo_fields(cfg, v01, ctx.n) if ctx.need_holevo else (None, None)
+    """Record of one realization at its ``ti``-th grid time, with that time's shot stream."""
+    n = spec.n_reservoir
+    topo_i = _TOPOLOGY_INDEX[spec.topology]
+    scheme_i = _SCHEME_INDEX[spec.scheme]
+    shot_rng = derive_rng(cfg.master_seed, _KIND_SHOTS, n, topo_i, scheme_i, realization, ti)
+    fields = _evaluate(cfg, _propagator_columns(eig, t), n, inputs, shot_rng, _otoc_per_pair_from_eig)
     return ExperimentRecord(
-        realization_index=realization_index,
-        topology=ctx.ham.spec.topology.value,
-        scheme=ctx.ham.spec.scheme.value,
-        n_reservoir=ctx.n,
-        time=float(t),
-        seed=ctx.ham.spec.seed,
-        mse=out_mse,
-        condition_number=out_kappa,
-        otoc_avg=otoc_avg,
-        holevo_avg=holevo_avg,
-        holevo_per_node=holevo_nodes,
+        realization, spec.topology.value, spec.scheme.value, n, float(t), spec.seed, **fields
     )
-
-
-def _records_for_hamiltonian(
-    cfg: SweepConfig,
-    ham: ReservoirHamiltonian,
-    times,
-    train_states,
-    test_states,
-    shot_rng_for,
-    realization_index: int,
-) -> list:
-    """Evaluate one realization on a time grid, reusing its eigendecomposition."""
-    ctx = _RealizationContext(cfg, ham, train_states, test_states)
-    return [
-        _record_at_time(cfg, ctx, t, ti, shot_rng_for, realization_index)
-        for ti, t in enumerate(times)
-    ]
 
 
 def run_single(
@@ -500,26 +433,21 @@ def run_single(
     config when not passed explicitly. Failures are re-raised tagged with the
     record key."""
     spec = ham.spec
+    n = spec.n_reservoir
     topo_i = _TOPOLOGY_INDEX[spec.topology]
     scheme_i = _SCHEME_INDEX[spec.scheme]
-    if state_rng is None:
-        state_rng = derive_rng(
-            config.master_seed, _KIND_STATES, spec.n_reservoir, topo_i, scheme_i, realization_index
-        )
     if shot_rng is None:
-        shot_rng = derive_rng(
-            config.master_seed, _KIND_SHOTS, spec.n_reservoir, topo_i, scheme_i, realization_index, 0
-        )
-    key = (realization_index, spec.topology.value, spec.scheme.value, spec.n_reservoir, t)
+        shot_rng = derive_rng(config.master_seed, _KIND_SHOTS, n, topo_i, scheme_i, realization_index, 0)
+    key = (realization_index, spec.topology.value, spec.scheme.value, n, t)
     try:
-        train_states = _draw_states(state_rng, config.n_train)
-        test_states = _draw_states(state_rng, config.n_test)
-        records = _records_for_hamiltonian(
-            config, ham, [t], train_states, test_states, lambda ti: shot_rng, realization_index
-        )
+        inputs = _draw_inputs(config, n, topo_i, scheme_i, realization_index, state_rng)
+        u = _propagator_columns(la.herm_eig(ham.h_total), t)
+        fields = _evaluate(config, u, n, inputs, shot_rng, _otoc_per_pair_from_eig)
     except Exception as exc:
         raise RuntimeError(f"run_single failed for record key {key}: {exc}") from exc
-    return records[0]
+    return ExperimentRecord(
+        realization_index, spec.topology.value, spec.scheme.value, n, float(t), spec.seed, **fields
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -535,39 +463,25 @@ def _hamiltonian_unit(args) -> tuple:
     topo_i = _TOPOLOGY_INDEX[topology]
     scheme_i = _SCHEME_INDEX[scheme]
 
-    def fail_all(exc):
-        return [
-            UnitFailure(realization, topology.value, scheme.value, n, float(t), f"{type(exc).__name__}: {exc}")
-            for t in times
-        ]
+    def failure(t, exc):
+        return UnitFailure(
+            realization, topology.value, scheme.value, n, float(t), f"{type(exc).__name__}: {exc}"
+        )
 
     try:
         seed = _derived_seed(cfg.master_seed, _KIND_HAMILTONIAN, n, topo_i, scheme_i, realization)
         spec = HamiltonianSpec(n, topology, scheme, cfg.j_range, cfg.delta_range, seed)
         ham = sample_hamiltonian(spec)
-        state_rng = derive_rng(cfg.master_seed, _KIND_STATES, n, topo_i, scheme_i, realization)
-        train_states = _draw_states(state_rng, cfg.n_train)
-        test_states = _draw_states(state_rng, cfg.n_test)
+        inputs = _draw_inputs(cfg, n, topo_i, scheme_i, realization)
+        eig = la.herm_eig(ham.h_total)
     except Exception as exc:
-        return [], fail_all(exc)
-
-    def shot_rng_for(ti):
-        return derive_rng(cfg.master_seed, _KIND_SHOTS, n, topo_i, scheme_i, realization, ti)
-
-    try:
-        ctx = _RealizationContext(cfg, ham, train_states, test_states)
-    except Exception as exc:
-        return [], fail_all(exc)
+        return [], [failure(t, exc) for t in times]
     records, failures = [], []
     for ti, t in enumerate(times):
         try:
-            records.append(_record_at_time(cfg, ctx, t, ti, shot_rng_for, realization))
+            records.append(_record_at_time(cfg, spec, eig, inputs, t, ti, realization))
         except Exception as exc:
-            failures.append(
-                UnitFailure(
-                    realization, topology.value, scheme.value, n, float(t), f"{type(exc).__name__}: {exc}"
-                )
-            )
+            failures.append(failure(t, exc))
     return records, failures
 
 
@@ -578,42 +492,13 @@ def _haar_unit(args) -> tuple:
     try:
         seed = _derived_seed(cfg.master_seed, _KIND_HAAR, n, realization)
         u = la.haar_unitary(2 ** (n + 1), np.random.default_rng(seed))
-        state_rng = derive_rng(cfg.master_seed, _KIND_STATES, n, topo_i, scheme_i, realization)
-        train_states = _draw_states(state_rng, cfg.n_train)
-        test_states = _draw_states(state_rng, cfg.n_test)
-        want = set(cfg.metrics)
-
-        v01 = u[:, :2]
-        shot_rng = None
-        if {"mse", "condition_number"} & want and cfg.shot_model.mode is not ShotMode.EXACT:
-            shot_rng = derive_rng(cfg.master_seed, _KIND_SHOTS, n, topo_i, scheme_i, realization, 0)
-        y_train = qelm.pauli_targets(train_states) if "mse" in want else None
-        y_test = qelm.pauli_targets(test_states) if "mse" in want else None
-        out_mse, out_kappa = _metrics_at_columns(
-            cfg, v01, n, train_states, test_states, y_train, y_test, shot_rng
-        )
-        otoc_avg = None
-        if "otoc" in want:
-            per = _otoc_per_pair_from_unitary(u, n, 2 ** (n + 1))
-            otoc_avg = float(per.mean())
-        holevo_avg, holevo_nodes = _holevo_fields(cfg, v01, n)
-        record = ExperimentRecord(
-            realization_index=realization,
-            topology=HAAR_LABEL,
-            scheme=HAAR_LABEL,
-            n_reservoir=n,
-            time=None,
-            seed=seed,
-            mse=out_mse,
-            condition_number=out_kappa,
-            otoc_avg=otoc_avg,
-            holevo_avg=holevo_avg,
-            holevo_per_node=holevo_nodes,
-        )
-        return [record], []
+        inputs = _draw_inputs(cfg, n, topo_i, scheme_i, realization)
+        shot_rng = derive_rng(cfg.master_seed, _KIND_SHOTS, n, topo_i, scheme_i, realization, 0)
+        fields = _evaluate(cfg, u, n, inputs, shot_rng, _otoc_per_pair_from_unitary)
     except Exception as exc:
         failure = UnitFailure(realization, HAAR_LABEL, HAAR_LABEL, n, None, f"{type(exc).__name__}: {exc}")
         return [], [failure]
+    return [ExperimentRecord(realization, HAAR_LABEL, HAAR_LABEL, n, None, seed, **fields)], []
 
 
 def _map_units(worker, args_list, threads: int):

@@ -38,10 +38,8 @@ __all__ = [
     "pseudoinverse",
     "svd_pseudoinverse",
     "default_rcond",
-    "is_hermitian",
     "require_hermitian",
     "is_unitary",
-    "require_unitary",
     "require_density",
 ]
 
@@ -67,11 +65,6 @@ for _m in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2):
 del _m
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
 def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> None:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -87,15 +80,6 @@ def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
         return False
     dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
     return bool(dev <= tol)
-
-
-def require_unitary(u: np.ndarray, tol: float = UNITARY_TOL, name: str = "matrix") -> None:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {u.shape}")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if dev > tol:
-        raise ValueError(f"{name} is not unitary: max |U^dag U - I| = {dev:.3e} > {tol:.1e}")
 
 
 def require_density(rho: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "rho") -> None:

@@ -253,13 +253,10 @@ def sample_features(
 
     ``joint_bitstrings`` samples whole computational-basis outcomes of the
     reservoir (all sigma_z values from one shot), ``independent_binomial``
-    draws each observable from its own binomial, and ``exact`` delegates to
-    :func:`exact_features` with the sigma_z readout set.
+    draws each observable from its own binomial, and ``exact`` returns the
+    expectation values themselves.
     """
-    if model.mode is ShotMode.EXACT:
-        obs = [la.embed_pauli("z", j, n_reservoir) for j in range(n_reservoir)]
-        return exact_features(u, states, obs, bias_row=bias_row, fiducial=fiducial)
-    if rng is None:
+    if model.mode is not ShotMode.EXACT and rng is None:
         raise ValueError("sampled shot modes need an explicit random generator")
     for rho in states:
         _require_qubit_state(rho)

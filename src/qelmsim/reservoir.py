@@ -164,22 +164,33 @@ class ReservoirHamiltonian:
     local_fields: np.ndarray
 
 
-def _embed_pair(op_a: np.ndarray, site_a: int, op_b: np.ndarray, site_b: int, n: int) -> np.ndarray:
-    """Two-site operator ``I x op_a x I x op_b x I`` with site_a < site_b."""
-    out = op_a
-    if site_a > 0:
-        out = np.kron(np.eye(2**site_a, dtype=complex), out)
-    mid = site_b - site_a - 1
-    if mid > 0:
-        out = np.kron(out, np.eye(2**mid, dtype=complex))
-    out = np.kron(out, op_b)
-    right = n - site_b - 1
-    if right > 0:
-        out = np.kron(out, np.eye(2**right, dtype=complex))
-    return out
+def _add_pauli_string(h: np.ndarray, coeff: float, factors, n_total: int) -> None:
+    """``h += coeff * P`` for the Pauli string ``P`` given as ``(site, axis)`` factors.
+
+    A Pauli string is a signed permutation: X and Y flip the site's bit, and
+    Y and Z give each row a phase that depends on the bit. Every entry of
+    ``coeff * P`` is exactly ``+-coeff`` or ``+-1j * coeff``.
+    """
+    rows = np.arange(h.shape[0])
+    flip = 0
+    phase = np.full(h.shape[0], coeff, dtype=complex)
+    for site, axis in factors:
+        shift = n_total - 1 - site
+        sign = 1 - 2 * ((rows >> shift) & 1)
+        if axis != "z":
+            flip |= 1 << shift
+        if axis == "y":
+            phase *= -1j * sign
+        elif axis == "z":
+            phase *= sign
+    h[rows, rows ^ flip] += phase
 
 
-_PAULI_BY_INDEX = (la.PAULI_X, la.PAULI_Y, la.PAULI_Z)
+def _add_coupling_block(h: np.ndarray, jmat: np.ndarray, site_a: int, site_b: int, n_total: int) -> None:
+    """``h += sum_ab J[a, b] sigma_a(site_a) sigma_b(site_b)``, in row-major (a, b) order."""
+    for a, axis_a in enumerate(la.PAULI_AXES):
+        for b, axis_b in enumerate(la.PAULI_AXES):
+            _add_pauli_string(h, jmat[a, b], ((site_a, axis_a), (site_b, axis_b)), n_total)
 
 
 def sample_hamiltonian(spec: HamiltonianSpec, rng: np.random.Generator | None = None) -> ReservoirHamiltonian:
@@ -200,24 +211,18 @@ def sample_hamiltonian(spec: HamiltonianSpec, rng: np.random.Generator | None = 
     for k, j in edge_set(spec.topology, n):
         jmat = rng.uniform(spec.j_range[0], spec.j_range[1], size=(3, 3))
         couplings_res[(k, j)] = jmat
-        for a in range(3):
-            for b in range(3):
-                h += jmat[a, b] * _embed_pair(_PAULI_BY_INDEX[a], k, _PAULI_BY_INDEX[b], j, n_tot)
+        _add_coupling_block(h, jmat, k, j, n_tot)
 
     local_fields = rng.uniform(spec.delta_range[0], spec.delta_range[1], size=(n, 3))
     for k in range(n):
         for a, axis in enumerate(la.PAULI_AXES):
-            h += local_fields[k, a] * la.embed_pauli(axis, k, n_tot)
+            _add_pauli_string(h, local_fields[k, a], ((k, axis),), n_tot)
 
     couplings_inj: dict[int, np.ndarray] = {}
     for k in injection_sites(spec.scheme, n):
         jmat = rng.uniform(spec.j_range[0], spec.j_range[1], size=(3, 3))
         couplings_inj[k] = jmat
-        for a in range(3):
-            for b in range(3):
-                h += jmat[a, b] * _embed_pair(
-                    _PAULI_BY_INDEX[a], k, _PAULI_BY_INDEX[b], spec.input_site, n_tot
-                )
+        _add_coupling_block(h, jmat, k, spec.input_site, n_tot)
 
     return ReservoirHamiltonian(
         spec=spec,

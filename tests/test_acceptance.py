@@ -211,7 +211,7 @@ class TestCriterion6ConditionNumber:
                 HamiltonianSpec(7, rec.topology, rec.scheme, seed=rec.seed)
             )
             eig = la.herm_eig(ham.h_total)
-            v01 = harness._propagator_columns(eig, 5.0)
+            v01 = la.evolve_unitary(eig, 5.0)[:, :2]
             srng = derive_rng(cfg.master_seed, 1, 7, topo_i, scheme_i, rec.realization_index)
             train = [la.random_pure_qubit_state(srng) for _ in range(cfg.n_train)]
             shot = derive_rng(cfg.master_seed, 2, 7, topo_i, scheme_i, rec.realization_index, 0)

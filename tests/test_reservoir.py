@@ -20,7 +20,8 @@ def rebuild_from_coefficients(ham):
     """Independent reassembly of the Hamiltonian from its stored coefficients.
 
     Uses matrix products of singly-embedded Paulis rather than the package's
-    pair-embedding kron chain.
+    bitmask construction. Each term adds the same exact values in the same
+    order, so the two agree bit for bit.
     """
     spec = ham.spec
     n_tot = spec.n_total
@@ -103,13 +104,14 @@ class TestSampleHamiltonian:
     def test_rebuild_matches_small(self):
         ham = sample_hamiltonian(HamiltonianSpec(2, "C", "SL", seed=6))
         assert ham.h_total.shape == (8, 8)
-        assert np.max(np.abs(ham.h_total - rebuild_from_coefficients(ham))) <= 1e-12
+        assert np.array_equal(ham.h_total, rebuild_from_coefficients(ham))
 
     def test_rebuild_matches_all_variants(self):
-        for topo in ("C", "R", "FC"):
-            for scheme in ("SL", "ML"):
-                ham = sample_hamiltonian(HamiltonianSpec(3, topo, scheme, seed=7))
-                assert np.max(np.abs(ham.h_total - rebuild_from_coefficients(ham))) <= 1e-12
+        cases = [(3, topo, scheme, 7) for topo in ("C", "R", "FC") for scheme in ("SL", "ML")]
+        cases += [(7, topo, scheme, seed) for topo, scheme in (("C", "SL"), ("FC", "ML")) for seed in (0, 99)]
+        for n, topo, scheme, seed in cases:
+            ham = sample_hamiltonian(HamiltonianSpec(n, topo, scheme, seed=seed))
+            assert np.array_equal(ham.h_total, rebuild_from_coefficients(ham))
 
     def test_determinism(self):
         spec = HamiltonianSpec(3, "R", "ML", seed=123)
