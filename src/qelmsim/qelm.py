@@ -114,19 +114,33 @@ def _z_sign_matrix(n_reservoir: int) -> np.ndarray:
     return signs
 
 
-def _reservoir_basis_probs(v01: np.ndarray, rho_in: np.ndarray) -> np.ndarray:
-    """Diagonal of the reservoir marginal of ``v01 @ rho_in @ v01^dag``."""
-    a = v01 @ rho_in
-    row = np.einsum("rc,rc->r", a, v01.conj()).real
-    return row.reshape(-1, 2).sum(axis=1)
+def _reservoir_basis_probs(v01: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Diagonal of the reservoir marginal of ``v01 @ rho @ v01^dag`` per state.
+
+    ``rhos`` is one (2, 2) state or a (k, 2, 2) stack; the result has shape
+    (2^N,) or (k, 2^N).
+    """
+    a = v01 @ rhos
+    row = np.einsum("...rc,rc->...r", a, v01.conj()).real
+    return row.reshape(row.shape[:-1] + (row.shape[-1] // 2, 2)).sum(axis=-1)
 
 
-def _require_qubit_state(rho: np.ndarray, name: str = "input state") -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"{name} must be a 2x2 density matrix, got shape {rho.shape}")
-    la.require_density(rho, name=name)
-    return rho
+def _qubit_states(states) -> np.ndarray:
+    """(k, 2, 2) stack of 2x2 Hermitian unit-trace ``states``.
+
+    The error names the index of the first state that fails.
+    """
+    rhos = [np.asarray(rho, dtype=complex) for rho in states]
+    for k, rho in enumerate(rhos):
+        if rho.shape != (2, 2):
+            raise ValueError(f"state {k} must be a 2x2 density matrix, got shape {rho.shape}")
+    rhos = np.array(rhos, dtype=complex).reshape(-1, 2, 2)
+    herm_dev = np.abs(rhos - rhos.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    trace_dev = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
+    bad = np.flatnonzero((herm_dev > la.HERMITIAN_TOL) | (trace_dev > max(la.HERMITIAN_TOL, 1e-10)))
+    if bad.size:
+        la.require_density(rhos[bad[0]], name=f"state {bad[0]}")
+    return rhos
 
 
 def reservoir_output_state(
@@ -141,7 +155,7 @@ def reservoir_output_state(
     qubit. ``fiducial`` overrides the |0...0> reservoir initialization with an
     arbitrary pure state vector.
     """
-    rho_in = _require_qubit_state(rho_in)
+    rho_in = _qubit_states([rho_in])[0]
     v01 = _input_columns(u, n_reservoir, fiducial)
     out_full = (v01 @ rho_in) @ v01.conj().T
     return la.partial_trace(out_full, n_reservoir + 1, keep=range(n_reservoir))
@@ -180,8 +194,7 @@ def exact_features(
 
     n_rows = len(obs) + (1 if bias_row else 0)
     feats = np.empty((n_rows, len(states)))
-    for k, rho in enumerate(states):
-        rho = _require_qubit_state(rho)
+    for k, rho in enumerate(_qubit_states(states)):
         out_full = (v01 @ rho) @ v01.conj().T
         marg = (
             la.partial_trace(out_full, n_reservoir + 1, keep=range(n_reservoir))
@@ -213,30 +226,32 @@ def _features_from_columns(
     readouts within a shot are kept.
     """
     signs = _z_sign_matrix(n_reservoir)
-    n_rows = n_reservoir + (1 if bias_row else 0)
-    feats = np.empty((n_rows, len(states)))
-    for k, rho in enumerate(states):
-        q = _reservoir_basis_probs(v01, np.asarray(rho, dtype=complex))
-        qmin = q.min()
-        if qmin < _NEGATIVE_PROB_TOL:
-            raise ValueError(
-                f"reservoir probability {qmin:.3e} below {_NEGATIVE_PROB_TOL:.0e}: "
-                "upstream numerical corruption"
-            )
-        if model.mode is ShotMode.EXACT:
-            feats[:n_reservoir, k] = signs @ q
-            continue
+    q = _reservoir_basis_probs(v01, np.asarray(states, dtype=complex).reshape(-1, 2, 2))
+    qmin = q.min(initial=0.0)
+    if qmin < _NEGATIVE_PROB_TOL:
+        raise ValueError(
+            f"reservoir probability {qmin:.3e} below {_NEGATIVE_PROB_TOL:.0e}: "
+            "upstream numerical corruption"
+        )
+    feats = np.empty((n_reservoir + (1 if bias_row else 0), q.shape[0]))
+    if model.mode is not ShotMode.EXACT:
         q = np.clip(q, 0.0, None)
-        q /= q.sum()
-        if model.mode is ShotMode.JOINT_BITSTRINGS:
-            counts = rng.multinomial(model.shots, q)
-            feats[:n_reservoir, k] = (signs @ counts) / model.shots
+        q /= q.sum(axis=1, keepdims=True)
+    # Draws broadcast over states take the stream state by state, as one draw
+    # per state would.
+    if model.mode is ShotMode.JOINT_BITSTRINGS:
+        feats[:n_reservoir] = (signs @ rng.multinomial(model.shots, q).T) / model.shots
+    else:
+        # A stack of matrix-vector products rounds each state's sums as
+        # ``signs @ q[k]`` alone does; one matrix product would not.
+        z_means = (signs @ q[:, :, None])[:, :, 0]
+        if model.mode is ShotMode.EXACT:
+            feats[:n_reservoir] = z_means.T
         else:
-            p = np.clip((1.0 + signs @ q) / 2.0, 0.0, 1.0)
-            counts = rng.binomial(model.shots, p)
-            feats[:n_reservoir, k] = 2.0 * counts / model.shots - 1.0
+            counts = rng.binomial(model.shots, np.clip((1.0 + z_means) / 2.0, 0.0, 1.0))
+            feats[:n_reservoir] = (2.0 * counts / model.shots - 1.0).T
     if bias_row:
-        feats[n_reservoir, :] = 1.0
+        feats[n_reservoir] = 1.0
     return feats
 
 
@@ -258,20 +273,16 @@ def sample_features(
     """
     if model.mode is not ShotMode.EXACT and rng is None:
         raise ValueError("sampled shot modes need an explicit random generator")
-    for rho in states:
-        _require_qubit_state(rho)
+    rhos = _qubit_states(states)
     v01 = _input_columns(u, n_reservoir, fiducial)
-    return _features_from_columns(v01, states, n_reservoir, model, rng, bias_row)
+    return _features_from_columns(v01, rhos, n_reservoir, model, rng, bias_row)
 
 
 def pauli_targets(states) -> np.ndarray:
     """3 x n_states matrix of (<sigma_x>, <sigma_y>, <sigma_z>) per state."""
-    out = np.empty((3, len(states)))
-    for k, rho in enumerate(states):
-        rho = _require_qubit_state(rho, name=f"state {k}")
-        for a, axis in enumerate(la.PAULI_AXES):
-            out[a, k] = np.einsum("ij,ji->", la.PAULIS[axis], rho).real
-    return out
+    rhos = _qubit_states(states)
+    paulis = np.stack([la.PAULIS[axis] for axis in la.PAULI_AXES])
+    return np.einsum("aij,kji->ak", paulis, rhos).real
 
 
 def train_readout(p_train: np.ndarray, y_train: np.ndarray, rcond: float | None = None) -> TrainedReadout:

@@ -27,16 +27,14 @@ __all__ = [
 _INVOLUTION_TOL = 1e-10
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
-# (plus, minus) eigenvectors of sigma_x, sigma_y, sigma_z.
-PAULI_EIGENSTATES = {
-    "x": (np.array([_SQRT_HALF, _SQRT_HALF], dtype=complex), np.array([_SQRT_HALF, -_SQRT_HALF], dtype=complex)),
-    "y": (np.array([_SQRT_HALF, 1j * _SQRT_HALF], dtype=complex), np.array([_SQRT_HALF, -1j * _SQRT_HALF], dtype=complex)),
-    "z": (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)),
-}
-for _pair in PAULI_EIGENSTATES.values():
-    for _v in _pair:
-        _v.setflags(write=False)
-del _pair, _v
+# Columns: the (plus, minus) eigenvectors of sigma_x, sigma_y, sigma_z.
+_EIGENKETS = np.array(
+    [[_SQRT_HALF, _SQRT_HALF, _SQRT_HALF, _SQRT_HALF, 1.0, 0.0],
+     [_SQRT_HALF, -_SQRT_HALF, 1j * _SQRT_HALF, -1j * _SQRT_HALF, 0.0, 1.0]],
+    dtype=complex,
+)
+_EIGENKETS.setflags(write=False)
+PAULI_EIGENSTATES = {axis: (_EIGENKETS[:, 2 * a], _EIGENKETS[:, 2 * a + 1]) for a, axis in enumerate(la.PAULI_AXES)}
 
 
 @dataclass(frozen=True)
@@ -141,27 +139,42 @@ def local_channel(u: np.ndarray, rho_in: np.ndarray, n_reservoir: int, node: int
     return la.partial_trace(out_full, n_reservoir + 1, keep={node})
 
 
-def _pure_node_marginal(phi: np.ndarray, n_total: int, node: int) -> np.ndarray:
-    """2x2 marginal of a pure register state at qubit ``node``."""
-    psi = phi.reshape(2**node, 2, 2 ** (n_total - node - 1))
-    return np.einsum("abc,adc->bd", psi, psi.conj())
+def _qubit_entropies(rhos: np.ndarray, log_base=2) -> np.ndarray:
+    """Von Neumann entropies of a (..., 2, 2) stack of qubit density matrices.
+
+    Same Hermiticity check, eigenvalue cutoff and clamp at 0 as
+    ``la.von_neumann_entropy``, with the 2x2 spectrum in closed form:
+    ``tr/2 +- sqrt(((a - d)/2)^2 + |rho_10|^2)``.
+    """
+    if log_base != 2 and log_base not in ("e", np.e):
+        raise ValueError(f"log_base must be 2 or 'e', got {log_base!r}")
+    dev = float(np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)), initial=0.0))
+    if dev > la.HERMITIAN_TOL:
+        raise ValueError(f"rho is not Hermitian: max |A - A^dag| = {dev:.3e} > {la.HERMITIAN_TOL:.1e}")
+    a = rhos[..., 0, 0].real
+    d = rhos[..., 1, 1].real
+    half_tr = 0.5 * (a + d)
+    radius = np.sqrt((0.5 * (a - d)) ** 2 + np.abs(rhos[..., 1, 0]) ** 2)
+    w = np.stack([half_tr - radius, half_tr + radius], axis=-1)
+    keep = w > la.ENTROPY_EIGENVALUE_CUTOFF
+    s = -np.where(keep, w * np.log(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
+    if log_base == 2:
+        s /= np.log(2.0)
+    return np.maximum(s, 0.0)
 
 
 def _holevo_from_columns(v01: np.ndarray, n_reservoir: int, log_base=2) -> HolevoResult:
     """Holevo profile from the (2^(N+1), 2) input-subspace isometry."""
-    n_tot = n_reservoir + 1
-    per = np.empty((n_reservoir, 3))
-    for ai, axis in enumerate(la.PAULI_AXES):
-        plus, minus = PAULI_EIGENSTATES[axis]
-        phi_p = v01 @ plus
-        phi_m = v01 @ minus
-        for node in range(n_reservoir):
-            rho_p = _pure_node_marginal(phi_p, n_tot, node)
-            rho_m = _pure_node_marginal(phi_m, n_tot, node)
-            s_mix = la.von_neumann_entropy(0.5 * (rho_p + rho_m), log_base)
-            s_p = la.von_neumann_entropy(rho_p, log_base)
-            s_m = la.von_neumann_entropy(rho_m, log_base)
-            per[node, ai] = s_mix - 0.5 * (s_p + s_m)
+    phis = np.ascontiguousarray((v01 @ _EIGENKETS).T)
+    # rhos[a, 0 | 1 | 2, node]: the marginals of the plus and minus kets of
+    # axis a at that node, and their equal mixture.
+    rhos = np.empty((3, 3, n_reservoir, 2, 2), dtype=complex)
+    for node in range(n_reservoir):
+        psi = phis.reshape(6, 2**node, 2, 2 ** (n_reservoir - node))
+        rhos[:, :2, node] = np.einsum("kabc,kadc->kbd", psi, psi.conj()).reshape(3, 2, 2, 2)
+    rhos[:, 2] = 0.5 * (rhos[:, 0] + rhos[:, 1])
+    s = _qubit_entropies(rhos, log_base)
+    per = (s[:, 2] - 0.5 * (s[:, 0] + s[:, 1])).T
     per_node = per.mean(axis=1)
     return HolevoResult(
         per_node_per_axis=per,

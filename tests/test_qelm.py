@@ -182,14 +182,15 @@ class TestSampleFeatures:
         # a corrupted input passes the cheap trace/hermiticity checks but its
         # negative weight survives into the reservoir marginal under a SWAP
         bad_state = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(ValueError, match="probability"):
-            sample_features(
-                swap_unitary(2, 0, 1),
-                [bad_state],
-                1,
-                ShotModel("joint_bitstrings", 10),
-                np.random.default_rng(15),
-            )
+        for states in ([bad_state], [KET0, KET_PLUS, bad_state]):
+            with pytest.raises(ValueError, match="probability"):
+                sample_features(
+                    swap_unitary(2, 0, 1),
+                    states,
+                    1,
+                    ShotModel("joint_bitstrings", 10),
+                    np.random.default_rng(15),
+                )
 
     def test_requires_rng(self):
         with pytest.raises(ValueError, match="generator"):
@@ -225,6 +226,40 @@ class TestSampleFeatures:
         ratio = ours.var(axis=0) / explicit.var(axis=0)
         assert np.all((0.7 <= ratio) & (ratio <= 1.4))
 
+    @pytest.mark.parametrize("mode", ["exact", "joint_bitstrings", "independent_binomial"])
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("bias_row", [False, True])
+    def test_batched_features_match_per_state_loop(self, mode, n, bias_row):
+        # the batched kernel against one probability vector and one draw per
+        # state, taking the generator stream in the same order
+        from qelmsim.qelm import _features_from_columns, _reservoir_basis_probs, _z_sign_matrix
+
+        rng = np.random.default_rng(40 + n)
+        v01 = random_unitary(rng, 2 ** (n + 1))[:, :2]
+        states = [la.random_pure_qubit_state(rng) for _ in range(20)] + [random_density(rng, 2)]
+        model = ShotModel(mode, 1000)
+        got = _features_from_columns(v01, states, n, model, np.random.default_rng(41), bias_row)
+
+        signs = _z_sign_matrix(n)
+        ref_rng = np.random.default_rng(41)
+        ref = np.ones((n + (1 if bias_row else 0), len(states)))
+        for k, rho in enumerate(states):
+            q = _reservoir_basis_probs(v01, rho)
+            if model.mode is ShotMode.EXACT:
+                ref[:n, k] = signs @ q
+                continue
+            q = np.clip(q, 0.0, None)
+            q /= q.sum()
+            if model.mode is ShotMode.JOINT_BITSTRINGS:
+                ref[:n, k] = (signs @ ref_rng.multinomial(model.shots, q)) / model.shots
+            else:
+                p = np.clip((1.0 + signs @ q) / 2.0, 0.0, 1.0)
+                ref[:n, k] = 2.0 * ref_rng.binomial(model.shots, p) / model.shots - 1.0
+        if model.mode is ShotMode.EXACT:
+            assert np.max(np.abs(got - ref)) <= 1e-15
+        else:
+            assert np.array_equal(got, ref)
+
     def test_shot_model_validation(self):
         with pytest.raises(ValueError, match="shots"):
             ShotModel("joint_bitstrings", 0)
@@ -250,6 +285,18 @@ class TestPauliTargets:
     def test_rejects_non_qubit(self):
         with pytest.raises(ValueError, match="2x2"):
             pauli_targets([np.eye(4) / 4])
+        with pytest.raises(ValueError, match="state 2 is not Hermitian"):
+            pauli_targets([KET0, KET_PLUS, np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)])
+        with pytest.raises(ValueError, match="state 1 must have unit trace"):
+            pauli_targets([KET0, np.eye(2, dtype=complex)])
+
+    def test_matches_per_state_traces(self):
+        rng = np.random.default_rng(17)
+        states = [la.random_pure_qubit_state(rng) for _ in range(50)]
+        ref = np.array(
+            [[np.einsum("ij,ji->", la.PAULIS[axis], rho).real for rho in states] for axis in la.PAULI_AXES]
+        )
+        assert np.array_equal(pauli_targets(states), ref)
 
 
 class TestTrainPredictMse:

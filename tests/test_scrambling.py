@@ -5,6 +5,8 @@ from qelmsim import linalg as la
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
 from qelmsim.scrambling import (
     PAULI_EIGENSTATES,
+    _holevo_from_columns,
+    _qubit_entropies,
     averaged_otoc,
     heisenberg_evolve,
     local_channel,
@@ -217,3 +219,49 @@ class TestLocalHolevoProfile:
             plus, minus = PAULI_EIGENSTATES[axis]
             assert np.max(np.abs(pauli @ plus - plus)) <= 1e-15
             assert np.max(np.abs(pauli @ minus + minus)) <= 1e-15
+
+
+class TestHolevoKernel:
+    """The batched kernel against per-matrix ``la.von_neumann_entropy``."""
+
+    @pytest.mark.parametrize("log_base", [2, "e"])
+    @pytest.mark.parametrize("kind", ["haar", "identity"])
+    def test_matches_entropy_loop(self, kind, log_base):
+        n = 3
+        dim = 2 ** (n + 1)
+        u = la.haar_unitary(dim, np.random.default_rng(20)) if kind == "haar" else np.eye(dim, dtype=complex)
+        ref = np.empty((n, 3))
+        for ai, axis in enumerate(la.PAULI_AXES):
+            plus, minus = (np.outer(ket, ket.conj()) for ket in PAULI_EIGENSTATES[axis])
+            for node in range(n):
+                rho_p = local_channel(u, plus, n, node)
+                rho_m = local_channel(u, minus, n, node)
+                s_mix = la.von_neumann_entropy(0.5 * (rho_p + rho_m), log_base)
+                s_p = la.von_neumann_entropy(rho_p, log_base)
+                s_m = la.von_neumann_entropy(rho_m, log_base)
+                ref[node, ai] = s_mix - 0.5 * (s_p + s_m)
+        got = _holevo_from_columns(u[:, :2], n, log_base)
+        assert np.max(np.abs(got.per_node_per_axis - ref)) <= 1e-13
+        assert np.max(np.abs(got.per_node - ref.mean(axis=1))) <= 1e-13
+        assert got.averaged == pytest.approx(ref.mean(), abs=1e-13)
+
+    @pytest.mark.parametrize("log_base", [2, "e"])
+    def test_closed_form_entropies(self, log_base):
+        rng = np.random.default_rng(21)
+        mixed = [random_density(rng, 2) for _ in range(20)]
+        pure = [la.random_pure_qubit_state(rng) for _ in range(20)]
+        rhos = np.array(mixed + pure + [np.eye(2, dtype=complex) / 2, np.diag([1.0, 0.0]).astype(complex)])
+        ref = np.array([la.von_neumann_entropy(rho, log_base) for rho in rhos])
+        got = _qubit_entropies(rhos.reshape(2, -1, 2, 2), log_base).reshape(-1)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+        assert got[-2] == pytest.approx(1.0 if log_base == 2 else np.log(2.0), abs=1e-15)
+
+    def test_rejects_non_hermitian_marginal(self):
+        rhos = np.array([np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            _qubit_entropies(rhos)
+
+    def test_rejects_unknown_log_base(self):
+        u = la.haar_unitary(8, np.random.default_rng(22))
+        with pytest.raises(ValueError, match="log_base"):
+            local_holevo_profile(u, 2, log_base=10)
