@@ -25,7 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harness
-from .harness import ALL_METRICS, ConfigError, ExperimentRecord, SweepConfig, SweepResult
+from .harness import (
+    ALL_METRICS,
+    AggregateRow,
+    ConfigError,
+    ExperimentRecord,
+    HolevoNodeRow,
+    SweepConfig,
+    SweepResult,
+    UnitFailure,
+)
 from .qelm import ShotModel
 
 __all__ = [
@@ -53,24 +62,7 @@ EXIT_PARTIAL = 5
 ENV_OUT_DIR = "QELMSIM_OUT_DIR"
 _DEFAULT_OUT_DIR = "qelmsim-out"
 
-_CONFIG_KEYS = {
-    "n_reservoir",
-    "topologies",
-    "schemes",
-    "time_grid",
-    "n_realizations",
-    "n_train",
-    "n_test",
-    "shot_model",
-    "master_seed",
-    "rcond",
-    "log_base",
-    "include_haar_baseline",
-    "metrics",
-    "j_range",
-    "delta_range",
-    "bias_row",
-}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(SweepConfig)}
 
 
 @dataclass(frozen=True)
@@ -179,84 +171,51 @@ def _parse_optional_float(text: str):
     return None if text == "" else float(text)
 
 
-def _record_header(max_nodes: int) -> list:
-    base = [
-        "realization_index",
-        "topology",
-        "scheme",
-        "n_reservoir",
-        "time",
-        "seed",
-        "mse",
-        "condition_number",
-        "otoc_avg",
-        "holevo_avg",
-    ]
-    return base + [f"chi_node_{i}" for i in range(max_nodes)]
-
-
-def _write_records_csv(path: Path, records) -> None:
-    max_nodes = max((len(r.holevo_per_node) for r in records if r.holevo_per_node), default=0)
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_record_header(max_nodes))
-        for r in records:
-            nodes = list(r.holevo_per_node) if r.holevo_per_node else []
-            nodes += [None] * (max_nodes - len(nodes))
-            writer.writerow(
-                [
-                    r.realization_index,
-                    r.topology,
-                    r.scheme,
-                    r.n_reservoir,
-                    _fmt(r.time),
-                    r.seed,
-                    _fmt(r.mse),
-                    _fmt(r.condition_number),
-                    _fmt(r.otoc_avg),
-                    _fmt(r.holevo_avg),
-                ]
-                + [_fmt(v) for v in nodes]
-            )
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+# The scalar record fields, one column each; ``holevo_per_node`` spreads over
+# chi_node_0..chi_node_{N-1}, empty past a record's own N.
+_RECORD_COLUMNS = tuple(f.name for f in dataclasses.fields(ExperimentRecord) if f.name != "holevo_per_node")
+# CSV cell parsers by field annotation; the other scalar fields are optional floats.
+_CELL_PARSERS = {"int": int, "str": str}
+
+
+def _records_table(records) -> tuple:
+    max_nodes = max((len(r.holevo_per_node) for r in records if r.holevo_per_node), default=0)
+    header = _RECORD_COLUMNS + tuple(f"chi_node_{i}" for i in range(max_nodes))
+    rows = []
+    for r in records:
+        nodes = list(r.holevo_per_node or ())
+        rows.append([getattr(r, c) for c in _RECORD_COLUMNS] + nodes + [None] * (max_nodes - len(nodes)))
+    return header, rows
 
 
 def read_records_csv(path) -> list:
+    parsers = {
+        f.name: _CELL_PARSERS.get(f.type, _parse_optional_float)
+        for f in dataclasses.fields(ExperimentRecord)
+    }
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         node_cols = [c for c in reader.fieldnames or [] if c.startswith("chi_node_")]
         node_cols.sort(key=lambda c: int(c.rsplit("_", 1)[1]))
         for row in reader:
-            nodes = [row[c] for c in node_cols if row[c] != ""]
-            records.append(
-                ExperimentRecord(
-                    realization_index=int(row["realization_index"]),
-                    topology=row["topology"],
-                    scheme=row["scheme"],
-                    n_reservoir=int(row["n_reservoir"]),
-                    time=_parse_optional_float(row["time"]),
-                    seed=int(row["seed"]),
-                    mse=_parse_optional_float(row["mse"]),
-                    condition_number=_parse_optional_float(row["condition_number"]),
-                    otoc_avg=_parse_optional_float(row["otoc_avg"]),
-                    holevo_avg=_parse_optional_float(row["holevo_avg"]),
-                    holevo_per_node=tuple(float(v) for v in nodes) if nodes else None,
-                )
-            )
+            nodes = tuple(float(row[c]) for c in node_cols if row[c] != "")
+            fields = {c: parsers[c](row[c]) for c in _RECORD_COLUMNS}
+            records.append(ExperimentRecord(**fields, holevo_per_node=nodes or None))
     return records
-
-
-def _record_to_dict(r: ExperimentRecord) -> dict:
-    out = dataclasses.asdict(r)
-    out["holevo_per_node"] = list(r.holevo_per_node) if r.holevo_per_node else None
-    return out
-
-
-def _write_records_json(path: Path, records) -> None:
-    payload = [_record_to_dict(r) for r in records]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def read_records_json(path) -> list:
@@ -270,60 +229,15 @@ def read_records_json(path) -> list:
     return records
 
 
-def _write_aggregates_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["topology", "scheme", "n_reservoir", "time", "metric", "n", "median", "q1", "q3"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.topology,
-                    row.scheme,
-                    row.n_reservoir,
-                    _fmt(row.time),
-                    row.metric,
-                    row.stats.n,
-                    _fmt(row.stats.median),
-                    _fmt(row.stats.q1),
-                    _fmt(row.stats.q3),
-                ]
-            )
+_STAT_COLUMNS = ("n", "median", "q1", "q3")
+_FAILURE_COLUMNS = tuple(f.name for f in dataclasses.fields(UnitFailure))
 
 
-def _write_holevo_nodes_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["topology", "scheme", "n_reservoir", "time", "node", "n", "median", "q1", "q3"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.topology,
-                    row.scheme,
-                    row.n_reservoir,
-                    _fmt(row.time),
-                    row.node,
-                    row.stats.n,
-                    _fmt(row.stats.median),
-                    _fmt(row.stats.q1),
-                    _fmt(row.stats.q3),
-                ]
-            )
-
-
-def _agg_row_to_dict(row) -> dict:
-    out = dataclasses.asdict(row)
-    out["stats"] = dataclasses.asdict(row.stats)
-    return out
-
-
-def _write_failures_csv(path: Path, failures) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["realization_index", "topology", "scheme", "n_reservoir", "time", "error"])
-        for f in failures:
-            writer.writerow(
-                [f.realization_index, f.topology, f.scheme, f.n_reservoir, _fmt(f.time), f.error]
-            )
+def _stats_table(row_type, rows) -> tuple:
+    """Aggregate or per-node rows: their key fields, then the ensemble statistics."""
+    keys = tuple(f.name for f in dataclasses.fields(row_type) if f.name != "stats")
+    body = [[getattr(r, k) for k in keys] + [getattr(r.stats, s) for s in _STAT_COLUMNS] for r in rows]
+    return keys + _STAT_COLUMNS, body
 
 
 def emit_records(
@@ -356,21 +270,17 @@ def emit_records(
 
     try:
         if format == "csv":
-            _write_records_csv(out / "records.csv", records)
-            _write_aggregates_csv(out / "aggregates.csv", agg_rows)
+            _write_csv(out / "records.csv", *_records_table(records))
+            _write_csv(out / "aggregates.csv", *_stats_table(AggregateRow, agg_rows))
             if node_rows:
-                _write_holevo_nodes_csv(out / "holevo_nodes.csv", node_rows)
+                _write_csv(out / "holevo_nodes.csv", *_stats_table(HolevoNodeRow, node_rows))
         else:
-            _write_records_json(out / "records.json", records)
-            with open(out / "aggregates.json", "w") as fh:
-                json.dump([_agg_row_to_dict(r) for r in agg_rows], fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            _write_json(out / "records.json", [dataclasses.asdict(r) for r in records])
+            _write_json(out / "aggregates.json", [dataclasses.asdict(r) for r in agg_rows])
             if node_rows:
-                with open(out / "holevo_nodes.json", "w") as fh:
-                    json.dump([_agg_row_to_dict(r) for r in node_rows], fh, indent=1, sort_keys=True)
-                    fh.write("\n")
+                _write_json(out / "holevo_nodes.json", [dataclasses.asdict(r) for r in node_rows])
         if failures:
-            _write_failures_csv(out / "failures.csv", failures)
+            _write_csv(out / "failures.csv", _FAILURE_COLUMNS, map(dataclasses.astuple, failures))
         now = datetime.now(timezone.utc).isoformat()
         manifest = RunManifest(
             config_digest=config_digest(config) if config is not None else None,
@@ -380,9 +290,7 @@ def emit_records(
             record_count=len(records),
             failure_count=len(failures),
         )
-        with open(out / "manifest.json", "w") as fh:
-            json.dump(dataclasses.asdict(manifest), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "manifest.json", dataclasses.asdict(manifest))
     except OSError as exc:
         raise RuntimeError(f"failed writing results under {out}: {exc}") from exc
     return manifest
@@ -503,8 +411,7 @@ def _cmd_single_run(args) -> int:
     if outcome.failures:
         raise RuntimeError(f"single run failed: {outcome.failures[0].error}")
     record = outcome.records[0]
-    json.dump(_record_to_dict(record), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    print(json.dumps(dataclasses.asdict(record), indent=1, sort_keys=True))
     return EXIT_OK
 
 

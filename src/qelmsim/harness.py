@@ -195,22 +195,10 @@ class SweepConfig:
     def as_dict(self) -> dict:
         """JSON-serializable canonical form (used for the config digest)."""
         return {
-            "n_reservoir": list(self.sizes) if len(self.sizes) > 1 else self.sizes[0],
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
             "topologies": [t.value for t in self.topologies],
             "schemes": [s.value for s in self.schemes],
-            "time_grid": list(self.time_grid),
-            "n_realizations": self.n_realizations,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
             "shot_model": {"mode": self.shot_model.mode.value, "shots": self.shot_model.shots},
-            "master_seed": self.master_seed,
-            "rcond": self.rcond,
-            "log_base": self.log_base,
-            "include_haar_baseline": self.include_haar_baseline,
-            "metrics": list(self.metrics),
-            "j_range": list(self.j_range),
-            "delta_range": list(self.delta_range),
-            "bias_row": self.bias_row,
         }
 
 
@@ -306,8 +294,8 @@ def _draw_inputs(cfg: SweepConfig, n: int, topo_i: int, scheme_i: int, realizati
     """
     if rng is None:
         rng = derive_rng(cfg.master_seed, _KIND_STATES, n, topo_i, scheme_i, realization)
-    train = [la.random_pure_qubit_state(rng) for _ in range(cfg.n_train)]
-    test = [la.random_pure_qubit_state(rng) for _ in range(cfg.n_test)]
+    states = la._random_pure_qubit_states(rng, cfg.n_train + cfg.n_test)
+    train, test = states[: cfg.n_train], states[cfg.n_train :]
     if "mse" not in cfg.metrics:
         return train, test, None, None
     return train, test, qelm.pauli_targets(train), qelm.pauli_targets(test)
@@ -513,17 +501,18 @@ def _time_key(t):
     return -np.inf if t is None else t
 
 
+def _unit_order(r):
+    """Sweep order of a record or failure: size, topology, scheme, realization, time."""
+    return (r.n_reservoir, r.topology, r.scheme, r.realization_index, _time_key(r.time))
+
+
 def _collect(outcomes) -> SweepResult:
     records, failures = [], []
     for recs, fails in outcomes:
         records.extend(recs)
         failures.extend(fails)
-    records.sort(
-        key=lambda r: (r.n_reservoir, r.topology, r.scheme, r.realization_index, _time_key(r.time))
-    )
-    failures.sort(
-        key=lambda f: (f.n_reservoir, f.topology, f.scheme, f.realization_index, _time_key(f.time))
-    )
+    records.sort(key=_unit_order)
+    failures.sort(key=_unit_order)
     return SweepResult(records=tuple(records), failures=tuple(failures))
 
 

@@ -225,15 +225,24 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
+def _random_pure_qubit_states(rng: np.random.Generator, k: int) -> np.ndarray:
+    """(k, 2, 2) stack of Haar-random pure qubit states.
+
+    Each state takes four normals from ``rng``, the real pair before the
+    imaginary one. The squared norm is summed as two stacked dot products,
+    which rounds as ``np.linalg.norm`` of one vector does.
+    """
+    g = rng.standard_normal((k, 2, 2))
+    re, im = g[:, :1], g[:, 1:]
+    norm = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+    v = g[:, 0] + 1j * g[:, 1]
+    v /= norm
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
 def random_pure_qubit_state(rng: np.random.Generator) -> np.ndarray:
     """Rank-1 single-qubit density matrix, Haar-uniform on the Bloch sphere."""
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    norm = np.linalg.norm(v)
-    while norm == 0.0:  # pragma: no cover - probability zero
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        norm = np.linalg.norm(v)
-    v /= norm
-    return np.outer(v, v.conj())
+    return _random_pure_qubit_states(rng, 1)[0]
 
 
 def default_rcond(shape) -> float:

@@ -2,6 +2,7 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qelmsim import cli, harness
@@ -297,3 +298,188 @@ class TestCommands:
         assert main(["sweep-time", "--config", config_path, "--out", str(out_b)]) == EXIT_OK
         assert (out_a / "records.csv").read_bytes() == (out_b / "records.csv").read_bytes()
         assert (out_a / "aggregates.csv").read_bytes() == (out_b / "aggregates.csv").read_bytes()
+
+
+class TestEmissionFormat:
+    """Exact text of every table ``emit_records`` writes, from hand-built records."""
+
+    RECORDS = [
+        harness.ExperimentRecord(0, "C", "SL", 2, 0.0, 11, 0.1, 2.5, 0.0, 0.25, (0.5, 0.0)),
+        harness.ExperimentRecord(1, "C", "SL", 2, 0.0, 12, 0.3, 4.0, 0.125, 0.5, (0.75, 0.25)),
+        harness.ExperimentRecord(0, "FC", "ML", 3, 1.5, 13, None, float("inf"), 0.5, 1 / 3, (0.1, 0.2, 0.3)),
+        harness.ExperimentRecord(0, "RU", "RU", 2, None, 14, 0.2, 3.0, 0.75, None, None),
+    ]
+    FAILURES = [
+        harness.UnitFailure(1, "R", "SL", 2, 1.5, "ValueError: ring needs at least 3 sites"),
+        harness.UnitFailure(1, "RU", "RU", 3, None, 'LinAlgError: eigh failed, "twice"'),
+    ]
+
+    RECORDS_CSV = (
+        "realization_index,topology,scheme,n_reservoir,time,seed,mse,condition_number,otoc_avg,"
+        "holevo_avg,chi_node_0,chi_node_1,chi_node_2\n"
+        "0,C,SL,2,0,11,0.10000000000000001,2.5,0,0.25,0.5,0,\n"
+        "1,C,SL,2,0,12,0.29999999999999999,4,0.125,0.5,0.75,0.25,\n"
+        "0,FC,ML,3,1.5,13,,inf,0.5,0.33333333333333331,"
+        "0.10000000000000001,0.20000000000000001,0.29999999999999999\n"
+        "0,RU,RU,2,,14,0.20000000000000001,3,0.75,,,,\n"
+    )
+    # A lone infinite value aggregates to nan: numpy's interpolation takes inf - inf.
+    AGGREGATES_CSV = (
+        "topology,scheme,n_reservoir,time,metric,n,median,q1,q3\n"
+        "C,SL,2,0,mse,2,0.20000000000000001,0.14999999999999999,0.25\n"
+        "C,SL,2,0,condition_number,2,3.25,2.875,3.625\n"
+        "C,SL,2,0,otoc_avg,2,0.0625,0.03125,0.09375\n"
+        "C,SL,2,0,holevo_avg,2,0.375,0.3125,0.4375\n"
+        "FC,ML,3,1.5,condition_number,1,nan,nan,nan\n"
+        "FC,ML,3,1.5,otoc_avg,1,0.5,0.5,0.5\n"
+        "FC,ML,3,1.5,holevo_avg,1,0.33333333333333331,0.33333333333333331,0.33333333333333331\n"
+        "RU,RU,2,,mse,1,0.20000000000000001,0.20000000000000001,0.20000000000000001\n"
+        "RU,RU,2,,condition_number,1,3,3,3\n"
+        "RU,RU,2,,otoc_avg,1,0.75,0.75,0.75\n"
+    )
+    HOLEVO_NODES_CSV = (
+        "topology,scheme,n_reservoir,time,node,n,median,q1,q3\n"
+        "C,SL,2,0,0,2,0.625,0.5625,0.6875\n"
+        "C,SL,2,0,1,2,0.125,0.0625,0.1875\n"
+        "FC,ML,3,1.5,0,1,0.10000000000000001,0.10000000000000001,0.10000000000000001\n"
+        "FC,ML,3,1.5,1,1,0.20000000000000001,0.20000000000000001,0.20000000000000001\n"
+        "FC,ML,3,1.5,2,1,0.29999999999999999,0.29999999999999999,0.29999999999999999\n"
+    )
+    FAILURES_CSV = (
+        "realization_index,topology,scheme,n_reservoir,time,error\n"
+        "1,R,SL,2,1.5,ValueError: ring needs at least 3 sites\n"
+        '1,RU,RU,3,,"LinAlgError: eigh failed, ""twice"""\n'
+    )
+
+    @staticmethod
+    def stat_rows(keys, key_name, stats):
+        return [
+            {
+                "topology": k[0],
+                "scheme": k[1],
+                "n_reservoir": k[2],
+                "time": k[3],
+                key_name: k[4],
+                "stats": {"median": s[0], "q1": s[1], "q3": s[2], "n": s[3]},
+            }
+            for k, s in zip(keys, stats)
+        ]
+
+    def emit(self, tmp_path, fmt):
+        out = tmp_path / fmt
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            manifest = emit_records(self.RECORDS, None, fmt, out, failures=self.FAILURES)
+        assert (manifest.record_count, manifest.failure_count) == (4, 2)
+        return out
+
+    def test_csv_tables_exact_text(self, tmp_path):
+        out = self.emit(tmp_path, "csv")
+        assert (out / "records.csv").read_text() == self.RECORDS_CSV
+        assert (out / "aggregates.csv").read_text() == self.AGGREGATES_CSV
+        assert (out / "holevo_nodes.csv").read_text() == self.HOLEVO_NODES_CSV
+        assert (out / "failures.csv").read_text() == self.FAILURES_CSV
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregates.csv",
+            "failures.csv",
+            "holevo_nodes.csv",
+            "manifest.json",
+            "records.csv",
+        ]
+
+    def test_json_tables_content(self, tmp_path):
+        out = self.emit(tmp_path, "json")
+        records = json.loads((out / "records.json").read_text())
+        assert records == [
+            {
+                "realization_index": r.realization_index,
+                "topology": r.topology,
+                "scheme": r.scheme,
+                "n_reservoir": r.n_reservoir,
+                "time": r.time,
+                "seed": r.seed,
+                "mse": r.mse,
+                "condition_number": r.condition_number,
+                "otoc_avg": r.otoc_avg,
+                "holevo_avg": r.holevo_avg,
+                "holevo_per_node": list(r.holevo_per_node) if r.holevo_per_node else None,
+            }
+            for r in self.RECORDS
+        ]
+        aggregates = json.loads((out / "aggregates.json").read_text())
+        nan_stats = aggregates[4]["stats"]
+        assert all(np.isnan(nan_stats[k]) for k in ("median", "q1", "q3"))
+        nan_stats.update(median=None, q1=None, q3=None)
+        assert aggregates == self.stat_rows(
+            [
+                ("C", "SL", 2, 0.0, "mse"),
+                ("C", "SL", 2, 0.0, "condition_number"),
+                ("C", "SL", 2, 0.0, "otoc_avg"),
+                ("C", "SL", 2, 0.0, "holevo_avg"),
+                ("FC", "ML", 3, 1.5, "condition_number"),
+                ("FC", "ML", 3, 1.5, "otoc_avg"),
+                ("FC", "ML", 3, 1.5, "holevo_avg"),
+                ("RU", "RU", 2, None, "mse"),
+                ("RU", "RU", 2, None, "condition_number"),
+                ("RU", "RU", 2, None, "otoc_avg"),
+            ],
+            "metric",
+            [
+                (0.2, 0.15, 0.25, 2),
+                (3.25, 2.875, 3.625, 2),
+                (0.0625, 0.03125, 0.09375, 2),
+                (0.375, 0.3125, 0.4375, 2),
+                (None, None, None, 1),
+                (0.5, 0.5, 0.5, 1),
+                (1 / 3, 1 / 3, 1 / 3, 1),
+                (0.2, 0.2, 0.2, 1),
+                (3.0, 3.0, 3.0, 1),
+                (0.75, 0.75, 0.75, 1),
+            ],
+        )
+        nodes = json.loads((out / "holevo_nodes.json").read_text())
+        assert nodes == self.stat_rows(
+            [
+                ("C", "SL", 2, 0.0, 0),
+                ("C", "SL", 2, 0.0, 1),
+                ("FC", "ML", 3, 1.5, 0),
+                ("FC", "ML", 3, 1.5, 1),
+                ("FC", "ML", 3, 1.5, 2),
+            ],
+            "node",
+            [
+                (0.625, 0.5625, 0.6875, 2),
+                (0.125, 0.0625, 0.1875, 2),
+                (0.1, 0.1, 0.1, 1),
+                (0.2, 0.2, 0.2, 1),
+                (0.3, 0.3, 0.3, 1),
+            ],
+        )
+        assert (out / "failures.csv").read_text() == self.FAILURES_CSV
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregates.json",
+            "failures.csv",
+            "holevo_nodes.json",
+            "manifest.json",
+            "records.json",
+        ]
+
+    def test_read_back_both_formats(self, tmp_path):
+        assert read_records_csv(self.emit(tmp_path, "csv") / "records.csv") == self.RECORDS
+        assert read_records_json(self.emit(tmp_path, "json") / "records.json") == self.RECORDS
+
+
+class TestConfigDigestPinned:
+    """The digest of the resolved config is part of every manifest; it must not drift."""
+
+    def test_default_and_shipped_configs(self):
+        root = Path(__file__).resolve().parent.parent / "configs"
+        assert config_digest(SweepConfig()) == "f1fa94d5a994e58ef0a2a0a7bd580a2a54721d42991b5b6b6ff263ac096a8925"
+        assert (
+            config_digest(parse_config(root / "quick.json"))
+            == "9f99be7cf87c5d862a1915cd0027846119cc80c86e6f40e3590f5a27524e473f"
+        )
+        assert (
+            config_digest(parse_config(root / "full-scale.json"))
+            == "ff76b8554822c1e73ee2873f06f8905f024c2c76a4bc0d5983112548af2fb884"
+        )

@@ -262,6 +262,27 @@ class TestRandomPureQubit:
         sigma_z2 = np.sqrt((1.0 / 5.0 - 1.0 / 9.0) / n)
         assert abs((bloch[:, 2] ** 2).mean() - 1.0 / 3.0) <= 3 * sigma_z2
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize("k", [1, 2, 5, 100])
+    def test_batch_draw_equals_single_draws(self, seed, k):
+        batch = la._random_pure_qubit_states(np.random.default_rng(seed), k)
+        rng = np.random.default_rng(seed)
+        singles = np.array([la.random_pure_qubit_state(rng) for _ in range(k)])
+        assert batch.shape == (k, 2, 2)
+        assert np.array_equal(batch, singles)
+
+    @pytest.mark.parametrize("seed", [0, 3, 99])
+    def test_batch_draw_rounds_as_a_vector_norm(self, seed):
+        # The states one complex Gaussian pair at a time, normalized by
+        # np.linalg.norm: seeded sweeps keep drawing these exact bits.
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(50):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            v /= np.linalg.norm(v)
+            expected.append(np.outer(v, v.conj()))
+        assert np.array_equal(la._random_pure_qubit_states(np.random.default_rng(seed), 50), expected)
+
 
 class TestPseudoinverse:
     def test_identity(self):
