@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 usage error, 3 config error, 4 runtime failure,
 5 partial failure (some work units failed; their keys are in failures.csv).
-Output CSV bodies are a pure function of (config, tool version): records are
-sorted deterministically and floats are serialized with 17 significant
-digits, so re-running a config into a fresh directory reproduces them byte
-for byte. Only manifest.json carries timestamps.
+Records are sorted deterministically and floats are serialized with 17
+significant digits, so re-running a config into a fresh directory reproduces
+the CSV bodies byte for byte, at any --threads, as long as the BLAS library
+runs the same number of threads: a different BLAS thread count can move the
+last digits. Only manifest.json carries timestamps.
 """
 
 from __future__ import annotations
@@ -81,12 +82,13 @@ def _resolve_time_grid(value):
         if unknown:
             raise ConfigError(f"time_grid object has unknown keys {sorted(unknown)}")
         try:
-            start, stop, points = float(value["start"]), float(value["stop"]), int(value["points"])
-        except (KeyError, TypeError, ValueError) as exc:
+            start, stop, points = float(value["start"]), float(value["stop"]), value["points"]
+            integral = not isinstance(points, bool) and int(points) == points
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"time_grid object needs numeric start/stop/points: {exc}") from exc
-        if points < 1:
-            raise ConfigError("time_grid points must be >= 1")
-        return tuple(float(t) for t in np.linspace(start, stop, points))
+        if not integral or points < 1:
+            raise ConfigError(f"time_grid points must be an integer >= 1, got {points!r}")
+        return tuple(float(t) for t in np.linspace(start, stop, int(points)))
     if isinstance(value, (list, tuple)):
         return tuple(value)
     raise ConfigError(f"time_grid must be a list or a start/stop/points object, got {value!r}")
@@ -101,7 +103,7 @@ def _resolve_shot_model(value) -> ShotModel:
             raise ConfigError(f"shot_model has unknown keys {sorted(unknown)}")
         try:
             return ShotModel(mode=value.get("mode", "joint_bitstrings"), shots=value.get("shots", 10**6))
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"shot_model: {exc}") from exc
     raise ConfigError(f"shot_model must be a mode string or an object, got {value!r}")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,11 @@ class ConfigError(ValueError):
     """A sweep configuration field is missing, malformed, or out of range."""
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; booleans are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Fully resolved parameters of one ensemble run."""
@@ -97,15 +103,11 @@ class SweepConfig:
 
     def __post_init__(self):
         sizes = self.n_reservoir
-        if isinstance(sizes, (int, np.integer)):
-            sizes = (int(sizes),)
-        elif isinstance(sizes, str):
-            raise ConfigError(f"n_reservoir must be an integer or a list, got {self.n_reservoir!r}")
-        else:
-            try:
-                sizes = tuple(int(n) for n in sizes)
-            except TypeError:
-                raise ConfigError(f"n_reservoir must be an integer or a list, got {self.n_reservoir!r}")
+        if _is_integer(sizes):
+            sizes = (sizes,)
+        if isinstance(sizes, str) or not np.iterable(sizes) or not all(_is_integer(n) for n in sizes):
+            raise ConfigError(f"n_reservoir must be an integer or a list of integers, got {self.n_reservoir!r}")
+        sizes = tuple(int(n) for n in sizes)
         if not sizes:
             raise ConfigError("n_reservoir must contain at least one size")
         for n in sizes:
@@ -148,14 +150,14 @@ class SweepConfig:
 
         for name in ("n_realizations", "n_train", "n_test"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, int(value))
 
         if not isinstance(self.shot_model, ShotModel):
             raise ConfigError(f"shot_model must be a ShotModel, got {type(self.shot_model).__name__}")
 
-        if not isinstance(self.master_seed, (int, np.integer)) or self.master_seed < 0:
+        if not _is_integer(self.master_seed) or self.master_seed < 0:
             raise ConfigError(f"master_seed must be a nonnegative integer, got {self.master_seed!r}")
         object.__setattr__(self, "master_seed", int(self.master_seed))
 
@@ -306,45 +308,35 @@ def _draw_inputs(cfg: SweepConfig, n: int, topo_i: int, scheme_i: int, realizati
 # ---------------------------------------------------------------------------
 
 
-def _mul_input_pauli_right(m: np.ndarray, axis: str) -> np.ndarray:
-    """m @ (I x sigma_axis) with sigma acting on the last (input) qubit."""
-    out = np.empty_like(m)
-    if axis == "x":
-        out[:, 0::2] = m[:, 1::2]
-        out[:, 1::2] = m[:, 0::2]
-    elif axis == "y":
-        out[:, 0::2] = 1j * m[:, 1::2]
-        out[:, 1::2] = -1j * m[:, 0::2]
-    else:
-        out[:, 0::2] = m[:, 0::2]
-        out[:, 1::2] = -m[:, 1::2]
-    return out
-
-
-def _sigma_z_diag(site: int, n_total: int) -> np.ndarray:
-    b = np.arange(2**n_total)
-    return 1.0 - 2.0 * ((b >> (n_total - 1 - site)) & 1)
-
-
-def _otoc_eigenbasis_ops(n_reservoir: int) -> list:
+def _otoc_eigenbasis_ops(n_reservoir: int) -> np.ndarray:
     """sigma_z on each reservoir site in its eigenbasis, the computational one:
-    one row of +-1 eigenvalues per site."""
-    return [_sigma_z_diag(i, n_reservoir + 1) for i in range(n_reservoir)]
+    one row of +-1 eigenvalues per site over the register, input qubit last."""
+    return np.repeat(qelm._z_sign_matrix(n_reservoir), 2, axis=1)
 
 
-def _otoc_per_pair_from_unitary(u: np.ndarray, n_reservoir: int, denom: int) -> np.ndarray:
+def _otoc_per_pair_from_unitary(u: np.ndarray, n_reservoir: int) -> np.ndarray:
     """OTOC of each (sigma_z on reservoir site i, input Pauli a) pair under ``u``.
 
-    sigma_z is diagonal, so its Heisenberg image costs one product; the input
-    Pauli acts as a column permutation with phases.
+    B_a = u (I x sigma_a) u^dag is Hermitian, so with z_i the diagonal of
+    sigma_z on site i, Tr[A_i(t) sigma_a A_i(t) sigma_a] = sum_mn z_i,m z_i,n
+    |B_a,mn|^2. From the even and odd columns U0, U1 of ``u``, P = U0 U1^dag
+    and Q = U0 U0^dag give B_x = P + P^dag, B_y = i(P^dag - P) and
+    B_z = 2Q - I; the symmetric z-form turns the first two into
+    2 z|P|^2z +- 2 z Re(P o P^T) z.
     """
-    per = np.empty((n_reservoir, 3))
-    for i, z in enumerate(_otoc_eigenbasis_ops(n_reservoir)):
-        a_t = (u.conj().T * z) @ u
-        for ai, axis in enumerate(la.PAULI_AXES):
-            m = _mul_input_pauli_right(a_t, axis)
-            per[i, ai] = 1.0 - np.einsum("ij,ji->", m, m).real / denom
-    return per
+    z = _otoc_eigenbasis_ops(n_reservoir)
+    dim = u.shape[0]
+
+    def z_forms(m):
+        return ((z @ m) * z).sum(axis=1)
+
+    u0, u1 = u[:, 0::2], u[:, 1::2]
+    p = u0 @ u1.conj().T
+    square = z_forms(p.real**2 + p.imag**2)
+    cross = z_forms(p.real * p.real.T - p.imag * p.imag.T)
+    b_z = 2.0 * (u0 @ u0.conj().T) - np.eye(dim)
+    tr_z = z_forms(b_z.real**2 + b_z.imag**2)
+    return 1.0 - np.stack([2.0 * (square + cross), 2.0 * (square - cross), tr_z], axis=1) / dim
 
 
 # The same kernel under the name Hamiltonian records call it by, so that the
@@ -364,7 +356,7 @@ def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, 
 
     Features and Holevo information see only the input subspace ``u[:, :2]``
     (the reservoir starts in |0...0>); the OTOCs need all of ``u`` and come
-    from ``otoc_pairs(u, n, dim)``.
+    from ``otoc_pairs(u, n)``.
     """
     want = set(cfg.metrics)
     train, test, y_train, y_test = inputs
@@ -379,7 +371,7 @@ def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, 
             trained = qelm.train_readout(p_train, y_train, cfg.rcond)
             fields["mse"] = qelm.mse(y_test, qelm.predict(trained, p_test))
     if "otoc" in want:
-        fields["otoc_avg"] = float(otoc_pairs(u, n, u.shape[0]).mean())
+        fields["otoc_avg"] = float(otoc_pairs(u, n).mean())
     if {"holevo", "holevo_per_node"} & want:
         profile = scrambling._holevo_from_columns(v01, n, cfg.log_base)
         if "holevo" in want:
@@ -572,13 +564,34 @@ def expected_record_count(config: SweepConfig, command: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _quantile(x: list, q: float) -> float:
+    """Type-7 sample quantile (Hyndman and Fan, 1996) of the ascending ``x``.
+
+    Equal bit for bit to ``np.quantile`` on finite values. Next to an infinite
+    neighbour it returns the limit of the interpolation, where numpy's
+    ``a + (b - a) * t`` gives nan; a nan anywhere gives nan.
+    """
+    if math.isnan(x[-1]):
+        return x[-1]
+    h = (len(x) - 1) * q
+    lo = int(h)
+    t = h - lo
+    a, b = x[lo], x[min(lo + 1, len(x) - 1)]
+    if t == 0 or a == b:
+        return a
+    if math.isinf(a) or math.isinf(b):
+        return a + b  # the infinite neighbour; nan between -inf and inf
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def aggregate_stats(values) -> EnsembleStats:
     """Median and quartiles by linear interpolation between order statistics."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    x = np.sort(np.asarray(list(values), dtype=float)).tolist()
+    if not x:
         raise ValueError("cannot aggregate an empty list")
-    q1, median, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
-    return EnsembleStats(median=float(median), q1=float(q1), q3=float(q3), n=int(arr.size))
+    q1, median, q3 = (_quantile(x, q) for q in (0.25, 0.5, 0.75))
+    return EnsembleStats(median=median, q1=q1, q3=q3, n=len(x))
 
 
 _METRIC_FIELDS = ("mse", "condition_number", "otoc_avg", "holevo_avg")

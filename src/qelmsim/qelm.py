@@ -67,9 +67,9 @@ class ShotModel:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", ShotMode.parse(self.mode))
+        if isinstance(self.shots, bool) or int(self.shots) != self.shots or self.shots < 1:
+            raise ValueError(f"shots must be an integer >= 1, got {self.shots!r}")
         object.__setattr__(self, "shots", int(self.shots))
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
 
 
 @dataclass(frozen=True)

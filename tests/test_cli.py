@@ -2,7 +2,6 @@ import json
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qelmsim import cli, harness
@@ -88,6 +87,29 @@ class TestParseConfig:
         path = write_config(tmp_path, {"n_realizations": 0})
         with pytest.raises(ConfigError, match="n_realizations"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"n_reservoir": True}, "n_reservoir"),
+            ({"n_reservoir": [2, True]}, "n_reservoir"),
+            ({"n_reservoir": [2.5]}, "n_reservoir"),
+            ({"n_realizations": True}, "n_realizations"),
+            ({"n_train": True}, "n_train"),
+            ({"n_test": False}, "n_test"),
+            ({"master_seed": False}, "master_seed"),
+            ({"shot_model": {"shots": True}}, "shots"),
+            ({"shot_model": {"shots": 2.5}}, "shots"),
+            ({"shot_model": {"shots": None}}, "shot_model"),
+            ({"time_grid": {"start": 0, "stop": 1, "points": 2.9}}, "points"),
+            ({"time_grid": {"start": 0, "stop": 1, "points": True}}, "points"),
+        ],
+    )
+    def test_booleans_and_fractional_counts_rejected(self, tmp_path, payload, field):
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError, match=field):
+            parse_config(path)
+        assert main(["sweep-time", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
     def test_overlay_fills_missing_keys_only(self, tmp_path):
         path = write_config(tmp_path, {"time_grid": [1.0, 2.0]})
@@ -323,14 +345,13 @@ class TestEmissionFormat:
         "0.10000000000000001,0.20000000000000001,0.29999999999999999\n"
         "0,RU,RU,2,,14,0.20000000000000001,3,0.75,,,,\n"
     )
-    # A lone infinite value aggregates to nan: numpy's interpolation takes inf - inf.
     AGGREGATES_CSV = (
         "topology,scheme,n_reservoir,time,metric,n,median,q1,q3\n"
         "C,SL,2,0,mse,2,0.20000000000000001,0.14999999999999999,0.25\n"
         "C,SL,2,0,condition_number,2,3.25,2.875,3.625\n"
         "C,SL,2,0,otoc_avg,2,0.0625,0.03125,0.09375\n"
         "C,SL,2,0,holevo_avg,2,0.375,0.3125,0.4375\n"
-        "FC,ML,3,1.5,condition_number,1,nan,nan,nan\n"
+        "FC,ML,3,1.5,condition_number,1,inf,inf,inf\n"
         "FC,ML,3,1.5,otoc_avg,1,0.5,0.5,0.5\n"
         "FC,ML,3,1.5,holevo_avg,1,0.33333333333333331,0.33333333333333331,0.33333333333333331\n"
         "RU,RU,2,,mse,1,0.20000000000000001,0.20000000000000001,0.20000000000000001\n"
@@ -367,9 +388,7 @@ class TestEmissionFormat:
 
     def emit(self, tmp_path, fmt):
         out = tmp_path / fmt
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            manifest = emit_records(self.RECORDS, None, fmt, out, failures=self.FAILURES)
+        manifest = emit_records(self.RECORDS, None, fmt, out, failures=self.FAILURES)
         assert (manifest.record_count, manifest.failure_count) == (4, 2)
         return out
 
@@ -407,9 +426,6 @@ class TestEmissionFormat:
             for r in self.RECORDS
         ]
         aggregates = json.loads((out / "aggregates.json").read_text())
-        nan_stats = aggregates[4]["stats"]
-        assert all(np.isnan(nan_stats[k]) for k in ("median", "q1", "q3"))
-        nan_stats.update(median=None, q1=None, q3=None)
         assert aggregates == self.stat_rows(
             [
                 ("C", "SL", 2, 0.0, "mse"),
@@ -429,7 +445,7 @@ class TestEmissionFormat:
                 (3.25, 2.875, 3.625, 2),
                 (0.0625, 0.03125, 0.09375, 2),
                 (0.375, 0.3125, 0.4375, 2),
-                (None, None, None, 1),
+                (float("inf"), float("inf"), float("inf"), 1),
                 (0.5, 0.5, 0.5, 1),
                 (1 / 3, 1 / 3, 1 / 3, 1),
                 (0.2, 0.2, 0.2, 1),

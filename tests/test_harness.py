@@ -108,6 +108,30 @@ class TestAggregateStats:
         stats = aggregate_stats(np.random.default_rng(1).standard_normal(20))
         assert stats.q1 <= stats.median <= stats.q3
 
+    def test_bitwise_equal_to_numpy_on_finite_values(self):
+        rng = np.random.default_rng(2)
+        for size in range(1, 60):
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20)
+            if size % 3 == 0:
+                values = np.round(values, 1)  # ties
+            q1, median, q3 = np.quantile(values, [0.25, 0.5, 0.75])
+            stats = aggregate_stats(values)
+            assert (stats.q1, stats.median, stats.q3) == (q1, median, q3)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([1.0, 2.0, np.inf], (1.5, 2.0, np.inf)),
+            ([1.0, np.inf], (np.inf, np.inf, np.inf)),
+            ([np.inf], (np.inf, np.inf, np.inf)),
+            ([-np.inf, 1.0, 2.0, 3.0, 4.0], (1.0, 2.0, 3.0)),
+            ([-np.inf, 1.0], (-np.inf, -np.inf, -np.inf)),
+        ],
+    )
+    def test_limit_next_to_infinite_values(self, values, expected):
+        stats = aggregate_stats(values)
+        assert (stats.q1, stats.median, stats.q3) == expected
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             aggregate_stats([])
@@ -227,24 +251,24 @@ class TestSweeps:
 
 
 class TestFastPathKernels:
-    def test_input_pauli_column_row_tricks_match_kron(self):
-        rng = np.random.default_rng(50)
-        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        for axis, pauli in zip("xyz", (la.PAULI_X, la.PAULI_Y, la.PAULI_Z)):
-            b = np.kron(np.eye(4), pauli)
-            assert np.max(np.abs(harness._mul_input_pauli_right(m, axis) - m @ b)) <= 1e-14
-
     def test_sigma_z_diag_matches_embedding(self):
-        for n_total in (2, 3, 4):
-            for site in range(n_total):
-                diag = harness._sigma_z_diag(site, n_total)
-                assert np.array_equal(np.diag(la.embed_pauli("z", site, n_total)).real, diag)
+        for n_reservoir in (1, 2, 3):
+            rows = harness._otoc_eigenbasis_ops(n_reservoir)
+            assert rows.shape == (n_reservoir, 2 ** (n_reservoir + 1))
+            for site in range(n_reservoir):
+                diag = np.diag(la.embed_pauli("z", site, n_reservoir + 1)).real
+                assert np.array_equal(rows[site], diag)
 
-    def test_direct_otoc_route_matches_reference_op(self):
-        rng = np.random.default_rng(51)
-        u = la.haar_unitary(16, rng)
-        per = harness._otoc_per_pair_from_unitary(u, 3, 16)
-        assert np.max(np.abs(per - averaged_otoc(u, 3).per_pair)) <= 1e-10
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("t", [None, 0.0, 0.5, 2.0, 5.0], ids=lambda t: "haar" if t is None else f"t{t}")
+    def test_direct_otoc_route_matches_reference_op(self, n, t):
+        if t is None:
+            u = la.haar_unitary(2 ** (n + 1), np.random.default_rng(51 + n))
+        else:
+            spec = HamiltonianSpec(n, "FC", "ML", seed=51 + n)
+            u = la.evolve_unitary(la.herm_eig(sample_hamiltonian(spec).h_total), t)
+        per = harness._otoc_per_pair_from_unitary(u, n)
+        assert np.max(np.abs(per - averaged_otoc(u, n).per_pair)) <= 1e-13
 
     def test_mid_grid_failure_keeps_other_records(self, monkeypatch):
         cfg = small_config()
