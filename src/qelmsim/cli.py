@@ -3,10 +3,11 @@
 Exit codes: 0 success, 2 usage error, 3 config error, 4 runtime failure,
 5 partial failure (some work units failed; their keys are in failures.csv).
 Records are sorted deterministically and floats are serialized with 17
-significant digits, so re-running a config into a fresh directory reproduces
-the CSV bodies byte for byte, at any --threads, as long as the BLAS library
-runs the same number of threads: a different BLAS thread count can move the
-last digits. Only manifest.json carries timestamps.
+significant digits, and sweeps run BLAS on one thread, so re-running a config
+into a fresh directory reproduces the CSV bodies byte for byte, at any
+--threads and under any BLAS thread setting, whenever manifest.json records
+blas_threads 1 (null means no OpenBLAS thread setter was found and BLAS ran
+as the environment set it). Only manifest.json carries timestamps.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, harness
+from . import linalg as la
 from .harness import (
     ALL_METRICS,
     AggregateRow,
@@ -74,6 +76,7 @@ class RunManifest:
     finished: str
     record_count: int
     failure_count: int
+    blas_threads: int | None
 
 
 def _resolve_time_grid(value):
@@ -86,6 +89,8 @@ def _resolve_time_grid(value):
             integral = not isinstance(points, bool) and int(points) == points
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"time_grid object needs numeric start/stop/points: {exc}") from exc
+        if isinstance(value["start"], bool) or isinstance(value["stop"], bool):
+            raise ConfigError(f"time_grid start and stop must be reals, got {value!r}")
         if not integral or points < 1:
             raise ConfigError(f"time_grid points must be an integer >= 1, got {points!r}")
         return tuple(float(t) for t in np.linspace(start, stop, int(points)))
@@ -291,6 +296,7 @@ def emit_records(
             finished=finished or now,
             record_count=len(records),
             failure_count=len(failures),
+            blas_threads=1 if la._openblas_threads() is not None else None,
         )
         _write_json(out / "manifest.json", dataclasses.asdict(manifest))
     except OSError as exc:
@@ -303,12 +309,19 @@ def emit_records(
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file (defaults apply when omitted)")
     parser.add_argument("--out", metavar="DIR", default=None, help=f"output directory (default ${ENV_OUT_DIR} or ./{_DEFAULT_OUT_DIR})")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="data file format")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes (advisory; results are schedule-independent)")
+    parser.add_argument("--threads", type=_positive_int, default=1, help="worker processes, each on one core (results are schedule-independent)")
     parser.add_argument("--metrics", default=None, help=f"comma-separated subset of {','.join(ALL_METRICS)}")
     parser.add_argument("--lax", action="store_true", help="warn on unknown config keys instead of rejecting")
 

@@ -80,6 +80,10 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_bool(value) -> bool:
+    return isinstance(value, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Fully resolved parameters of one ensemble run."""
@@ -137,8 +141,11 @@ class SweepConfig:
         object.__setattr__(self, "schemes", schemes)
 
         try:
-            grid = tuple(float(t) for t in self.time_grid)
+            raw = tuple(self.time_grid)
+            grid = tuple(float(t) for t in raw)
         except TypeError:
+            raw = None
+        if raw is None or any(_is_bool(t) for t in raw):
             raise ConfigError(f"time_grid must be a list of reals, got {self.time_grid!r}")
         if not grid:
             raise ConfigError("time_grid must contain at least one time")
@@ -162,7 +169,7 @@ class SweepConfig:
         object.__setattr__(self, "master_seed", int(self.master_seed))
 
         if self.rcond is not None:
-            if not np.isfinite(self.rcond) or self.rcond < 0:
+            if _is_bool(self.rcond) or not np.isfinite(self.rcond) or self.rcond < 0:
                 raise ConfigError(f"rcond must be >= 0 or null, got {self.rcond!r}")
             object.__setattr__(self, "rcond", float(self.rcond))
 
@@ -182,13 +189,18 @@ class SweepConfig:
             try:
                 lo, hi = (float(pair[0]), float(pair[1]))
             except (TypeError, IndexError):
-                raise ConfigError(f"{name} must be a [lo, hi] pair, got {pair!r}")
+                lo = None
+            if lo is None or _is_bool(pair[0]) or _is_bool(pair[1]):
+                raise ConfigError(f"{name} must be a [lo, hi] pair of reals, got {pair!r}")
             if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
                 raise ConfigError(f"{name} must be a finite interval with lo <= hi, got ({lo}, {hi})")
             object.__setattr__(self, name, (lo, hi))
 
-        object.__setattr__(self, "include_haar_baseline", bool(self.include_haar_baseline))
-        object.__setattr__(self, "bias_row", bool(self.bias_row))
+        for name in ("include_haar_baseline", "bias_row"):
+            value = getattr(self, name)
+            if not _is_bool(value):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
+            object.__setattr__(self, name, bool(value))
 
     @property
     def sizes(self) -> tuple:
@@ -481,12 +493,28 @@ def _haar_unit(args) -> tuple:
     return [ExperimentRecord(realization, HAAR_LABEL, HAAR_LABEL, n, None, seed, **fields)], []
 
 
+def _pin_worker_blas() -> None:
+    """Pool initializer: one BLAS thread for the worker's life, whatever its
+    start method, so ``threads`` workers use ``threads`` cores."""
+    calls = la._openblas_threads()
+    if calls is not None:
+        _, put = calls
+        put(1)
+
+
 def _map_units(worker, args_list, threads: int):
-    if threads <= 1 or len(args_list) <= 1:
-        return [worker(args) for args in args_list]
-    chunk = max(1, len(args_list) // (threads * 4))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, args_list, chunksize=chunk))
+    """``worker`` over every unit, serially or on at most ``threads`` processes.
+
+    BLAS runs one thread throughout, so the worker count is the only source
+    of parallelism and every unit's bytes are the same on either path.
+    """
+    with la.single_blas_thread():
+        if threads <= 1 or len(args_list) <= 1:
+            return [worker(args) for args in args_list]
+        workers = min(threads, len(args_list))
+        chunk = max(1, len(args_list) // (workers * 4))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker_blas) as pool:
+            return list(pool.map(worker, args_list, chunksize=chunk))
 
 
 def _time_key(t):

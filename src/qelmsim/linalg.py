@@ -14,6 +14,9 @@ immutable.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +44,7 @@ __all__ = [
     "require_hermitian",
     "is_unitary",
     "require_density",
+    "single_blas_thread",
 ]
 
 # Dense algebra on more than 12 qubits (dim 4096) is treated as a usage error;
@@ -276,3 +280,60 @@ def pseudoinverse(m: np.ndarray, rcond: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse with relative singular-value truncation."""
     pinv, _, _ = svd_pseudoinverse(m, rcond)
     return pinv
+
+
+# (getter, setter) symbol pairs of the OpenBLAS builds numpy ships or links:
+# the scipy-openblas64 wheel library first, then plain OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` thread-count calls of the OpenBLAS numpy loaded, or None.
+
+    The library is found among the process's mapped files, which lists it
+    only on Linux; elsewhere, or without OpenBLAS, the result is None.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore the caller's count.
+
+    Yields the pinned count, 1, or None when no OpenBLAS thread setter was
+    found and BLAS runs as configured. Products summed by one thread do not
+    depend on how many threads the environment would give BLAS, so results
+    computed inside are the same bytes under any ``OPENBLAS_NUM_THREADS``.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield None
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield 1
+    finally:
+        put(before)

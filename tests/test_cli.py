@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from qelmsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
+    EXIT_USAGE,
     config_digest,
     emit_records,
     main,
@@ -32,6 +36,9 @@ TINY_CONFIG = {
     "shot_model": {"mode": "joint_bitstrings", "shots": 100},
     "master_seed": 5,
 }
+
+
+CSV_TABLES = ("records.csv", "aggregates.csv", "holevo_nodes.csv")
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -103,6 +110,15 @@ class TestParseConfig:
             ({"shot_model": {"shots": None}}, "shot_model"),
             ({"time_grid": {"start": 0, "stop": 1, "points": 2.9}}, "points"),
             ({"time_grid": {"start": 0, "stop": 1, "points": True}}, "points"),
+            ({"time_grid": {"start": False, "stop": 1, "points": 2}}, "time_grid"),
+            ({"time_grid": [False, True]}, "time_grid"),
+            ({"rcond": True}, "rcond"),
+            ({"j_range": [False, True]}, "j_range"),
+            ({"delta_range": [0, True]}, "delta_range"),
+            ({"include_haar_baseline": "false"}, "include_haar_baseline"),
+            ({"include_haar_baseline": 0.5}, "include_haar_baseline"),
+            ({"bias_row": "no"}, "bias_row"),
+            ({"bias_row": 1}, "bias_row"),
         ],
     )
     def test_booleans_and_fractional_counts_rejected(self, tmp_path, payload, field):
@@ -231,7 +247,36 @@ class TestCommands:
             )
             == EXIT_OK
         )
-        assert (out_serial / "records.csv").read_bytes() == (out_parallel / "records.csv").read_bytes()
+        for name in CSV_TABLES:
+            assert (out_serial / name).read_bytes() == (out_parallel / name).read_bytes()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, threads):
+        config_path = write_config(tmp_path, TINY_CONFIG)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep-time", "--config", config_path, "--out", str(tmp_path / "o"), "--threads", threads])
+        assert excinfo.value.code == EXIT_USAGE
+
+    def test_csv_bodies_independent_of_blas_threads(self, tmp_path):
+        # Four N=6 records: enough for 2 OpenBLAS threads to sum the
+        # propagator and OTOC products in another order than 1 thread does.
+        payload = dict(TINY_CONFIG, n_reservoir=6, topologies=["FC"], schemes=["ML"], time_grid=[0.5, 5.0])
+        config_path = write_config(tmp_path, payload)
+        src = Path(cli.__file__).resolve().parent.parent
+        outs = []
+        for blas in ("1", "2"):
+            out = tmp_path / f"blas{blas}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=str(src))
+            done = subprocess.run(
+                [sys.executable, "-m", "qelmsim", "sweep-time", "--config", config_path, "--out", str(out)],
+                env=env,
+                capture_output=True,
+                timeout=300,
+            )
+            assert done.returncode == EXIT_OK, done.stderr.decode()
+            outs.append(out)
+        for name in CSV_TABLES:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_sweep_size_defaults(self):
         # without explicit keys the size sweep covers 2..7 at t in {0.25, 5}

@@ -176,6 +176,29 @@ class TestSweeps:
         parallel = run_time_sweep(cfg, threads=3)
         assert serial == parallel
 
+    def test_pool_never_exceeds_one_worker_per_unit(self, monkeypatch):
+        seen = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, maps in-process."""
+
+            def __init__(self, max_workers, initializer):
+                seen.append((max_workers, initializer))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_config()  # 2 units: 2 realizations of one topology and scheme
+        assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
+        assert seen == [(2, harness._pin_worker_blas)]
+
     def test_rerun_bit_identical(self):
         cfg = small_config(shot_model=ShotModel("joint_bitstrings", 500))
         assert run_time_sweep(cfg) == run_time_sweep(cfg)

@@ -317,3 +317,19 @@ class TestPseudoinverse:
     def test_negative_rcond_rejected(self):
         with pytest.raises(ValueError, match="rcond"):
             la.pseudoinverse(np.eye(2), rcond=-1.0)
+
+
+class TestSingleBlasThread:
+    def test_pins_one_thread_and_restores_the_callers_count(self):
+        calls = la._openblas_threads()
+        if calls is None:
+            pytest.skip("no OpenBLAS thread setter found")
+        get, put = calls
+        original = get()
+        try:
+            put(2)
+            with la.single_blas_thread() as pinned:
+                assert pinned == 1 and get() == 1
+            assert get() == 2
+        finally:
+            put(original)
