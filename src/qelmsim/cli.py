@@ -385,24 +385,19 @@ def _cmd_sweep(args, command: str) -> int:
         "baseline-haar": harness.run_haar_baseline,
     }[command]
     outcome: SweepResult = runner(cfg, threads=args.threads)
-    records, failures = list(outcome.records), list(outcome.failures)
-    if command != "baseline-haar" and cfg.include_haar_baseline:
-        baseline = harness.run_haar_baseline(cfg, threads=args.threads)
-        records.extend(baseline.records)
-        failures.extend(baseline.failures)
     finished = datetime.now(timezone.utc).isoformat()
     emit_records(
-        records,
+        outcome.records,
         None,
         args.format,
         out_dir,
-        failures=failures,
+        failures=outcome.failures,
         config=cfg,
         started=started,
         finished=finished,
     )
-    if failures:
-        print(f"{len(failures)} work unit(s) failed; see failures.csv under {out_dir}", file=sys.stderr)
+    if outcome.failures:
+        print(f"{len(outcome.failures)} work unit(s) failed; see failures.csv under {out_dir}", file=sys.stderr)
         return EXIT_PARTIAL
     return EXIT_OK
 

@@ -1,12 +1,12 @@
 """Seeded ensemble sweeps over (topology, scheme, size, time) grids.
 
-Work is partitioned into units of one Hamiltonian realization at one grid
-point; every unit derives its own random streams from the master seed, so the
-full record set is a pure function of the configuration regardless of how the
-units are scheduled. Within a realization the Hamiltonian is diagonalized
-once and each grid time builds its propagator from that factorization. One
-evaluator turns a propagator -- from a Hamiltonian or a Haar draw -- into a
-record's sampled readout features, OTOCs and per-node Holevo profile.
+Each sweep command runs one list of work units -- a Hamiltonian realization
+across the time grid, or one Haar draw -- and every unit derives its own random
+streams from the master seed, so the record set is a pure function of the
+configuration however the units are scheduled. A realization's Hamiltonian is
+diagonalized once; each grid time builds its propagator from that factorization.
+Every record, of a sweep unit or of ``run_single``, comes from one per-unit loop
+around one evaluator, so ``run_single`` returns the bytes a sweep writes.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,11 @@ def _is_bool(value) -> bool:
     return isinstance(value, (bool, np.bool_))
 
 
+def _is_real(value) -> bool:
+    """True for Python and numpy reals; booleans are not numbers here."""
+    return isinstance(value, numbers.Real) and not _is_bool(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Fully resolved parameters of one ensemble run."""
@@ -112,8 +118,8 @@ class SweepConfig:
         if isinstance(sizes, str) or not np.iterable(sizes) or not all(_is_integer(n) for n in sizes):
             raise ConfigError(f"n_reservoir must be an integer or a list of integers, got {self.n_reservoir!r}")
         sizes = tuple(int(n) for n in sizes)
-        if not sizes:
-            raise ConfigError("n_reservoir must contain at least one size")
+        if not sizes or len(set(sizes)) != len(sizes):
+            raise ConfigError(f"n_reservoir must be a nonempty list without duplicates, got {self.n_reservoir!r}")
         for n in sizes:
             if n < 1:
                 raise ConfigError(f"n_reservoir sizes must be >= 1, got {n}")
@@ -122,28 +128,24 @@ class SweepConfig:
         object.__setattr__(self, "n_reservoir", sizes if len(sizes) > 1 else sizes[0])
         object.__setattr__(self, "_sizes", sizes)
 
-        raw_topologies = self.topologies
-        if isinstance(raw_topologies, (str, Topology)):
-            raw_topologies = (raw_topologies,)
-        raw_schemes = self.schemes
-        if isinstance(raw_schemes, (str, CouplingScheme)):
-            raw_schemes = (raw_schemes,)
-        try:
-            topologies = tuple(Topology.parse(t) for t in raw_topologies)
-            schemes = tuple(CouplingScheme.parse(s) for s in raw_schemes)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not topologies or len(set(topologies)) != len(topologies):
-            raise ConfigError("topologies must be a nonempty list without duplicates")
-        if not schemes or len(set(schemes)) != len(schemes):
-            raise ConfigError("schemes must be a nonempty list without duplicates")
-        object.__setattr__(self, "topologies", topologies)
-        object.__setattr__(self, "schemes", schemes)
+        for name, kind in (("topologies", Topology), ("schemes", CouplingScheme)):
+            raw = getattr(self, name)
+            if isinstance(raw, (str, kind)):
+                raw = (raw,)
+            if not np.iterable(raw):
+                raise ConfigError(f"{name} must be a list, got {raw!r}")
+            try:
+                parsed = tuple(kind.parse(x) for x in raw)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+            if not parsed or len(set(parsed)) != len(parsed):
+                raise ConfigError(f"{name} must be a nonempty list without duplicates")
+            object.__setattr__(self, name, parsed)
 
         try:
             raw = tuple(self.time_grid)
             grid = tuple(float(t) for t in raw)
-        except TypeError:
+        except (TypeError, ValueError):
             raw = None
         if raw is None or any(_is_bool(t) for t in raw):
             raise ConfigError(f"time_grid must be a list of reals, got {self.time_grid!r}")
@@ -169,14 +171,18 @@ class SweepConfig:
         object.__setattr__(self, "master_seed", int(self.master_seed))
 
         if self.rcond is not None:
-            if _is_bool(self.rcond) or not np.isfinite(self.rcond) or self.rcond < 0:
-                raise ConfigError(f"rcond must be >= 0 or null, got {self.rcond!r}")
+            if not _is_real(self.rcond) or not np.isfinite(self.rcond) or self.rcond < 0:
+                raise ConfigError(f"rcond must be a real >= 0 or null, got {self.rcond!r}")
             object.__setattr__(self, "rcond", float(self.rcond))
 
         if self.log_base not in (2, "e"):
             raise ConfigError(f"log_base must be 2 or 'e', got {self.log_base!r}")
+        object.__setattr__(self, "log_base", "e" if self.log_base == "e" else 2)
 
-        metrics = tuple(dict.fromkeys(self.metrics))
+        metrics = self.metrics
+        if isinstance(metrics, str) or not np.iterable(metrics) or not all(isinstance(m, str) for m in metrics):
+            raise ConfigError(f"metrics must be a list of metric names, got {metrics!r}")
+        metrics = tuple(dict.fromkeys(metrics))
         if not metrics:
             raise ConfigError("metrics must contain at least one entry")
         unknown = [m for m in metrics if m not in ALL_METRICS]
@@ -188,7 +194,7 @@ class SweepConfig:
             pair = getattr(self, name)
             try:
                 lo, hi = (float(pair[0]), float(pair[1]))
-            except (TypeError, IndexError):
+            except (TypeError, ValueError, IndexError):
                 lo = None
             if lo is None or _is_bool(pair[0]) or _is_bool(pair[1]):
                 raise ConfigError(f"{name} must be a [lo, hi] pair of reals, got {pair!r}")
@@ -300,14 +306,10 @@ def _derived_seed(master_seed: int, *key) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _draw_inputs(cfg: SweepConfig, n: int, topo_i: int, scheme_i: int, realization: int, rng=None) -> tuple:
-    """``(train, test, y_train, y_test)`` drawn from the realization's state stream.
-
-    ``rng`` overrides the derived stream; the Bloch targets are None unless
-    ``mse`` is requested.
-    """
-    if rng is None:
-        rng = derive_rng(cfg.master_seed, _KIND_STATES, n, topo_i, scheme_i, realization)
+def _draw_inputs(cfg: SweepConfig, n: int, topo_i: int, scheme_i: int, realization: int) -> tuple:
+    """``(train, test, y_train, y_test)`` drawn from the realization's state
+    stream; the Bloch targets are None unless ``mse`` is requested."""
+    rng = derive_rng(cfg.master_seed, _KIND_STATES, n, topo_i, scheme_i, realization)
     states = la._random_pure_qubit_states(rng, cfg.n_train + cfg.n_test)
     train, test = states[: cfg.n_train], states[cfg.n_train :]
     if "mse" not in cfg.metrics:
@@ -393,53 +395,90 @@ def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, 
     return fields
 
 
-def _record_at_time(
-    cfg: SweepConfig,
-    spec: HamiltonianSpec,
-    eig: la.SpectralDecomposition,
-    inputs: tuple,
-    t: float,
-    ti: int,
-    realization: int,
-) -> ExperimentRecord:
-    """Record of one realization at its ``ti``-th grid time, with that time's shot stream."""
-    n = spec.n_reservoir
-    topo_i = _TOPOLOGY_INDEX[spec.topology]
-    scheme_i = _SCHEME_INDEX[spec.scheme]
-    shot_rng = derive_rng(cfg.master_seed, _KIND_SHOTS, n, topo_i, scheme_i, realization, ti)
-    fields = _evaluate(cfg, _propagator_columns(eig, t), n, inputs, shot_rng, _otoc_per_pair_from_eig)
-    return ExperimentRecord(
-        realization, spec.topology.value, spec.scheme.value, n, float(t), spec.seed, **fields
+def _unit_outcomes(
+    cfg: SweepConfig, n: int, slots: tuple, labels: tuple, times, prepare, propagator, otoc_pairs
+) -> tuple:
+    """``(records, failures)`` of one unit: one record per time, or its failure.
+
+    ``slots`` are the unit's (topology, scheme, realization) stream indices and
+    ``labels`` its (topology, scheme) names. ``prepare()`` returns the record
+    seed and the state that ``propagator(state, t)`` turns into the unitary at
+    time ``t``; a set-up error fails every time of the unit, an error at one
+    time fails only that time. Each time draws from its own shot stream.
+    """
+    topo_i, scheme_i, realization = slots
+
+    def failure(t, exc):
+        return UnitFailure(realization, *labels, n, t, f"{type(exc).__name__}: {exc}")
+
+    try:
+        seed, state = prepare()
+        inputs = _draw_inputs(cfg, n, topo_i, scheme_i, realization)
+    except Exception as exc:
+        return [], [failure(t, exc) for t in times]
+    records, failures = [], []
+    for ti, t in enumerate(times):
+        try:
+            shot_rng = derive_rng(cfg.master_seed, _KIND_SHOTS, n, topo_i, scheme_i, realization, ti)
+            fields = _evaluate(cfg, propagator(state, t), n, inputs, shot_rng, otoc_pairs)
+        except Exception as exc:
+            failures.append(failure(t, exc))
+            continue
+        records.append(ExperimentRecord(realization, *labels, n, t, seed, **fields))
+    return records, failures
+
+
+def _hamiltonian_unit(args) -> tuple:
+    """One (size, topology, scheme, realization) unit across the time grid."""
+    cfg, n, topology, scheme, realization = args
+    topo_i, scheme_i = _TOPOLOGY_INDEX[topology], _SCHEME_INDEX[scheme]
+
+    def prepare():
+        seed = _derived_seed(cfg.master_seed, _KIND_HAMILTONIAN, n, topo_i, scheme_i, realization)
+        spec = HamiltonianSpec(n, topology, scheme, cfg.j_range, cfg.delta_range, seed)
+        return seed, la.herm_eig(sample_hamiltonian(spec).h_total)
+
+    return _unit_outcomes(
+        cfg, n, (topo_i, scheme_i, realization), (topology.value, scheme.value), cfg.time_grid,
+        prepare, _propagator_columns, _otoc_per_pair_from_eig,
+    )
+
+
+def _haar_unit(args) -> tuple:
+    """One Haar-baseline realization: a fresh global unitary, no time grid."""
+    cfg, n, realization = args
+
+    def prepare():
+        seed = _derived_seed(cfg.master_seed, _KIND_HAAR, n, realization)
+        return seed, la.haar_unitary(2 ** (n + 1), np.random.default_rng(seed))
+
+    return _unit_outcomes(
+        cfg, n, (_HAAR_TOPOLOGY_INDEX, _HAAR_SCHEME_INDEX, realization), (HAAR_LABEL, HAAR_LABEL), (None,),
+        prepare, lambda u, t: u, _otoc_per_pair_from_unitary,
     )
 
 
 def run_single(
-    ham: ReservoirHamiltonian,
-    t: float,
-    config: SweepConfig,
-    state_rng: np.random.Generator | None = None,
-    shot_rng: np.random.Generator | None = None,
-    realization_index: int = 0,
+    ham: ReservoirHamiltonian, t: float, config: SweepConfig, realization_index: int = 0
 ) -> ExperimentRecord:
-    """Evaluate one realization at one time; random streams derive from the
-    config when not passed explicitly. Failures are re-raised tagged with the
-    record key."""
+    """Evaluate one realization at one time through the sweeps' per-unit loop.
+
+    The record equals, byte for byte, the one a sweep of ``config`` with the
+    grid ``(t,)`` writes for this Hamiltonian at ``realization_index``.
+    A failure is re-raised as RuntimeError tagged with the record key.
+    """
     spec = ham.spec
-    n = spec.n_reservoir
-    topo_i = _TOPOLOGY_INDEX[spec.topology]
-    scheme_i = _SCHEME_INDEX[spec.scheme]
-    if shot_rng is None:
-        shot_rng = derive_rng(config.master_seed, _KIND_SHOTS, n, topo_i, scheme_i, realization_index, 0)
-    key = (realization_index, spec.topology.value, spec.scheme.value, n, t)
-    try:
-        inputs = _draw_inputs(config, n, topo_i, scheme_i, realization_index, state_rng)
-        u = _propagator_columns(la.herm_eig(ham.h_total), t)
-        fields = _evaluate(config, u, n, inputs, shot_rng, _otoc_per_pair_from_eig)
-    except Exception as exc:
-        raise RuntimeError(f"run_single failed for record key {key}: {exc}") from exc
-    return ExperimentRecord(
-        realization_index, spec.topology.value, spec.scheme.value, n, float(t), spec.seed, **fields
-    )
+    topo_i, scheme_i = _TOPOLOGY_INDEX[spec.topology], _SCHEME_INDEX[spec.scheme]
+    with la.single_blas_thread():
+        records, failures = _unit_outcomes(
+            config, spec.n_reservoir, (topo_i, scheme_i, realization_index),
+            (spec.topology.value, spec.scheme.value), (float(t),),
+            lambda: (spec.seed, la.herm_eig(ham.h_total)), _propagator_columns, _otoc_per_pair_from_eig,
+        )
+    if failures:
+        key = (realization_index, spec.topology.value, spec.scheme.value, spec.n_reservoir, t)
+        raise RuntimeError(f"run_single failed for record key {key}: {failures[0].error}")
+    return records[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,50 +486,28 @@ def run_single(
 # ---------------------------------------------------------------------------
 
 
-def _hamiltonian_unit(args) -> tuple:
-    """One (size, topology, scheme, realization) unit across the time grid."""
-    cfg, n, topology, scheme, realization, times = args
-    topology = Topology.parse(topology)
-    scheme = CouplingScheme.parse(scheme)
-    topo_i = _TOPOLOGY_INDEX[topology]
-    scheme_i = _SCHEME_INDEX[scheme]
-
-    def failure(t, exc):
-        return UnitFailure(
-            realization, topology.value, scheme.value, n, float(t), f"{type(exc).__name__}: {exc}"
-        )
-
-    try:
-        seed = _derived_seed(cfg.master_seed, _KIND_HAMILTONIAN, n, topo_i, scheme_i, realization)
-        spec = HamiltonianSpec(n, topology, scheme, cfg.j_range, cfg.delta_range, seed)
-        ham = sample_hamiltonian(spec)
-        inputs = _draw_inputs(cfg, n, topo_i, scheme_i, realization)
-        eig = la.herm_eig(ham.h_total)
-    except Exception as exc:
-        return [], [failure(t, exc) for t in times]
-    records, failures = [], []
-    for ti, t in enumerate(times):
-        try:
-            records.append(_record_at_time(cfg, spec, eig, inputs, t, ti, realization))
-        except Exception as exc:
-            failures.append(failure(t, exc))
-    return records, failures
-
-
-def _haar_unit(args) -> tuple:
-    """One Haar-baseline realization: a fresh global unitary, no time grid."""
-    cfg, n, realization = args
-    topo_i, scheme_i = _HAAR_TOPOLOGY_INDEX, _HAAR_SCHEME_INDEX
-    try:
-        seed = _derived_seed(cfg.master_seed, _KIND_HAAR, n, realization)
-        u = la.haar_unitary(2 ** (n + 1), np.random.default_rng(seed))
-        inputs = _draw_inputs(cfg, n, topo_i, scheme_i, realization)
-        shot_rng = derive_rng(cfg.master_seed, _KIND_SHOTS, n, topo_i, scheme_i, realization, 0)
-        fields = _evaluate(cfg, u, n, inputs, shot_rng, _otoc_per_pair_from_unitary)
-    except Exception as exc:
-        failure = UnitFailure(realization, HAAR_LABEL, HAAR_LABEL, n, None, f"{type(exc).__name__}: {exc}")
-        return [], [failure]
-    return [ExperimentRecord(realization, HAAR_LABEL, HAAR_LABEL, n, None, seed, **fields)], []
+def _units(config: SweepConfig, command: str) -> list:
+    """``(worker, args)`` of every unit of one sweep command. ``sweep-size`` fixes
+    a single link, so the injection links stay constant as the reservoir grows;
+    Haar units come last, for ``baseline-haar`` or with ``include_haar_baseline``."""
+    if command == "sweep-time":
+        schemes = config.schemes
+    elif command == "sweep-size":
+        schemes = (CouplingScheme.SINGLE_LINK,)
+    elif command == "baseline-haar":
+        schemes = ()
+    else:
+        raise ValueError(f"unknown command {command!r}")
+    units = [
+        (_hamiltonian_unit, (config, n, topology, scheme, realization))
+        for n in config.sizes
+        for topology in config.topologies
+        for scheme in schemes
+        for realization in range(config.n_realizations)
+    ]
+    if command == "baseline-haar" or config.include_haar_baseline:
+        units += [(_haar_unit, (config, n, r)) for n in config.sizes for r in range(config.n_realizations)]
+    return units
 
 
 def _pin_worker_blas() -> None:
@@ -502,19 +519,25 @@ def _pin_worker_blas() -> None:
         put(1)
 
 
-def _map_units(worker, args_list, threads: int):
-    """``worker`` over every unit, serially or on at most ``threads`` processes.
+def _run_unit(unit) -> tuple:
+    worker, args = unit
+    return worker(args)
+
+
+def _map_units(units, threads: int):
+    """Outcome of every ``(worker, args)`` unit, serially or on at most
+    ``threads`` processes.
 
     BLAS runs one thread throughout, so the worker count is the only source
     of parallelism and every unit's bytes are the same on either path.
     """
     with la.single_blas_thread():
-        if threads <= 1 or len(args_list) <= 1:
-            return [worker(args) for args in args_list]
-        workers = min(threads, len(args_list))
-        chunk = max(1, len(args_list) // (workers * 4))
+        if threads <= 1 or len(units) <= 1:
+            return [_run_unit(unit) for unit in units]
+        workers = min(threads, len(units))
+        chunk = max(1, len(units) // (workers * 4))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker_blas) as pool:
-            return list(pool.map(worker, args_list, chunksize=chunk))
+            return list(pool.map(_run_unit, units, chunksize=chunk))
 
 
 def _time_key(t):
@@ -522,69 +545,44 @@ def _time_key(t):
 
 
 def _unit_order(r):
-    """Sweep order of a record or failure: size, topology, scheme, realization, time."""
-    return (r.n_reservoir, r.topology, r.scheme, r.realization_index, _time_key(r.time))
+    """Output order of a record or failure: Haar baseline rows last, then size,
+    topology, scheme, realization and time."""
+    return (r.topology == HAAR_LABEL, r.n_reservoir, r.topology, r.scheme, r.realization_index, _time_key(r.time))
 
 
-def _collect(outcomes) -> SweepResult:
-    records, failures = [], []
-    for recs, fails in outcomes:
-        records.extend(recs)
-        failures.extend(fails)
-    records.sort(key=_unit_order)
-    failures.sort(key=_unit_order)
+def _sweep(config: SweepConfig, command: str, threads: int) -> SweepResult:
+    outcomes = _map_units(_units(config, command), threads)
+    records = sorted((r for recs, _ in outcomes for r in recs), key=_unit_order)
+    failures = sorted((f for _, fails in outcomes for f in fails), key=_unit_order)
     return SweepResult(records=tuple(records), failures=tuple(failures))
 
 
-def _grid_units(cfg: SweepConfig):
-    for n in cfg.sizes:
-        for topology in cfg.topologies:
-            for scheme in cfg.schemes:
-                for realization in range(cfg.n_realizations):
-                    yield (cfg, n, topology, scheme, realization, cfg.time_grid)
-
-
 def run_time_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
-    """One record per (realization, topology, scheme, size, grid time).
+    """One record per (realization, topology, scheme, size, grid time), and
+    the Haar baseline's records last when the config includes it.
 
     Failed units are reported in ``failures`` with their keys, never dropped
     silently; the record order (and every metric value) is independent of the
     worker count.
     """
-    outcomes = _map_units(_hamiltonian_unit, list(_grid_units(config)), threads)
-    return _collect(outcomes)
+    return _sweep(config, "sweep-time", threads)
 
 
 def run_size_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     """Time sweep over the configured sizes with the coupling fixed to a
-    single link, so the number of injection links stays constant while the
-    reservoir grows. Typical grids are short, e.g. (0.25, 5.0)."""
-    cfg = dataclasses.replace(config, schemes=(CouplingScheme.SINGLE_LINK,))
-    return run_time_sweep(cfg, threads)
+    single link. Typical grids are short, e.g. (0.25, 5.0)."""
+    return _sweep(config, "sweep-size", threads)
 
 
 def run_haar_baseline(config: SweepConfig, threads: int = 1) -> SweepResult:
     """Replace the Hamiltonian propagator by a fresh Haar unitary per
     realization (time-independent); downstream metrics are unchanged."""
-    units = [(config, n, r) for n in config.sizes for r in range(config.n_realizations)]
-    outcomes = _map_units(_haar_unit, units, threads)
-    return _collect(outcomes)
+    return _sweep(config, "baseline-haar", threads)
 
 
 def expected_record_count(config: SweepConfig, command: str) -> int:
-    """Work-unit count implied by the config for one of the sweep commands."""
-    per_size = len(config.topologies) * config.n_realizations * len(config.time_grid)
-    if command == "sweep-time":
-        count = len(config.sizes) * per_size * len(config.schemes)
-    elif command == "sweep-size":
-        count = len(config.sizes) * per_size
-    elif command == "baseline-haar":
-        count = len(config.sizes) * config.n_realizations
-    else:
-        raise ValueError(f"unknown command {command!r}")
-    if command != "baseline-haar" and config.include_haar_baseline:
-        count += len(config.sizes) * config.n_realizations
-    return count
+    """Records plus failures that one of the sweep commands reports for the config."""
+    return sum(1 if worker is _haar_unit else len(config.time_grid) for worker, _ in _units(config, command))
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,14 @@ class TestParseConfig:
             ({"include_haar_baseline": 0.5}, "include_haar_baseline"),
             ({"bias_row": "no"}, "bias_row"),
             ({"bias_row": 1}, "bias_row"),
+            ({"n_reservoir": [2, 2]}, "n_reservoir"),
+            ({"rcond": "abc"}, "rcond"),
+            ({"rcond": [1]}, "rcond"),
+            ({"time_grid": ["a"]}, "time_grid"),
+            ({"j_range": ["a", 1]}, "j_range"),
+            ({"topologies": 5}, "topologies"),
+            ({"metrics": 5}, "metrics"),
+            ({"metrics": "mse"}, "metrics"),
         ],
     )
     def test_booleans_and_fractional_counts_rejected(self, tmp_path, payload, field):
@@ -139,6 +147,7 @@ class TestParseConfig:
         c = SweepConfig(master_seed=2)
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(c)
+        assert config_digest(SweepConfig(master_seed=1, log_base=2.0)) == config_digest(a)
 
     def test_shipped_configs_parse(self):
         root = Path(__file__).resolve().parent.parent / "configs"

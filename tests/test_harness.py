@@ -154,6 +154,19 @@ class TestRunSingle:
         with pytest.raises(RuntimeError, match="record key"):
             run_single(bad, 1.0, cfg)
 
+    @pytest.mark.parametrize("t", [0.5, 5.0])
+    def test_matches_the_sweep_record(self, t):
+        # run_single goes through the sweep's loop with BLAS on one thread, so
+        # at N=7 it reproduces the sweep's record bit for bit
+        cfg = SweepConfig(
+            n_reservoir=7, topologies=("FC",), schemes=("ML",), time_grid=(t,), n_realizations=2, master_seed=4
+        )
+        swept = run_time_sweep(cfg).records[1]
+        ham = sample_hamiltonian(HamiltonianSpec(7, "FC", "ML", cfg.j_range, cfg.delta_range, seed=swept.seed))
+        single = run_single(ham, t, cfg, realization_index=1)
+        for field in dataclasses.fields(swept):
+            assert np.array_equal(getattr(single, field.name), getattr(swept, field.name)), field.name
+
 
 class TestSweeps:
     def test_record_count(self):
@@ -175,6 +188,8 @@ class TestSweeps:
         serial = run_time_sweep(cfg, threads=1)
         parallel = run_time_sweep(cfg, threads=3)
         assert serial == parallel
+        cfg = dataclasses.replace(cfg, include_haar_baseline=True)
+        assert run_time_sweep(cfg, threads=1) == run_time_sweep(cfg, threads=3)
 
     def test_pool_never_exceeds_one_worker_per_unit(self, monkeypatch):
         seen = []
@@ -198,6 +213,10 @@ class TestSweeps:
         cfg = small_config()  # 2 units: 2 realizations of one topology and scheme
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
         assert seen == [(2, harness._pin_worker_blas)]
+        seen.clear()
+        cfg = small_config(include_haar_baseline=True)  # plus 2 Haar units, in the same pool
+        assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
+        assert seen == [(4, harness._pin_worker_blas)]
 
     def test_rerun_bit_identical(self):
         cfg = small_config(shot_model=ShotModel("joint_bitstrings", 500))
@@ -295,14 +314,14 @@ class TestFastPathKernels:
 
     def test_mid_grid_failure_keeps_other_records(self, monkeypatch):
         cfg = small_config()
-        original = harness._record_at_time
+        original = harness._propagator_columns
 
-        def flaky(cfg_, spec, eig, inputs, t, ti, realization):
-            if ti == 1:
+        def flaky(eig, t):
+            if t == 1.0:
                 raise FloatingPointError("synthetic mid-grid failure")
-            return original(cfg_, spec, eig, inputs, t, ti, realization)
+            return original(eig, t)
 
-        monkeypatch.setattr(harness, "_record_at_time", flaky)
+        monkeypatch.setattr(harness, "_propagator_columns", flaky)
         out = run_time_sweep(cfg)
         assert len(out.records) == 4  # 2 realizations x surviving times {0, 5}
         assert len(out.failures) == 2
@@ -373,3 +392,20 @@ class TestAggregateRecords:
         assert harness.expected_record_count(cfg, "baseline-haar") == 2 * 2
         out = run_time_sweep(cfg)
         assert len(out.records) + len(out.failures) == harness.expected_record_count(cfg, "sweep-time")
+        # with the Haar baseline on and the invalid n=2 ring, every runner
+        # reports exactly the counted records plus failures, RU rows last
+        cfg = small_config(
+            n_reservoir=[2, 3], topologies=("C", "R"), schemes=("SL", "ML"), n_realizations=2, include_haar_baseline=True
+        )
+        runners = {"sweep-time": run_time_sweep, "sweep-size": run_size_sweep, "baseline-haar": run_haar_baseline}
+        counts = {"sweep-time": 2 * 2 * 2 * 2 * 3 + 2 * 2, "sweep-size": 2 * 2 * 2 * 3 + 2 * 2, "baseline-haar": 2 * 2}
+        for command, runner in runners.items():
+            out = runner(cfg)
+            assert harness.expected_record_count(cfg, command) == counts[command]
+            assert len(out.records) + len(out.failures) == counts[command]
+            assert sum(r.topology == "RU" for r in out.records) == 4
+            haar_last = [r.topology == "RU" for r in out.records]
+            assert haar_last == sorted(haar_last)
+        assert {f.n_reservoir for f in run_time_sweep(cfg).failures} == {2}
+        with pytest.raises(ValueError, match="unknown command"):
+            harness.expected_record_count(cfg, "sweep-all")
