@@ -90,9 +90,129 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not _is_bool(value)
 
 
+# Config values: one resolver per kind of value maps a field's file form, or
+# its resolved value, to the resolved value or raises ValueError.
+
+
+def _count(value, minimum: int = 1) -> int:
+    if not _is_integer(value) or value < minimum:
+        raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _finite(value, label: str = "each entry") -> float:
+    if not _is_real(value) or not math.isfinite(value):
+        raise ValueError(f"{label} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _entries(value, bare=()) -> tuple:
+    """The entries of a list value; a value of a ``bare`` type is a one-entry list."""
+    if isinstance(value, bare):
+        return (value,)
+    if isinstance(value, (str, dict)) or not np.iterable(value):
+        raise ValueError(f"must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _list_of(value, parse, bare=(), dedupe: bool = False) -> tuple:
+    """Nonempty list of ``parse``d entries; repeats are dropped under ``dedupe``
+    and rejected otherwise."""
+    items = tuple(parse(x) for x in _entries(value, bare))
+    if dedupe:
+        items = tuple(dict.fromkeys(items))
+    if not items or len(set(items)) != len(items):
+        raise ValueError(f"must be a nonempty list without repeats, got {value!r}")
+    return items
+
+
+def _metric(name) -> str:
+    if name not in ALL_METRICS:
+        raise ValueError(f"unknown metric {name!r} (expected one of {', '.join(ALL_METRICS)})")
+    return name
+
+
+def _sizes(value):
+    """One size as an int, several as a tuple."""
+    sizes = _list_of(value, _count, bare=(int, np.integer))
+    for n in sizes:
+        if n + 1 > math.log2(la.MAX_DIM):  # 2 ** (n + 1) > MAX_DIM, without building the power
+            raise ValueError(f"size {n} exceeds the dense-algebra cap (dim {la.MAX_DIM})")
+    return sizes if len(sizes) > 1 else sizes[0]
+
+
+def _interval(value) -> tuple:
+    pair = tuple(_finite(x) for x in _entries(value))
+    if len(pair) != 2 or pair[0] > pair[1]:
+        raise ValueError(f"must be a [lo, hi] pair with lo <= hi, got {value!r}")
+    return pair
+
+
+def _time_grid(value) -> tuple:
+    """A strictly increasing list of times, or ``{start, stop, points}`` for
+    ``points`` uniform times on [start, stop]."""
+    if isinstance(value, dict):
+        if set(value) != {"start", "stop", "points"}:
+            keys = sorted(value, key=str)
+            raise ValueError(f"an object needs exactly the keys start, stop and points, got {keys}")
+        points = value["points"]
+        integral = _is_integer(points) or _is_real(points) and float(points).is_integer()
+        if not integral or points < 1:
+            raise ValueError(f"points must be an integer >= 1, got {points!r}")
+        start, stop = (_finite(value[key], key) for key in ("start", "stop"))
+        value = np.linspace(start, stop, int(points)).tolist()
+    times = tuple(_finite(t) for t in _entries(value))
+    if not times:
+        raise ValueError("must contain at least one time")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"must be strictly increasing, got {value!r}")
+    return times
+
+
+def _shot_model(value) -> ShotModel:
+    if isinstance(value, ShotModel):
+        return value
+    if isinstance(value, str):
+        return ShotModel(mode=value)
+    if isinstance(value, dict):
+        unknown = set(value) - {"mode", "shots"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown, key=str)}")
+        return ShotModel(**value)
+    raise ValueError(f"must be a mode string or a {{mode, shots}} object, got {value!r}")
+
+
+def _rcond(value):
+    if value is not None and _finite(value, "a non-null value") < 0:
+        raise ValueError(f"must be >= 0 or null, got {value!r}")
+    return value if value is None else float(value)
+
+
+def _log_base(value):
+    if isinstance(value, str) and value == "e":
+        return "e"
+    if _is_real(value) and value == 2:
+        return 2
+    raise ValueError(f"must be 2 or 'e', got {value!r}")
+
+
+def _flag(value) -> bool:
+    if not _is_bool(value):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return bool(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Fully resolved parameters of one ensemble run."""
+    """Fully resolved parameters of one ensemble run.
+
+    Every field takes the form a JSON config file gives it, or its resolved
+    value: ``time_grid`` a list of times or a ``{start, stop, points}`` object;
+    ``shot_model`` a ``ShotModel``, a mode string, or a ``{mode, shots}``
+    object; ``n_reservoir`` one size or a list; ``topologies`` and ``schemes``
+    one name or a list. Numbers must be numbers, not strings. A malformed or
+    out-of-range value raises ConfigError naming its field.
+    """
 
     n_reservoir: object = 7
     topologies: tuple = (Topology.CHAIN, Topology.RING, Topology.FULLY_CONNECTED)
@@ -112,105 +232,17 @@ class SweepConfig:
     bias_row: bool = False
 
     def __post_init__(self):
-        sizes = self.n_reservoir
-        if _is_integer(sizes):
-            sizes = (sizes,)
-        if isinstance(sizes, str) or not np.iterable(sizes) or not all(_is_integer(n) for n in sizes):
-            raise ConfigError(f"n_reservoir must be an integer or a list of integers, got {self.n_reservoir!r}")
-        sizes = tuple(int(n) for n in sizes)
-        if not sizes or len(set(sizes)) != len(sizes):
-            raise ConfigError(f"n_reservoir must be a nonempty list without duplicates, got {self.n_reservoir!r}")
-        for n in sizes:
-            if n < 1:
-                raise ConfigError(f"n_reservoir sizes must be >= 1, got {n}")
-            if 2 ** (n + 1) > la.MAX_DIM:
-                raise ConfigError(f"n_reservoir={n} exceeds the dense-algebra cap (dim {la.MAX_DIM})")
-        object.__setattr__(self, "n_reservoir", sizes if len(sizes) > 1 else sizes[0])
-        object.__setattr__(self, "_sizes", sizes)
-
-        for name, kind in (("topologies", Topology), ("schemes", CouplingScheme)):
-            raw = getattr(self, name)
-            if isinstance(raw, (str, kind)):
-                raw = (raw,)
-            if not np.iterable(raw):
-                raise ConfigError(f"{name} must be a list, got {raw!r}")
+        for field in dataclasses.fields(self):
             try:
-                parsed = tuple(kind.parse(x) for x in raw)
-            except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
-            if not parsed or len(set(parsed)) != len(parsed):
-                raise ConfigError(f"{name} must be a nonempty list without duplicates")
-            object.__setattr__(self, name, parsed)
-
-        try:
-            raw = tuple(self.time_grid)
-            grid = tuple(float(t) for t in raw)
-        except (TypeError, ValueError):
-            raw = None
-        if raw is None or any(_is_bool(t) for t in raw):
-            raise ConfigError(f"time_grid must be a list of reals, got {self.time_grid!r}")
-        if not grid:
-            raise ConfigError("time_grid must contain at least one time")
-        if not all(np.isfinite(grid)):
-            raise ConfigError("time_grid must contain finite values only")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("time_grid must be strictly increasing")
-        object.__setattr__(self, "time_grid", grid)
-
-        for name in ("n_realizations", "n_train", "n_test"):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-
-        if not isinstance(self.shot_model, ShotModel):
-            raise ConfigError(f"shot_model must be a ShotModel, got {type(self.shot_model).__name__}")
-
-        if not _is_integer(self.master_seed) or self.master_seed < 0:
-            raise ConfigError(f"master_seed must be a nonnegative integer, got {self.master_seed!r}")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-
-        if self.rcond is not None:
-            if not _is_real(self.rcond) or not np.isfinite(self.rcond) or self.rcond < 0:
-                raise ConfigError(f"rcond must be a real >= 0 or null, got {self.rcond!r}")
-            object.__setattr__(self, "rcond", float(self.rcond))
-
-        if self.log_base not in (2, "e"):
-            raise ConfigError(f"log_base must be 2 or 'e', got {self.log_base!r}")
-        object.__setattr__(self, "log_base", "e" if self.log_base == "e" else 2)
-
-        metrics = self.metrics
-        if isinstance(metrics, str) or not np.iterable(metrics) or not all(isinstance(m, str) for m in metrics):
-            raise ConfigError(f"metrics must be a list of metric names, got {metrics!r}")
-        metrics = tuple(dict.fromkeys(metrics))
-        if not metrics:
-            raise ConfigError("metrics must contain at least one entry")
-        unknown = [m for m in metrics if m not in ALL_METRICS]
-        if unknown:
-            raise ConfigError(f"metrics contains unknown entries {unknown}; valid: {list(ALL_METRICS)}")
-        object.__setattr__(self, "metrics", metrics)
-
-        for name in ("j_range", "delta_range"):
-            pair = getattr(self, name)
-            try:
-                lo, hi = (float(pair[0]), float(pair[1]))
-            except (TypeError, ValueError, IndexError):
-                lo = None
-            if lo is None or _is_bool(pair[0]) or _is_bool(pair[1]):
-                raise ConfigError(f"{name} must be a [lo, hi] pair of reals, got {pair!r}")
-            if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-                raise ConfigError(f"{name} must be a finite interval with lo <= hi, got ({lo}, {hi})")
-            object.__setattr__(self, name, (lo, hi))
-
-        for name in ("include_haar_baseline", "bias_row"):
-            value = getattr(self, name)
-            if not _is_bool(value):
-                raise ConfigError(f"{name} must be true or false, got {value!r}")
-            object.__setattr__(self, name, bool(value))
+                value = _RESOLVERS[field.name](getattr(self, field.name))
+            # ShotModel's int() conversions raise TypeError and OverflowError too.
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{field.name}: {exc}") from exc
+            object.__setattr__(self, field.name, value)
 
     @property
     def sizes(self) -> tuple:
-        return self._sizes
+        return self.n_reservoir if isinstance(self.n_reservoir, tuple) else (self.n_reservoir,)
 
     def as_dict(self) -> dict:
         """JSON-serializable canonical form (used for the config digest)."""
@@ -220,6 +252,26 @@ class SweepConfig:
             "schemes": [s.value for s in self.schemes],
             "shot_model": {"mode": self.shot_model.mode.value, "shots": self.shot_model.shots},
         }
+
+
+_RESOLVERS = {
+    "n_reservoir": _sizes,
+    "topologies": lambda v: _list_of(v, Topology.parse, bare=(str, Topology)),
+    "schemes": lambda v: _list_of(v, CouplingScheme.parse, bare=(str, CouplingScheme)),
+    "time_grid": _time_grid,
+    "n_realizations": _count,
+    "n_train": _count,
+    "n_test": _count,
+    "shot_model": _shot_model,
+    "master_seed": lambda v: _count(v, minimum=0),
+    "rcond": _rcond,
+    "log_base": _log_base,
+    "include_haar_baseline": _flag,
+    "metrics": lambda v: _list_of(v, _metric, dedupe=True),
+    "j_range": _interval,
+    "delta_range": _interval,
+    "bias_row": _flag,
+}
 
 
 @dataclass(frozen=True)

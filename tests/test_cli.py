@@ -127,6 +127,19 @@ class TestParseConfig:
             ({"topologies": 5}, "topologies"),
             ({"metrics": 5}, "metrics"),
             ({"metrics": "mse"}, "metrics"),
+            ({"shot_model": "bogus"}, "shot_model"),
+            ({"j_range": {}}, "j_range"),
+            ({"delta_range": {"lo": 0, "hi": 1}}, "delta_range"),
+            ({"time_grid": ["1.0"]}, "time_grid"),
+            ({"time_grid": {"start": "0", "stop": 1, "points": 2}}, "time_grid"),
+            ({"time_grid": {"start": 0, "stop": "1", "points": 2}}, "time_grid"),
+            ({"j_range": ["1", "2"]}, "j_range"),
+            ({"j_range": "12"}, "j_range"),
+            ({"j_range": [0, 1, 2]}, "j_range"),
+            ({"delta_range": ["0", "0.1"]}, "delta_range"),
+            ({"delta_range": "01"}, "delta_range"),
+            ({"delta_range": [0, 0.1, 0.2]}, "delta_range"),
+            ({"n_reservoir": 10**30}, "cap"),
         ],
     )
     def test_booleans_and_fractional_counts_rejected(self, tmp_path, payload, field):
@@ -134,6 +147,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=field):
             parse_config(path)
         assert main(["sweep-time", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_integral_float_shots_and_points_accepted(self, tmp_path):
+        payload = {"shot_model": {"shots": 1e6}, "time_grid": {"start": 0, "stop": 5, "points": 41.0}}
+        assert parse_config(write_config(tmp_path, payload)) == SweepConfig()
 
     def test_overlay_fills_missing_keys_only(self, tmp_path):
         path = write_config(tmp_path, {"time_grid": [1.0, 2.0]})
@@ -167,7 +184,7 @@ class TestEmitRecords:
 
     def test_csv_row_count_and_roundtrip(self, tmp_path):
         cfg, out = self.run_tiny()
-        manifest = emit_records(out.records, None, "csv", tmp_path, config=cfg)
+        manifest = emit_records(out.records, "csv", tmp_path, config=cfg)
         lines = (tmp_path / "records.csv").read_text().splitlines()
         assert len(lines) == len(out.records) + 1  # header + one row per record
         assert manifest.record_count == 4 and manifest.failure_count == 0
@@ -179,8 +196,8 @@ class TestEmitRecords:
 
     def test_json_roundtrip_matches_csv(self, tmp_path):
         cfg, out = self.run_tiny()
-        emit_records(out.records, None, "json", tmp_path / "j", config=cfg)
-        emit_records(out.records, None, "csv", tmp_path / "c", config=cfg)
+        emit_records(out.records, "json", tmp_path / "j", config=cfg)
+        emit_records(out.records, "csv", tmp_path / "c", config=cfg)
         from_json = read_records_json(tmp_path / "j" / "records.json")
         from_csv = read_records_csv(tmp_path / "c" / "records.csv")
         assert from_json == from_csv == list(out.records)
@@ -188,25 +205,25 @@ class TestEmitRecords:
     def test_csv_bodies_bit_identical_across_runs(self, tmp_path):
         cfg, out1 = self.run_tiny()
         _, out2 = self.run_tiny()
-        emit_records(out1.records, None, "csv", tmp_path / "a", config=cfg)
-        emit_records(out2.records, None, "csv", tmp_path / "b", config=cfg)
+        emit_records(out1.records, "csv", tmp_path / "a", config=cfg)
+        emit_records(out2.records, "csv", tmp_path / "b", config=cfg)
         for name in ("records.csv", "aggregates.csv", "holevo_nodes.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_seventeen_significant_digits(self, tmp_path):
         cfg, out = self.run_tiny()
-        emit_records(out.records, None, "csv", tmp_path, config=cfg)
+        emit_records(out.records, "csv", tmp_path, config=cfg)
         parsed = read_records_csv(tmp_path / "records.csv")
         for before, after in zip(out.records, parsed):
             assert after.mse == before.mse  # exact float round-trip
 
     def test_rejects_empty_emission(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to emit"):
-            emit_records([], None, "csv", tmp_path)
+            emit_records([], "csv", tmp_path)
 
     def test_manifest_fields(self, tmp_path):
         cfg, out = self.run_tiny()
-        emit_records(out.records, None, "csv", tmp_path, config=cfg)
+        emit_records(out.records, "csv", tmp_path, config=cfg)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config_digest"] == config_digest(cfg)
         assert manifest["tool_version"]
@@ -442,7 +459,7 @@ class TestEmissionFormat:
 
     def emit(self, tmp_path, fmt):
         out = tmp_path / fmt
-        manifest = emit_records(self.RECORDS, None, fmt, out, failures=self.FAILURES)
+        manifest = emit_records(self.RECORDS, fmt, out, failures=self.FAILURES)
         assert (manifest.record_count, manifest.failure_count) == (4, 2)
         return out
 

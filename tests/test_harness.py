@@ -84,6 +84,21 @@ class TestSweepConfig:
         rebuilt = SweepConfig(**{**data, "shot_model": ShotModel(**data["shot_model"])})
         assert rebuilt == cfg
 
+    def test_file_forms_accepted(self):
+        cfg = small_config(n_reservoir=[2, 4], include_haar_baseline=True)
+        assert SweepConfig(**cfg.as_dict()) == cfg
+        cfg = small_config(time_grid={"start": 0, "stop": 2, "points": 5}, shot_model="binomial")
+        assert cfg.time_grid == (0.0, 0.5, 1.0, 1.5, 2.0)
+        assert cfg.shot_model == ShotModel("independent_binomial")
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SweepConfig)])
+    def test_every_field_resolves_or_names_itself(self, field):
+        for value in (None, True, 0, 1.5, "1", "s", [], [1, 2, 3], {}):
+            try:
+                SweepConfig(**{field: value})
+            except ConfigError as exc:
+                assert field in str(exc), (value, str(exc))
+
 
 class TestAggregateStats:
     def test_singleton(self):
