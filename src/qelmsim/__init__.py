@@ -48,7 +48,6 @@ from .qelm import (
     mse,
     pauli_targets,
     predict,
-    reservoir_output_state,
     sample_features,
     train_readout,
 )
@@ -58,7 +57,6 @@ from .reservoir import (
     ReservoirHamiltonian,
     Topology,
     edge_set,
-    readout_observables,
     sample_hamiltonian,
 )
 from .scrambling import (

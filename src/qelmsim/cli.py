@@ -347,7 +347,7 @@ def _cmd_sweep(args, command: str) -> int:
 
 
 def _cmd_single_run(args) -> int:
-    metrics = _parse_metrics(args.metrics) if args.metrics else ALL_METRICS
+    metrics = _parse_metrics(args.metrics) if args.metrics is not None else ALL_METRICS
     cfg = SweepConfig(
         n_reservoir=args.n_reservoir,
         topologies=(args.topology,),

@@ -211,7 +211,8 @@ class SweepConfig:
     ``shot_model`` a ``ShotModel``, a mode string, or a ``{mode, shots}``
     object; ``n_reservoir`` one size or a list; ``topologies`` and ``schemes``
     one name or a list. Numbers must be numbers, not strings. A malformed or
-    out-of-range value raises ConfigError naming its field.
+    out-of-range value raises ConfigError naming its field; a ring topology
+    listed with a size below 3 raises one naming ``topologies``.
     """
 
     n_reservoir: object = 7
@@ -239,6 +240,9 @@ class SweepConfig:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{field.name}: {exc}") from exc
             object.__setattr__(self, field.name, value)
+        small = [n for n in self.sizes if n < 3]
+        if Topology.RING in self.topologies and small:
+            raise ConfigError(f"topologies: the ring R needs sizes >= 3, got n_reservoir {small}")
 
     @property
     def sizes(self) -> tuple:
@@ -420,13 +424,13 @@ def _propagator_columns(eig: la.SpectralDecomposition, t: float) -> np.ndarray:
 def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, otoc_pairs) -> dict:
     """Requested metric fields of one record under the propagator ``u``.
 
-    Features and Holevo information see only the input subspace ``u[:, :2]``
-    (the reservoir starts in |0...0>); the OTOCs need all of ``u`` and come
-    from ``otoc_pairs(u, n)``.
+    Features and Holevo information see only the input columns of ``u``
+    (``la._input_columns``); the OTOCs need all of ``u`` and come from
+    ``otoc_pairs(u, n)``.
     """
     want = set(cfg.metrics)
     train, test, y_train, y_test = inputs
-    v01 = u[:, :2]
+    v01 = la._input_columns(u, n)
     fields = {}
     if {"mse", "condition_number"} & want:
         p_train = qelm._features_from_columns(v01, train, n, cfg.shot_model, shot_rng, cfg.bias_row)

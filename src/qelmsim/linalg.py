@@ -4,7 +4,11 @@ Everything operates on plain ``numpy`` arrays of ``complex128`` (operators)
 or ``float64`` (spectra, probabilities). Conventions used across the package:
 
 * qubit 0 is the leftmost, i.e. most significant, tensor factor;
-* operators are dense square matrices of dimension ``2**n_qubits``;
+* operators are dense square matrices of dimension ``2**n_qubits``, at most
+  ``MAX_DIM``;
+* the register is N reservoir qubits followed by the input qubit, and the
+  reservoir starts in |0...0>, so a propagator acts on inputs through its
+  first two columns (``_input_columns``);
 * hbar = 1, so ``exp(-1j * H * t)`` propagates for a time ``t``.
 
 All functions are pure: inputs are never mutated and random sampling takes an
@@ -42,17 +46,13 @@ __all__ = [
     "svd_pseudoinverse",
     "default_rcond",
     "require_hermitian",
-    "is_unitary",
-    "require_density",
     "single_blas_thread",
 ]
 
-# Dense algebra on more than 12 qubits (dim 4096) is treated as a usage error;
-# pass an explicit max_dim to lift the cap.
+# Dense algebra on more than 12 qubits (dim 4096) is a usage error.
 MAX_DIM = 4096
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
 # Eigenvalues below this contribute 0 to the entropy (continuity of x*log x).
 ENTROPY_EIGENVALUE_CUTOFF = 1e-12
 
@@ -78,41 +78,18 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "op
         raise ValueError(f"{name} is not Hermitian: max |A - A^dag| = {dev:.3e} > {tol:.1e}")
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    return bool(dev <= tol)
-
-
-def require_density(rho: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "rho") -> None:
-    """Cheap density-matrix checks: square, Hermitian, unit trace.
-
-    Positivity is O(dim^3) and is deliberately not verified here; callers that
-    need it should inspect ``np.linalg.eigvalsh``.
-    """
-    rho = np.asarray(rho)
-    require_hermitian(rho, tol, name)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > max(tol, 1e-10):
-        raise ValueError(f"{name} must have unit trace, got {tr:.12g}")
-
-
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_DIM) -> np.ndarray:
-    """Kronecker product with a guard on the resulting dimension."""
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product whose dimension must stay within ``MAX_DIM``."""
     a = np.asarray(a)
     b = np.asarray(b)
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > max_dim:
-        raise ValueError(
-            f"kron result would be {rows}x{cols}, beyond the configured maximum dim {max_dim}"
-        )
+    if max(rows, cols) > MAX_DIM:
+        raise ValueError(f"kron result would be {rows}x{cols}, beyond the maximum dim {MAX_DIM}")
     return np.kron(a, b)
 
 
-def embed_pauli(axis: str, site: int, n_qubits: int, max_dim: int = MAX_DIM) -> np.ndarray:
+def embed_pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
     """Pauli ``sigma_axis`` acting on ``site`` of an ``n_qubits`` register.
 
     Identity on every other site; qubit 0 is the leftmost tensor factor.
@@ -121,8 +98,8 @@ def embed_pauli(axis: str, site: int, n_qubits: int, max_dim: int = MAX_DIM) -> 
         raise ValueError(f"axis must be one of {PAULI_AXES}, got {axis!r}")
     if not 0 <= site < n_qubits:
         raise ValueError(f"site {site} out of range for {n_qubits} qubits")
-    if 2**n_qubits > max_dim:
-        raise ValueError(f"2**{n_qubits} exceeds the configured maximum dim {max_dim}")
+    if 2**n_qubits > MAX_DIM:
+        raise ValueError(f"2**{n_qubits} exceeds the maximum dim {MAX_DIM}")
     op = PAULIS[axis]
     left = 2**site
     right = 2 ** (n_qubits - site - 1)
@@ -149,7 +126,7 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def herm_eig(a: np.ndarray, tol: float = HERMITIAN_TOL) -> SpectralDecomposition:
+def herm_eig(a: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
     Raises ``ValueError`` if the input violates Hermiticity, and propagates
@@ -157,7 +134,7 @@ def herm_eig(a: np.ndarray, tol: float = HERMITIAN_TOL) -> SpectralDecomposition
     ever returned).
     """
     a = np.asarray(a, dtype=complex)
-    require_hermitian(a, tol)
+    require_hermitian(a)
     w, v = np.linalg.eigh(a)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
@@ -168,6 +145,20 @@ def evolve_unitary(decomp: SpectralDecomposition, t: float) -> np.ndarray:
         raise ValueError(f"evolution time must be finite, got {t}")
     phases = np.exp(-1j * decomp.eigenvalues * t)
     return (decomp.eigenvectors * phases) @ decomp.eigenvectors.conj().T
+
+
+def _input_columns(u: np.ndarray, n_reservoir: int) -> np.ndarray:
+    """The (2^(N+1), 2) isometry through which ``u`` acts on the input qubit.
+
+    With the reservoir in |0...0> and the input qubit last, the register's
+    initial state lives on the first two basis vectors, so every input is
+    carried by the first two columns of ``u``.
+    """
+    u = np.asarray(u)
+    dim = 2 ** (n_reservoir + 1)
+    if u.shape != (dim, dim):
+        raise ValueError(f"unitary has shape {u.shape}, expected ({dim}, {dim})")
+    return u[:, :2]
 
 
 def partial_trace(rho: np.ndarray, n_qubits: int, keep) -> np.ndarray:
@@ -196,15 +187,15 @@ def partial_trace(rho: np.ndarray, n_qubits: int, keep) -> np.ndarray:
     return reduced.reshape(d_keep, d_keep)
 
 
-def von_neumann_entropy(rho: np.ndarray, log_base=2, cutoff: float = ENTROPY_EIGENVALUE_CUTOFF) -> float:
-    """Entropy ``-sum(w * log(w))`` over eigenvalues above ``cutoff``.
+def von_neumann_entropy(rho: np.ndarray, log_base=2) -> float:
+    """Entropy ``-sum(w * log(w))`` over eigenvalues above ``ENTROPY_EIGENVALUE_CUTOFF``.
 
     ``log_base`` is 2 (bits) or "e" (nats).
     """
     rho = np.asarray(rho)
     require_hermitian(rho, name="rho")
     w = np.linalg.eigvalsh(rho)
-    w = w[w > cutoff]
+    w = w[w > ENTROPY_EIGENVALUE_CUTOFF]
     s = float(-(w * np.log(w)).sum()) if w.size else 0.0
     if log_base == 2:
         s /= np.log(2.0)

@@ -21,7 +21,6 @@ __all__ = [
     "ShotMode",
     "ShotModel",
     "TrainedReadout",
-    "reservoir_output_state",
     "exact_features",
     "sample_features",
     "pauli_targets",
@@ -34,6 +33,11 @@ __all__ = [
 # Reservoir probabilities more negative than this signal corrupted upstream
 # numerics rather than roundoff.
 _NEGATIVE_PROB_TOL = -1e-10
+# Input states may miss unit trace by this much.
+_TRACE_TOL = 1e-10
+
+# Samplers draw counts as C longs.
+_MAX_SHOTS = 2**63 - 1
 
 
 class ShotMode(enum.Enum):
@@ -67,8 +71,8 @@ class ShotModel:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", ShotMode.parse(self.mode))
-        if isinstance(self.shots, bool) or int(self.shots) != self.shots or self.shots < 1:
-            raise ValueError(f"shots must be an integer >= 1, got {self.shots!r}")
+        if isinstance(self.shots, bool) or int(self.shots) != self.shots or not 1 <= self.shots <= _MAX_SHOTS:
+            raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {self.shots!r}")
         object.__setattr__(self, "shots", int(self.shots))
 
 
@@ -79,29 +83,6 @@ class TrainedReadout:
     w: np.ndarray
     rcond_used: float
     singular_values: np.ndarray
-
-
-def _input_columns(u: np.ndarray, n_reservoir: int, fiducial: np.ndarray | None = None) -> np.ndarray:
-    """The two columns of ``u`` reached from (fiducial reservoir state) x (input qubit).
-
-    With the reservoir fixed in a pure state, the joint input density matrix
-    is supported on a two-dimensional subspace, so the whole output channel is
-    determined by ``u @ (|fiducial> x I_2)``, a (2^(N+1), 2) isometry. The
-    default fiducial state |0...0> makes this simply the first two columns.
-    """
-    u = np.asarray(u)
-    dim = 2 ** (n_reservoir + 1)
-    if u.shape != (dim, dim):
-        raise ValueError(f"unitary has shape {u.shape}, expected ({dim}, {dim})")
-    if fiducial is None:
-        return u[:, :2]
-    fid = np.asarray(fiducial, dtype=complex).reshape(-1)
-    if fid.shape[0] != dim // 2:
-        raise ValueError(f"fiducial state must have dimension {dim // 2}, got {fid.shape[0]}")
-    norm = np.linalg.norm(fid)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"fiducial state must be normalized, got norm {norm:.12g}")
-    return u @ np.kron(fid.reshape(-1, 1), np.eye(2, dtype=complex))
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +109,8 @@ def _reservoir_basis_probs(v01: np.ndarray, rhos: np.ndarray) -> np.ndarray:
 def _qubit_states(states) -> np.ndarray:
     """(k, 2, 2) stack of 2x2 Hermitian unit-trace ``states``.
 
-    The error names the index of the first state that fails.
+    Positivity is not checked. The error names the index of the first state
+    that fails and, of its two checks, Hermiticity before the trace.
     """
     rhos = [np.asarray(rho, dtype=complex) for rho in states]
     for k, rho in enumerate(rhos):
@@ -136,29 +118,16 @@ def _qubit_states(states) -> np.ndarray:
             raise ValueError(f"state {k} must be a 2x2 density matrix, got shape {rho.shape}")
     rhos = np.array(rhos, dtype=complex).reshape(-1, 2, 2)
     herm_dev = np.abs(rhos - rhos.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
-    trace_dev = np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)
-    bad = np.flatnonzero((herm_dev > la.HERMITIAN_TOL) | (trace_dev > max(la.HERMITIAN_TOL, 1e-10)))
+    traces = np.trace(rhos, axis1=1, axis2=2)
+    bad = np.flatnonzero((herm_dev > la.HERMITIAN_TOL) | (np.abs(traces - 1.0) > _TRACE_TOL))
     if bad.size:
-        la.require_density(rhos[bad[0]], name=f"state {bad[0]}")
+        k = bad[0]
+        if herm_dev[k] > la.HERMITIAN_TOL:
+            raise ValueError(
+                f"state {k} is not Hermitian: max |A - A^dag| = {herm_dev[k]:.3e} > {la.HERMITIAN_TOL:.1e}"
+            )
+        raise ValueError(f"state {k} must have unit trace, got {complex(traces[k]):.12g}")
     return rhos
-
-
-def reservoir_output_state(
-    u: np.ndarray,
-    rho_in: np.ndarray,
-    n_reservoir: int,
-    fiducial: np.ndarray | None = None,
-) -> np.ndarray:
-    """Reservoir marginal after evolving (|0...0><0...0| x rho_in) by ``u``.
-
-    Returns the N-qubit density matrix obtained by tracing out the input
-    qubit. ``fiducial`` overrides the |0...0> reservoir initialization with an
-    arbitrary pure state vector.
-    """
-    rho_in = _qubit_states([rho_in])[0]
-    v01 = _input_columns(u, n_reservoir, fiducial)
-    out_full = (v01 @ rho_in) @ v01.conj().T
-    return la.partial_trace(out_full, n_reservoir + 1, keep=range(n_reservoir))
 
 
 def exact_features(
@@ -166,7 +135,6 @@ def exact_features(
     states,
     observables,
     bias_row: bool = False,
-    fiducial: np.ndarray | None = None,
 ) -> np.ndarray:
     """Feature matrix of exact expectation values, one column per input state.
 
@@ -177,11 +145,8 @@ def exact_features(
     """
     u = np.asarray(u)
     dim = u.shape[0]
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"unitary must be square, got shape {u.shape}")
     n_reservoir = int(np.log2(dim)) - 1
-    if 2 ** (n_reservoir + 1) != dim:
-        raise ValueError(f"unitary dimension {dim} is not a power of two")
+    v01 = la._input_columns(u, n_reservoir)
     obs = [np.asarray(o) for o in observables]
     for o in obs:
         if o.shape not in ((dim, dim), (dim // 2, dim // 2)):
@@ -189,7 +154,6 @@ def exact_features(
                 f"observable shape {o.shape} matches neither the full register "
                 f"({dim}) nor the reservoir ({dim // 2})"
             )
-    v01 = _input_columns(u, n_reservoir, fiducial)
     need_marginal = any(o.shape[0] == dim // 2 for o in obs)
 
     n_rows = len(obs) + (1 if bias_row else 0)
@@ -262,7 +226,6 @@ def sample_features(
     model: ShotModel,
     rng: np.random.Generator | None = None,
     bias_row: bool = False,
-    fiducial: np.ndarray | None = None,
 ) -> np.ndarray:
     """Finite-shot estimates of the per-site sigma_z features.
 
@@ -274,7 +237,7 @@ def sample_features(
     if model.mode is not ShotMode.EXACT and rng is None:
         raise ValueError("sampled shot modes need an explicit random generator")
     rhos = _qubit_states(states)
-    v01 = _input_columns(u, n_reservoir, fiducial)
+    v01 = la._input_columns(u, n_reservoir)
     return _features_from_columns(v01, rhos, n_reservoir, model, rng, bias_row)
 
 

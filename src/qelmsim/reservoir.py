@@ -27,7 +27,6 @@ __all__ = [
     "edge_set",
     "injection_sites",
     "sample_hamiltonian",
-    "readout_observables",
 ]
 
 DEFAULT_J_RANGE = (-1.0, 1.0)
@@ -193,16 +192,14 @@ def _add_coupling_block(h: np.ndarray, jmat: np.ndarray, site_a: int, site_b: in
             _add_pauli_string(h, jmat[a, b], ((site_a, axis_a), (site_b, axis_b)), n_total)
 
 
-def sample_hamiltonian(spec: HamiltonianSpec, rng: np.random.Generator | None = None) -> ReservoirHamiltonian:
-    """Draw one reservoir realization.
+def sample_hamiltonian(spec: HamiltonianSpec) -> ReservoirHamiltonian:
+    """Draw the reservoir realization that ``spec.seed`` determines.
 
-    The sampling order is fixed so a seed fully determines the result: per-edge
-    3x3 couplings in ``edge_set`` order, then the (N, 3) local fields, then the
-    per-link input couplings in ascending site order. When ``rng`` is omitted,
-    a fresh generator is seeded from ``spec.seed``.
+    A fresh generator seeded from ``spec.seed`` draws, in this fixed order,
+    the per-edge 3x3 couplings in ``edge_set`` order, then the (N, 3) local
+    fields, then the per-link input couplings in ascending site order.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     n = spec.n_reservoir
     n_tot = spec.n_total
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
@@ -231,11 +228,3 @@ def sample_hamiltonian(spec: HamiltonianSpec, rng: np.random.Generator | None = 
         couplings_inj=couplings_inj,
         local_fields=local_fields,
     )
-
-
-def readout_observables(n_reservoir: int) -> list[np.ndarray]:
-    """``sigma_z`` on each reservoir site, embedded in the full (N+1)-qubit space."""
-    if n_reservoir < 1:
-        raise ValueError(f"n_reservoir must be >= 1, got {n_reservoir}")
-    n_tot = n_reservoir + 1
-    return [la.embed_pauli("z", i, n_tot) for i in range(n_reservoir)]

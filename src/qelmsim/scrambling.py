@@ -99,18 +99,16 @@ def otoc_pair(o_a_t: np.ndarray, o_b: np.ndarray, dim: int) -> float:
     return float(1.0 - tr.real / dim)
 
 
-def averaged_otoc(u: np.ndarray, n_reservoir: int, reservoir_dim_norm: bool = False) -> OtocResult:
+def averaged_otoc(u: np.ndarray, n_reservoir: int) -> OtocResult:
     """OTOCs of all (sigma_z reservoir site, input Pauli) pairs under ``u``.
 
-    The trace term is normalized by the full register dimension 2^(N+1) by
-    default, keeping every correlator in [0, 2]; ``reservoir_dim_norm``
-    switches to 2^N for comparison with that convention.
+    The trace term is normalized by the full register dimension 2^(N+1),
+    keeping every correlator in [0, 2].
     """
     u = np.asarray(u)
     dim = 2 ** (n_reservoir + 1)
     if u.shape != (dim, dim):
         raise ValueError(f"unitary has shape {u.shape}, expected ({dim}, {dim})")
-    denom = dim // 2 if reservoir_dim_norm else dim
     n_tot = n_reservoir + 1
     b_ops = [la.embed_pauli(axis, n_reservoir, n_tot) for axis in la.PAULI_AXES]
     per_pair = np.empty((n_reservoir, 3))
@@ -119,7 +117,7 @@ def averaged_otoc(u: np.ndarray, n_reservoir: int, reservoir_dim_norm: bool = Fa
         for ai, b in enumerate(b_ops):
             m = a_t @ b
             tr = np.einsum("ij,ji->", m, m)
-            per_pair[i, ai] = 1.0 - tr.real / denom
+            per_pair[i, ai] = 1.0 - tr.real / dim
     return OtocResult(per_pair=per_pair, averaged=float(per_pair.mean()))
 
 
@@ -191,8 +189,4 @@ def local_holevo_profile(u: np.ndarray, n_reservoir: int, log_base=2) -> HolevoR
     eigenstates; the channel evolves |0...0> x input by ``u`` and keeps a
     single node. ``log_base`` 2 gives bits, "e" gives nats.
     """
-    u = np.asarray(u)
-    dim = 2 ** (n_reservoir + 1)
-    if u.shape != (dim, dim):
-        raise ValueError(f"unitary has shape {u.shape}, expected ({dim}, {dim})")
-    return _holevo_from_columns(u[:, :2], n_reservoir, log_base)
+    return _holevo_from_columns(la._input_columns(u, n_reservoir), n_reservoir, log_base)

@@ -140,6 +140,8 @@ class TestParseConfig:
             ({"delta_range": "01"}, "delta_range"),
             ({"delta_range": [0, 0.1, 0.2]}, "delta_range"),
             ({"n_reservoir": 10**30}, "cap"),
+            ({"shot_model": {"shots": 1e20}}, "shots"),
+            ({"shot_model": {"mode": "binomial", "shots": 2**63}}, "shots"),
         ],
     )
     def test_booleans_and_fractional_counts_rejected(self, tmp_path, payload, field):
@@ -304,26 +306,50 @@ class TestCommands:
         for name in CSV_TABLES:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
-    def test_sweep_size_defaults(self):
-        # without explicit keys the size sweep covers 2..7 at t in {0.25, 5}
-        cfg = cli._load_sweep_config(
-            cli._build_parser().parse_args(["sweep-size"]), "sweep-size"
-        )
+    def test_sweep_size_defaults(self, tmp_path):
+        # without explicit keys the size sweep covers 2..7 at t in {0.25, 5};
+        # sizes below 3 leave the ring out of the default topologies
+        def load(*argv):
+            return cli._load_sweep_config(cli._build_parser().parse_args(["sweep-size", *argv]), "sweep-size")
+
+        with pytest.raises(ConfigError, match="topologies"):
+            load()
+        cfg = load("--config", write_config(tmp_path, {"topologies": ["C", "FC"]}))
         assert cfg.sizes == (2, 3, 4, 5, 6, 7)
         assert cfg.time_grid == (0.25, 5.0)
 
-    def test_sweep_size_run_and_partial_failure_exit(self, tmp_path):
+    def test_sweep_size_run_and_partial_failure_exit(self, tmp_path, monkeypatch):
+        original = harness.sample_hamiltonian
+
+        def failing_at_two(spec):
+            if spec.n_reservoir == 2:
+                raise ValueError("synthetic set-up failure")
+            return original(spec)
+
+        monkeypatch.setattr(harness, "sample_hamiltonian", failing_at_two)
         payload = dict(TINY_CONFIG)
         payload["n_reservoir"] = [2, 3]
-        payload["topologies"] = ["R"]  # ring invalid at n=2 -> partial failure
         config_path = write_config(tmp_path, payload)
         out_dir = tmp_path / "out"
         code = main(["sweep-size", "--config", config_path, "--out", str(out_dir)])
         assert code == EXIT_PARTIAL
         assert (out_dir / "failures.csv").exists()
         failures = (out_dir / "failures.csv").read_text().splitlines()
-        # header + (2 realizations x 2 grid times) of the invalid n=2 ring units
+        # header + (2 realizations x 2 grid times) of the failed n=2 units
         assert len(failures) == 1 + 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--topology", "C", "--shots", str(10**20)],
+            ["--topology", "R"],
+            ["--topology", "C", "--metrics", ""],
+        ],
+        ids=["shots-overflow", "ring-below-three", "empty-metrics"],
+    )
+    def test_single_run_config_error_exit_code(self, argv, capsys):
+        assert main(["single-run", "--scheme", "SL", "--n-reservoir", "2", *argv]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
 
     def test_baseline_haar_and_metric_restriction(self, tmp_path):
         config_path = write_config(tmp_path, TINY_CONFIG)

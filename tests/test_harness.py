@@ -38,6 +38,18 @@ def small_config(**overrides):
     return SweepConfig(**base)
 
 
+def fail_set_up_at_two(monkeypatch):
+    """Make every n=2 Hamiltonian unit fail in its set-up, in this process."""
+    original = harness.sample_hamiltonian
+
+    def failing(spec):
+        if spec.n_reservoir == 2:
+            raise ValueError("synthetic set-up failure")
+        return original(spec)
+
+    monkeypatch.setattr(harness, "sample_hamiltonian", failing)
+
+
 class TestSweepConfig:
     def test_defaults_match_headline_parameters(self):
         cfg = SweepConfig()
@@ -354,13 +366,18 @@ class TestSizeSweep:
         assert {r.n_reservoir for r in out.records} == {2, 3}
         assert {r.time for r in out.records} == {0.25, 5.0}
 
-    def test_invalid_ring_units_reported_not_dropped(self):
-        cfg = small_config(n_reservoir=[2, 3], topologies=("R",), time_grid=(0.25, 5.0), n_realizations=1)
+    def test_invalid_ring_units_reported_not_dropped(self, monkeypatch):
+        # a ring below 3 sites is refused before any unit runs ...
+        with pytest.raises(ConfigError, match="topologies"):
+            small_config(n_reservoir=[2, 3], topologies=("R",))
+        # ... and a unit that fails to set up is reported, not dropped
+        fail_set_up_at_two(monkeypatch)
+        cfg = small_config(n_reservoir=[2, 3], time_grid=(0.25, 5.0), n_realizations=1)
         out = run_size_sweep(cfg)
         assert {r.n_reservoir for r in out.records} == {3}
         assert len(out.failures) == 2  # both grid times of the n=2 unit
         assert all(f.n_reservoir == 2 for f in out.failures)
-        assert "ring" in out.failures[0].error
+        assert "synthetic set-up failure" in out.failures[0].error
 
 
 class TestHaarBaseline:
@@ -401,16 +418,17 @@ class TestAggregateRecords:
         values = [r.mse for r in out.records if r.time == 5.0]
         assert row.stats.median == pytest.approx(np.median(values))
 
-    def test_expected_record_count_helper(self):
+    def test_expected_record_count_helper(self, monkeypatch):
         cfg = small_config(n_reservoir=[2, 3], n_realizations=2)
         assert harness.expected_record_count(cfg, "sweep-time") == 2 * 1 * 1 * 2 * 3
         assert harness.expected_record_count(cfg, "baseline-haar") == 2 * 2
         out = run_time_sweep(cfg)
         assert len(out.records) + len(out.failures) == harness.expected_record_count(cfg, "sweep-time")
-        # with the Haar baseline on and the invalid n=2 ring, every runner
-        # reports exactly the counted records plus failures, RU rows last
+        # with the Haar baseline on and failing n=2 Hamiltonian units, every
+        # runner reports exactly the counted records plus failures, RU rows last
+        fail_set_up_at_two(monkeypatch)
         cfg = small_config(
-            n_reservoir=[2, 3], topologies=("C", "R"), schemes=("SL", "ML"), n_realizations=2, include_haar_baseline=True
+            n_reservoir=[2, 3], topologies=("C", "FC"), schemes=("SL", "ML"), n_realizations=2, include_haar_baseline=True
         )
         runners = {"sweep-time": run_time_sweep, "sweep-size": run_size_sweep, "baseline-haar": run_haar_baseline}
         counts = {"sweep-time": 2 * 2 * 2 * 2 * 3 + 2 * 2, "sweep-size": 2 * 2 * 2 * 3 + 2 * 2, "baseline-haar": 2 * 2}

@@ -44,9 +44,6 @@ class TestKron:
         big = np.eye(la.MAX_DIM)
         with pytest.raises(ValueError, match="maximum dim"):
             la.kron(big, np.eye(2))
-        # explicit override lifts the cap
-        out = la.kron(np.eye(la.MAX_DIM // 2), np.eye(4), max_dim=2 * la.MAX_DIM)
-        assert out.shape == (2 * la.MAX_DIM, 2 * la.MAX_DIM)
 
 
 class TestEmbedPauli:
@@ -126,7 +123,7 @@ class TestEvolveUnitary:
     def test_unitarity(self):
         rng = np.random.default_rng(12)
         u = la.evolve_unitary(la.herm_eig(random_hermitian(rng, 8)), 3.3)
-        assert la.is_unitary(u)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-10
 
     def test_rejects_nonfinite_time(self):
         decomp = la.herm_eig(la.PAULI_Z)

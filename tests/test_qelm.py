@@ -10,11 +10,11 @@ from qelmsim.qelm import (
     mse,
     pauli_targets,
     predict,
-    reservoir_output_state,
     sample_features,
     train_readout,
 )
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
+from qelmsim.scrambling import local_holevo_profile
 
 from _oracles import bloch_density, random_density, random_unitary, swap_unitary
 
@@ -28,35 +28,19 @@ def zero_reservoir_state(n):
     return rho
 
 
-class TestReservoirOutputState:
-    def test_identity_dynamics(self):
-        rng = np.random.default_rng(0)
-        for rho_in in (KET0, KET_PLUS, la.random_pure_qubit_state(rng)):
-            out = reservoir_output_state(np.eye(8, dtype=complex), rho_in, 2)
-            assert np.max(np.abs(out - zero_reservoir_state(2))) <= 1e-14
-
-    def test_swap_moves_input_into_reservoir(self):
-        u = swap_unitary(2, 0, 1)
-        rho_in = bloch_density(0.3, -0.5, 0.7)
-        out = reservoir_output_state(u, rho_in, 1)
-        assert np.max(np.abs(out - rho_in)) <= 1e-13
-
-    def test_channel_properties_random(self):
-        rng = np.random.default_rng(1)
-        u = random_unitary(rng, 8)
-        out = reservoir_output_state(u, random_density(rng, 2), 2)
-        assert abs(np.trace(out) - 1.0) <= 1e-10
-        assert np.linalg.eigvalsh(out).min() >= -1e-10
-
-    def test_fiducial_override(self):
-        # with the reservoir prepared in |1>, identity dynamics returns |1><1|
-        u = np.eye(4, dtype=complex)
-        out = reservoir_output_state(u, KET_PLUS, 1, fiducial=np.array([0.0, 1.0]))
-        assert np.max(np.abs(out - np.diag([0.0, 1.0]))) <= 1e-14
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            reservoir_output_state(np.eye(8, dtype=complex), KET0, 3)
+class TestInputColumns:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda u: exact_features(u, [KET0], [la.embed_pauli("z", 0, 2)]),
+            lambda u: sample_features(u, [KET0], 2, ShotModel("exact")),
+            lambda u: local_holevo_profile(u, 2),
+        ],
+        ids=["exact_features", "sample_features", "local_holevo_profile"],
+    )
+    def test_wrong_size_unitary_rejected(self, call):
+        with pytest.raises(ValueError, match=r"unitary has shape \(8, 4\), expected \(8, 8\)"):
+            call(np.eye(8, dtype=complex)[:, :4])
 
 
 class TestExactFeatures:
@@ -200,7 +184,7 @@ class TestSampleFeatures:
         # the joint mode draws multinomial counts; sampling M explicit
         # bitstrings and averaging gives the same law, checked on first and
         # second moments over many repetitions
-        from qelmsim.qelm import _input_columns, _reservoir_basis_probs, _z_sign_matrix
+        from qelmsim.qelm import _reservoir_basis_probs, _z_sign_matrix
 
         rng = np.random.default_rng(30)
         u = random_unitary(rng, 8)
@@ -210,7 +194,7 @@ class TestSampleFeatures:
         srng = np.random.default_rng(31)
         ours = np.array([sample_features(u, [state], 2, model, srng)[:, 0] for _ in range(reps)])
 
-        v01 = _input_columns(u, 2)
+        v01 = la._input_columns(u, 2)
         q = np.clip(_reservoir_basis_probs(v01, state), 0.0, None)
         q /= q.sum()
         signs = _z_sign_matrix(2)

@@ -9,7 +9,6 @@ from qelmsim.reservoir import (
     Topology,
     edge_set,
     injection_sites,
-    readout_observables,
     sample_hamiltonian,
 )
 
@@ -166,23 +165,3 @@ class TestSampleHamiltonian:
         deltas = np.concatenate(deltas)
         assert stats.kstest(js, stats.uniform(loc=-1.0, scale=2.0).cdf).pvalue > 0.01
         assert stats.kstest(deltas, stats.uniform(loc=-0.1, scale=0.2).cdf).pvalue > 0.01
-
-
-class TestReadoutObservables:
-    def test_single_site(self):
-        (obs,) = readout_observables(1)
-        assert np.array_equal(obs, np.kron(la.PAULI_Z, np.eye(2)))
-
-    def test_pairwise_commuting(self):
-        obs = readout_observables(3)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                assert np.max(np.abs(obs[i] @ obs[j] - obs[j] @ obs[i])) == 0.0
-
-    def test_involutory_dim_256(self):
-        obs = readout_observables(7)
-        assert len(obs) == 7
-        assert obs[0].shape == (256, 256)
-        for o in obs[:2]:
-            assert np.max(np.abs(o @ o - np.eye(256))) == 0.0
-            assert abs(np.trace(o)) == 0.0

@@ -124,13 +124,6 @@ class TestAveragedOtoc:
             assert np.all(result.per_pair >= -1e-12)
             assert np.all(result.per_pair <= 2.0 + 1e-12)
 
-    def test_reservoir_dim_normalization_flag(self):
-        u = random_unitary(np.random.default_rng(7), 8)
-        full = averaged_otoc(u, 2)
-        literal = averaged_otoc(u, 2, reservoir_dim_norm=True)
-        # trace term doubles relative to 1: 1 - C_literal = 2 (1 - C_full)
-        assert np.allclose(1.0 - literal.per_pair, 2.0 * (1.0 - full.per_pair), atol=1e-12)
-
     def test_growth_from_zero_time(self):
         # small-time consistency for sampled couplings: tiny at t=1e-3 and
         # monotone over the first decade of times
