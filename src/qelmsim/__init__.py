@@ -33,7 +33,6 @@ from .linalg import (
     evolve_unitary,
     haar_unitary,
     herm_eig,
-    kron,
     partial_trace,
     pseudoinverse,
     random_pure_qubit_state,
@@ -63,10 +62,8 @@ from .scrambling import (
     HolevoResult,
     OtocResult,
     averaged_otoc,
-    heisenberg_evolve,
     local_channel,
     local_holevo_profile,
-    otoc_pair,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

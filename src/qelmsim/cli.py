@@ -48,8 +48,6 @@ __all__ = [
     "parse_config",
     "config_digest",
     "emit_records",
-    "read_records_csv",
-    "read_records_json",
     "main",
 ]
 
@@ -129,10 +127,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _parse_optional_float(text: str):
-    return None if text == "" else float(text)
-
-
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -149,8 +143,6 @@ def _write_json(path: Path, payload) -> None:
 # The scalar record fields, one column each; ``holevo_per_node`` spreads over
 # chi_node_0..chi_node_{N-1}, empty past a record's own N.
 _RECORD_COLUMNS = tuple(f.name for f in dataclasses.fields(ExperimentRecord) if f.name != "holevo_per_node")
-# CSV cell parsers by field annotation; the other scalar fields are optional floats.
-_CELL_PARSERS = {"int": int, "str": str}
 
 
 def _records_table(records) -> tuple:
@@ -161,34 +153,6 @@ def _records_table(records) -> tuple:
         nodes = list(r.holevo_per_node or ())
         rows.append([getattr(r, c) for c in _RECORD_COLUMNS] + nodes + [None] * (max_nodes - len(nodes)))
     return header, rows
-
-
-def read_records_csv(path) -> list:
-    parsers = {
-        f.name: _CELL_PARSERS.get(f.type, _parse_optional_float)
-        for f in dataclasses.fields(ExperimentRecord)
-    }
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        node_cols = [c for c in reader.fieldnames or [] if c.startswith("chi_node_")]
-        node_cols.sort(key=lambda c: int(c.rsplit("_", 1)[1]))
-        for row in reader:
-            nodes = tuple(float(row[c]) for c in node_cols if row[c] != "")
-            fields = {c: parsers[c](row[c]) for c in _RECORD_COLUMNS}
-            records.append(ExperimentRecord(**fields, holevo_per_node=nodes or None))
-    return records
-
-
-def read_records_json(path) -> list:
-    with open(path) as fh:
-        payload = json.load(fh)
-    records = []
-    for item in payload:
-        nodes = item.get("holevo_per_node")
-        item["holevo_per_node"] = tuple(nodes) if nodes else None
-        records.append(ExperimentRecord(**item))
-    return records
 
 
 _STAT_COLUMNS = ("n", "median", "q1", "q3")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,13 @@ from .reservoir import (
     HamiltonianSpec,
     ReservoirHamiltonian,
     Topology,
+    _count,
+    _entries,
+    _finite,
+    _interval,
+    _is_bool,
+    _is_integer,
+    _is_real,
     sample_hamiltonian,
 )
 
@@ -76,43 +82,10 @@ class ConfigError(ValueError):
     """A sweep configuration field is missing, malformed, or out of range."""
 
 
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers; booleans are not counts."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_bool(value) -> bool:
-    return isinstance(value, (bool, np.bool_))
-
-
-def _is_real(value) -> bool:
-    """True for Python and numpy reals; booleans are not numbers here."""
-    return isinstance(value, numbers.Real) and not _is_bool(value)
-
-
 # Config values: one resolver per kind of value maps a field's file form, or
-# its resolved value, to the resolved value or raises ValueError.
-
-
-def _count(value, minimum: int = 1) -> int:
-    if not _is_integer(value) or value < minimum:
-        raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _finite(value, label: str = "each entry") -> float:
-    if not _is_real(value) or not math.isfinite(value):
-        raise ValueError(f"{label} must be a finite real number, got {value!r}")
-    return float(value)
-
-
-def _entries(value, bare=()) -> tuple:
-    """The entries of a list value; a value of a ``bare`` type is a one-entry list."""
-    if isinstance(value, bare):
-        return (value,)
-    if isinstance(value, (str, dict)) or not np.iterable(value):
-        raise ValueError(f"must be a list, got {value!r}")
-    return tuple(value)
+# its resolved value, to the resolved value or raises ValueError. The rules for
+# numbers, counts and intervals live in ``reservoir``, which resolves
+# ``HamiltonianSpec`` with them.
 
 
 def _list_of(value, parse, bare=(), dedupe: bool = False) -> tuple:
@@ -139,13 +112,6 @@ def _sizes(value):
         if n + 1 > math.log2(la.MAX_DIM):  # 2 ** (n + 1) > MAX_DIM, without building the power
             raise ValueError(f"size {n} exceeds the dense-algebra cap (dim {la.MAX_DIM})")
     return sizes if len(sizes) > 1 else sizes[0]
-
-
-def _interval(value) -> tuple:
-    pair = tuple(_finite(x) for x in _entries(value))
-    if len(pair) != 2 or pair[0] > pair[1]:
-        raise ValueError(f"must be a [lo, hi] pair with lo <= hi, got {value!r}")
-    return pair
 
 
 def _time_grid(value) -> tuple:
@@ -186,14 +152,6 @@ def _rcond(value):
     if value is not None and _finite(value, "a non-null value") < 0:
         raise ValueError(f"must be >= 0 or null, got {value!r}")
     return value if value is None else float(value)
-
-
-def _log_base(value):
-    if isinstance(value, str) and value == "e":
-        return "e"
-    if _is_real(value) and value == 2:
-        return 2
-    raise ValueError(f"must be 2 or 'e', got {value!r}")
 
 
 def _flag(value) -> bool:
@@ -269,7 +227,7 @@ _RESOLVERS = {
     "shot_model": _shot_model,
     "master_seed": lambda v: _count(v, minimum=0),
     "rcond": _rcond,
-    "log_base": _log_base,
+    "log_base": la._log_base,
     "include_haar_baseline": _flag,
     "metrics": lambda v: _list_of(v, _metric, dedupe=True),
     "j_range": _interval,
@@ -308,9 +266,6 @@ class ExperimentRecord:
     otoc_avg: float | None = None
     holevo_avg: float | None = None
     holevo_per_node: tuple | None = None
-
-    def key(self):
-        return (self.realization_index, self.topology, self.scheme, self.n_reservoir, self.time)
 
 
 @dataclass(frozen=True)

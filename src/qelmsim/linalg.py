@@ -10,6 +10,7 @@ or ``float64`` (spectra, probabilities). Conventions used across the package:
   reservoir starts in |0...0>, so a propagator acts on inputs through its
   first two columns (``_input_columns``);
 * hbar = 1, so ``exp(-1j * H * t)`` propagates for a time ``t``.
+* entropies are in bits (``log_base`` 2) or nats (``log_base`` "e").
 
 All functions are pure: inputs are never mutated and random sampling takes an
 explicit ``numpy.random.Generator``. Returned arrays should be treated as
@@ -21,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,6 @@ __all__ = [
     "PAULIS",
     "PAULI_AXES",
     "SpectralDecomposition",
-    "kron",
     "embed_pauli",
     "herm_eig",
     "evolve_unitary",
@@ -44,7 +45,6 @@ __all__ = [
     "random_pure_qubit_state",
     "pseudoinverse",
     "svd_pseudoinverse",
-    "default_rcond",
     "require_hermitian",
     "single_blas_thread",
 ]
@@ -76,17 +76,6 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "op
     dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if dev > tol:
         raise ValueError(f"{name} is not Hermitian: max |A - A^dag| = {dev:.3e} > {tol:.1e}")
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product whose dimension must stay within ``MAX_DIM``."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > MAX_DIM:
-        raise ValueError(f"kron result would be {rows}x{cols}, beyond the maximum dim {MAX_DIM}")
-    return np.kron(a, b)
 
 
 def embed_pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
@@ -154,6 +143,8 @@ def _input_columns(u: np.ndarray, n_reservoir: int) -> np.ndarray:
     initial state lives on the first two basis vectors, so every input is
     carried by the first two columns of ``u``.
     """
+    if n_reservoir < 1:
+        raise ValueError(f"n_reservoir must be >= 1, got {n_reservoir}")
     u = np.asarray(u)
     dim = 2 ** (n_reservoir + 1)
     if u.shape != (dim, dim):
@@ -187,11 +178,21 @@ def partial_trace(rho: np.ndarray, n_qubits: int, keep) -> np.ndarray:
     return reduced.reshape(d_keep, d_keep)
 
 
+def _log_base(value):
+    """The entropy unit: 2 (bits) or the string "e" (nats)."""
+    if isinstance(value, str) and value == "e":
+        return "e"
+    if isinstance(value, numbers.Real) and value == 2:
+        return 2
+    raise ValueError(f"log_base must be 2 or 'e', got {value!r}")
+
+
 def von_neumann_entropy(rho: np.ndarray, log_base=2) -> float:
     """Entropy ``-sum(w * log(w))`` over eigenvalues above ``ENTROPY_EIGENVALUE_CUTOFF``.
 
     ``log_base`` is 2 (bits) or "e" (nats).
     """
+    log_base = _log_base(log_base)
     rho = np.asarray(rho)
     require_hermitian(rho, name="rho")
     w = np.linalg.eigvalsh(rho)
@@ -199,8 +200,6 @@ def von_neumann_entropy(rho: np.ndarray, log_base=2) -> float:
     s = float(-(w * np.log(w)).sum()) if w.size else 0.0
     if log_base == 2:
         s /= np.log(2.0)
-    elif log_base not in ("e", np.e):
-        raise ValueError(f"log_base must be 2 or 'e', got {log_base!r}")
     return max(s, 0.0)
 
 
@@ -240,21 +239,16 @@ def random_pure_qubit_state(rng: np.random.Generator) -> np.ndarray:
     return _random_pure_qubit_states(rng, 1)[0]
 
 
-def default_rcond(shape) -> float:
-    """Near-machine singular-value cutoff, relative to the largest one."""
-    return 1e-12 * max(shape)
-
-
 def svd_pseudoinverse(m: np.ndarray, rcond: float | None = None):
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below ``rcond * sigma_max`` are zeroed. Returns the tuple
-    ``(pinv, singular_values, rcond_used)`` with singular values sorted
-    descending.
+    Singular values below ``rcond * sigma_max`` are zeroed; ``rcond`` defaults
+    to the near-machine ``1e-12 * max(m.shape)``. Returns the pair
+    ``(pinv, singular_values)`` with singular values sorted descending.
     """
     m = np.asarray(m)
     if rcond is None:
-        rcond = default_rcond(m.shape)
+        rcond = 1e-12 * max(m.shape)
     if rcond < 0:
         raise ValueError(f"rcond must be >= 0, got {rcond}")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -264,12 +258,12 @@ def svd_pseudoinverse(m: np.ndarray, rcond: float | None = None):
     keep = s >= cutoff if cutoff > 0 else s > 0
     inv[keep] = 1.0 / s[keep]
     pinv = (vh.conj().T * inv) @ u.conj().T
-    return pinv, s, float(rcond)
+    return pinv, s
 
 
 def pseudoinverse(m: np.ndarray, rcond: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse with relative singular-value truncation."""
-    pinv, _, _ = svd_pseudoinverse(m, rcond)
+    pinv, _ = svd_pseudoinverse(m, rcond)
     return pinv
 
 

@@ -81,7 +81,6 @@ class TrainedReadout:
     """Linear readout W with the training diagnostics used to compute it."""
 
     w: np.ndarray
-    rcond_used: float
     singular_values: np.ndarray
 
 
@@ -130,46 +129,25 @@ def _qubit_states(states) -> np.ndarray:
     return rhos
 
 
-def exact_features(
-    u: np.ndarray,
-    states,
-    observables,
-    bias_row: bool = False,
-) -> np.ndarray:
-    """Feature matrix of exact expectation values, one column per input state.
+def exact_features(u: np.ndarray, states, n_reservoir: int, bias_row: bool = False) -> np.ndarray:
+    """Exact per-site sigma_z features, one column per input state.
 
-    Observables may act on the reservoir (dim 2^N, traced against the
-    reservoir marginal) or on the full register (dim 2^(N+1), traced against
-    the joint output state); the two conventions agree for observables that
-    are trivial on the input qubit. ``bias_row`` appends a constant-1 row.
+    The dense reference for the sweep features: each state's joint output
+    state ``v01 @ rho @ v01^dag`` is traced down to the reservoir, and row j
+    is the expectation value of sigma_z on reservoir site j.
+    ``bias_row`` appends a constant-1 row.
     """
-    u = np.asarray(u)
-    dim = u.shape[0]
-    n_reservoir = int(np.log2(dim)) - 1
     v01 = la._input_columns(u, n_reservoir)
-    obs = [np.asarray(o) for o in observables]
-    for o in obs:
-        if o.shape not in ((dim, dim), (dim // 2, dim // 2)):
-            raise ValueError(
-                f"observable shape {o.shape} matches neither the full register "
-                f"({dim}) nor the reservoir ({dim // 2})"
-            )
-    need_marginal = any(o.shape[0] == dim // 2 for o in obs)
-
-    n_rows = len(obs) + (1 if bias_row else 0)
-    feats = np.empty((n_rows, len(states)))
-    for k, rho in enumerate(_qubit_states(states)):
+    obs = [la.embed_pauli("z", j, n_reservoir) for j in range(n_reservoir)]
+    rhos = _qubit_states(states)
+    feats = np.empty((n_reservoir + (1 if bias_row else 0), len(rhos)))
+    for k, rho in enumerate(rhos):
         out_full = (v01 @ rho) @ v01.conj().T
-        marg = (
-            la.partial_trace(out_full, n_reservoir + 1, keep=range(n_reservoir))
-            if need_marginal
-            else None
-        )
+        marg = la.partial_trace(out_full, n_reservoir + 1, keep=range(n_reservoir))
         for j, o in enumerate(obs):
-            target = out_full if o.shape[0] == dim else marg
-            feats[j, k] = np.einsum("ij,ji->", o, target).real
+            feats[j, k] = np.einsum("ij,ji->", o, marg).real
     if bias_row:
-        feats[len(obs), :] = 1.0
+        feats[n_reservoir] = 1.0
     return feats
 
 
@@ -260,8 +238,8 @@ def train_readout(p_train: np.ndarray, y_train: np.ndarray, rcond: float | None 
         )
     if p_train.shape[1] < 1:
         raise ValueError("training requires at least one state")
-    pinv, singvals, rcond_used = la.svd_pseudoinverse(p_train, rcond)
-    return TrainedReadout(w=y_train @ pinv, rcond_used=rcond_used, singular_values=singvals)
+    pinv, singvals = la.svd_pseudoinverse(p_train, rcond)
+    return TrainedReadout(w=y_train @ pinv, singular_values=singvals)
 
 
 def predict(trained: TrainedReadout, p_test: np.ndarray) -> np.ndarray:

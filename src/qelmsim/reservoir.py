@@ -11,6 +11,8 @@ independent local field; the input qubit carries no local field.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,52 @@ __all__ = [
 
 DEFAULT_J_RANGE = (-1.0, 1.0)
 DEFAULT_DELTA_RANGE = (-0.1, 0.1)
+
+
+# Value rules, shared with ``harness.SweepConfig``: each resolver maps a value
+# to its resolved form or raises ValueError.
+
+
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; booleans are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, (bool, np.bool_))
+
+
+def _is_real(value) -> bool:
+    """True for Python and numpy reals; booleans are not numbers here."""
+    return isinstance(value, numbers.Real) and not _is_bool(value)
+
+
+def _count(value, minimum: int = 1) -> int:
+    if not _is_integer(value) or value < minimum:
+        raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _finite(value, label: str = "each entry") -> float:
+    if not _is_real(value) or not math.isfinite(value):
+        raise ValueError(f"{label} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _entries(value, bare=()) -> tuple:
+    """The entries of a list value; a value of a ``bare`` type is a one-entry list."""
+    if isinstance(value, bare):
+        return (value,)
+    if isinstance(value, (str, dict)) or not np.iterable(value):
+        raise ValueError(f"must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _interval(value) -> tuple:
+    pair = tuple(_finite(x) for x in _entries(value))
+    if len(pair) != 2 or pair[0] > pair[1]:
+        raise ValueError(f"must be a [lo, hi] pair with lo <= hi, got {value!r}")
+    return pair
 
 
 class Topology(enum.Enum):
@@ -117,21 +165,17 @@ class HamiltonianSpec:
     def __post_init__(self):
         object.__setattr__(self, "topology", Topology.parse(self.topology))
         object.__setattr__(self, "scheme", CouplingScheme.parse(self.scheme))
-        object.__setattr__(self, "j_range", (float(self.j_range[0]), float(self.j_range[1])))
-        object.__setattr__(
-            self, "delta_range", (float(self.delta_range[0]), float(self.delta_range[1]))
-        )
-        if self.n_reservoir < 1:
-            raise ValueError(f"n_reservoir must be >= 1, got {self.n_reservoir}")
+        for name, resolve in _SPEC_RESOLVERS.items():
+            try:
+                object.__setattr__(self, name, resolve(getattr(self, name)))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
         if self.topology is Topology.RING and self.n_reservoir < 3:
             raise ValueError("ring topology needs n_reservoir >= 3")
         if 2**self.n_total > la.MAX_DIM:
             raise ValueError(
                 f"{self.n_total} qubits exceed the dense-algebra cap (dim {la.MAX_DIM})"
             )
-        for name, (lo, hi) in (("j_range", self.j_range), ("delta_range", self.delta_range)):
-            if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-                raise ValueError(f"{name} must be a finite interval (lo <= hi), got ({lo}, {hi})")
 
     @property
     def n_total(self) -> int:
@@ -144,6 +188,14 @@ class HamiltonianSpec:
     @property
     def dim(self) -> int:
         return 2**self.n_total
+
+
+_SPEC_RESOLVERS = {
+    "n_reservoir": _count,
+    "j_range": _interval,
+    "delta_range": _interval,
+    "seed": lambda v: _count(v, minimum=0),
+}
 
 
 @dataclass(frozen=True)

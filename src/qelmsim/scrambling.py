@@ -3,6 +3,11 @@
 Both quantifiers live on the same (N+1)-qubit register as the estimation
 pipeline: ``sigma_z`` on each reservoir site plays the role of the readout
 operator, Paulis on the input qubit the role of the encoded degree of freedom.
+Sweeps compute Holevo information through ``_holevo_from_columns``, which
+``local_holevo_profile`` also calls. ``averaged_otoc`` and ``local_channel``
+are dense references that sweeps do not call (their OTOC comes from the
+closed-form kernel in ``harness``); the tests and the benchmark's output
+checks compare sweep outputs against them.
 """
 
 from __future__ import annotations
@@ -16,15 +21,10 @@ from . import linalg as la
 __all__ = [
     "OtocResult",
     "HolevoResult",
-    "PAULI_EIGENSTATES",
-    "heisenberg_evolve",
-    "otoc_pair",
     "averaged_otoc",
     "local_channel",
     "local_holevo_profile",
 ]
-
-_INVOLUTION_TOL = 1e-10
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 # Columns: the (plus, minus) eigenvectors of sigma_x, sigma_y, sigma_z.
@@ -34,7 +34,6 @@ _EIGENKETS = np.array(
     dtype=complex,
 )
 _EIGENKETS.setflags(write=False)
-PAULI_EIGENSTATES = {axis: (_EIGENKETS[:, 2 * a], _EIGENKETS[:, 2 * a + 1]) for a, axis in enumerate(la.PAULI_AXES)}
 
 
 @dataclass(frozen=True)
@@ -62,58 +61,22 @@ class HolevoResult:
     per_node_per_axis: np.ndarray
     per_node: np.ndarray
     averaged: float
-    log_base: object = 2
-
-
-def heisenberg_evolve(u: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Heisenberg picture operator ``u^dag @ o @ u``."""
-    u = np.asarray(u)
-    o = np.asarray(o)
-    if u.shape != o.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"shape mismatch: unitary {u.shape} vs operator {o.shape}")
-    return u.conj().T @ o @ u
-
-
-def otoc_pair(o_a_t: np.ndarray, o_b: np.ndarray, dim: int) -> float:
-    """``1 - Tr[A B A B] / dim`` for Hermitian, involutory A and B.
-
-    ``dim`` is the trace normalization (the operator dimension in the standard
-    convention). The tiny imaginary residue of the trace is discarded. Inputs
-    that are not Hermitian unitaries are rejected: the simplified commutator
-    formula only holds for operators squaring to the identity.
-    """
-    o_a_t = np.asarray(o_a_t)
-    o_b = np.asarray(o_b)
-    if o_a_t.shape != o_b.shape or o_a_t.ndim != 2 or o_a_t.shape[0] != o_a_t.shape[1]:
-        raise ValueError(f"operators must be square and equal-shaped: {o_a_t.shape} vs {o_b.shape}")
-    if dim <= 0:
-        raise ValueError(f"dim must be positive, got {dim}")
-    eye = np.eye(o_a_t.shape[0])
-    for name, op in (("o_a_t", o_a_t), ("o_b", o_b)):
-        la.require_hermitian(op, tol=_INVOLUTION_TOL, name=name)
-        dev = float(np.max(np.abs(op @ op - eye)))
-        if dev > _INVOLUTION_TOL:
-            raise ValueError(f"{name} is not involutory: max |O^2 - I| = {dev:.3e}")
-    m = o_a_t @ o_b
-    tr = np.einsum("ij,ji->", m, m)
-    return float(1.0 - tr.real / dim)
 
 
 def averaged_otoc(u: np.ndarray, n_reservoir: int) -> OtocResult:
-    """OTOCs of all (sigma_z reservoir site, input Pauli) pairs under ``u``.
+    """OTOCs ``1 - Tr[A_i(t) B_a A_i(t) B_a] / 2^(N+1)`` of all (sigma_z on
+    reservoir site i, input Pauli a) pairs, with A_i(t) = u^dag A_i u.
 
-    The trace term is normalized by the full register dimension 2^(N+1),
-    keeping every correlator in [0, 2].
+    Normalizing by the full register dimension keeps every correlator in [0, 2].
     """
     u = np.asarray(u)
-    dim = 2 ** (n_reservoir + 1)
-    if u.shape != (dim, dim):
-        raise ValueError(f"unitary has shape {u.shape}, expected ({dim}, {dim})")
+    la._input_columns(u, n_reservoir)  # checks n_reservoir and the shape of u
+    dim = u.shape[0]
     n_tot = n_reservoir + 1
     b_ops = [la.embed_pauli(axis, n_reservoir, n_tot) for axis in la.PAULI_AXES]
     per_pair = np.empty((n_reservoir, 3))
     for i in range(n_reservoir):
-        a_t = heisenberg_evolve(u, la.embed_pauli("z", i, n_tot))
+        a_t = u.conj().T @ la.embed_pauli("z", i, n_tot) @ u
         for ai, b in enumerate(b_ops):
             m = a_t @ b
             tr = np.einsum("ij,ji->", m, m)
@@ -123,16 +86,12 @@ def averaged_otoc(u: np.ndarray, n_reservoir: int) -> OtocResult:
 
 def local_channel(u: np.ndarray, rho_in: np.ndarray, n_reservoir: int, node: int) -> np.ndarray:
     """Single-qubit state of reservoir ``node`` after evolving |0...0> x rho_in."""
+    v01 = la._input_columns(u, n_reservoir)
     if not 0 <= node < n_reservoir:
         raise ValueError(f"node {node} out of range for {n_reservoir} reservoir qubits")
     rho_in = np.asarray(rho_in, dtype=complex)
     if rho_in.shape != (2, 2):
         raise ValueError(f"input state must be 2x2, got shape {rho_in.shape}")
-    u = np.asarray(u)
-    dim = 2 ** (n_reservoir + 1)
-    if u.shape != (dim, dim):
-        raise ValueError(f"unitary has shape {u.shape}, expected ({dim}, {dim})")
-    v01 = u[:, :2]
     out_full = (v01 @ rho_in) @ v01.conj().T
     return la.partial_trace(out_full, n_reservoir + 1, keep={node})
 
@@ -144,8 +103,7 @@ def _qubit_entropies(rhos: np.ndarray, log_base=2) -> np.ndarray:
     ``la.von_neumann_entropy``, with the 2x2 spectrum in closed form:
     ``tr/2 +- sqrt(((a - d)/2)^2 + |rho_10|^2)``.
     """
-    if log_base != 2 and log_base not in ("e", np.e):
-        raise ValueError(f"log_base must be 2 or 'e', got {log_base!r}")
+    log_base = la._log_base(log_base)
     dev = float(np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)), initial=0.0))
     if dev > la.HERMITIAN_TOL:
         raise ValueError(f"rho is not Hermitian: max |A - A^dag| = {dev:.3e} > {la.HERMITIAN_TOL:.1e}")
@@ -178,7 +136,6 @@ def _holevo_from_columns(v01: np.ndarray, n_reservoir: int, log_base=2) -> Holev
         per_node_per_axis=per,
         per_node=per_node,
         averaged=float(per_node.mean()),
-        log_base=log_base,
     )
 
 

@@ -19,9 +19,9 @@ from qelmsim import cli, linalg as la, qelm
 from qelmsim.harness import SweepConfig, derive_rng, run_haar_baseline, run_single, run_time_sweep
 from qelmsim.qelm import ShotModel
 from qelmsim.reservoir import CouplingScheme, HamiltonianSpec, Topology, sample_hamiltonian
-from qelmsim.scrambling import averaged_otoc, otoc_pair
+from qelmsim.scrambling import averaged_otoc
 
-from _oracles import partial_trace_indexsum, random_density, series_unitary
+from _oracles import partial_trace_indexsum, random_density, series_unitary, swap_unitary
 
 ACCEPT_SEED = 20260808
 THREADS = min(4, os.cpu_count() or 1)
@@ -369,9 +369,10 @@ class TestCriterion10OracleSuite:
             <= 1e-10
         )
 
+        # a swap with the input qubit leaves sigma_z on the input: 2 against
+        # the anticommuting sigma_x and sigma_y, 0 against sigma_z itself
         checks["otoc hand values"] = (
-            abs(otoc_pair(la.PAULI_X, la.PAULI_Z, 2) - 2.0) <= 1e-10
-            and abs(otoc_pair(la.PAULI_X, la.PAULI_X, 2)) <= 1e-10
+            np.max(np.abs(averaged_otoc(swap_unitary(2, 0, 1), 1).per_pair - [[2.0, 2.0, 0.0]])) <= 1e-10
             and abs(averaged_otoc(np.eye(8, dtype=complex), 2).averaged) <= 1e-12
         )
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -17,10 +18,8 @@ from qelmsim.cli import (
     emit_records,
     main,
     parse_config,
-    read_records_csv,
-    read_records_json,
 )
-from qelmsim.harness import ConfigError, SweepConfig
+from qelmsim.harness import ConfigError, ExperimentRecord, SweepConfig
 from qelmsim.qelm import ShotMode, ShotModel
 from qelmsim.harness import run_time_sweep
 
@@ -39,6 +38,36 @@ TINY_CONFIG = {
 
 
 CSV_TABLES = ("records.csv", "aggregates.csv", "holevo_nodes.csv")
+
+
+def _cell(name, text):
+    """One records.csv cell as the record field it was written from."""
+    if name in ("realization_index", "n_reservoir", "seed"):
+        return int(text)
+    if name in ("topology", "scheme"):
+        return text
+    return None if text == "" else float(text)
+
+
+def read_records_csv(path) -> list:
+    """records.csv back as ExperimentRecords, chi_node_* cells gathered per record."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    records = []
+    for row in rows:
+        nodes = tuple(float(v) for k, v in row.items() if k.startswith("chi_node_") and v != "")
+        fields = {k: _cell(k, v) for k, v in row.items() if not k.startswith("chi_node_")}
+        records.append(ExperimentRecord(**fields, holevo_per_node=nodes or None))
+    return records
+
+
+def read_records_json(path) -> list:
+    with open(path) as fh:
+        items = json.load(fh)
+    for item in items:
+        if item["holevo_per_node"] is not None:
+            item["holevo_per_node"] = tuple(item["holevo_per_node"])
+    return [ExperimentRecord(**item) for item in items]
 
 
 def write_config(tmp_path, payload, name="config.json"):

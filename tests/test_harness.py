@@ -200,7 +200,7 @@ class TestSweeps:
         out = run_time_sweep(small_config())
         assert len(out.records) == 2 * 1 * 3  # realizations x combos x times
         assert not out.failures
-        keys = {r.key() for r in out.records}
+        keys = {(r.realization_index, r.topology, r.scheme, r.n_reservoir, r.time) for r in out.records}
         assert len(keys) == len(out.records)
 
     def test_metrics_subset(self):
@@ -274,11 +274,10 @@ class TestSweeps:
         state_rng = derive_rng(cfg.master_seed, 1, 3, 1, 1, 0)
         train = [la.random_pure_qubit_state(state_rng) for _ in range(cfg.n_train)]
         test = [la.random_pure_qubit_state(state_rng) for _ in range(cfg.n_test)]
-        obs = [la.embed_pauli("z", j, 3) for j in range(3)]
         for record, t in zip(out.records, cfg.time_grid):
             u = la.evolve_unitary(decomp, t)
-            p_train = qelm.exact_features(u, train, obs)
-            p_test = qelm.exact_features(u, test, obs)
+            p_train = qelm.exact_features(u, train, 3)
+            p_test = qelm.exact_features(u, test, 3)
             trained = qelm.train_readout(p_train, qelm.pauli_targets(train), cfg.rcond)
             ref_mse = qelm.mse(qelm.pauli_targets(test), qelm.predict(trained, p_test))
             assert record.mse == pytest.approx(ref_mse, abs=1e-10)

@@ -12,40 +12,6 @@ from _oracles import (
 )
 
 
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(la.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_pauli_x_z_hand_expanded(self):
-        # sigma_x (x) sigma_z = [[0, sz], [sz, 0]] written out entry by entry
-        out = la.kron(la.PAULI_X, la.PAULI_Z)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 2] = 1.0
-        expected[1, 3] = -1.0
-        expected[2, 0] = 1.0
-        expected[3, 1] = -1.0
-        assert np.array_equal(out, expected)
-
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            assert np.trace(la.kron(a, b)) == pytest.approx(np.trace(a) * np.trace(b), abs=1e-13)
-
-    def test_associative(self):
-        rng = np.random.default_rng(4)
-        a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
-        left = la.kron(la.kron(a, b), c)
-        right = la.kron(a, la.kron(b, c))
-        assert np.max(np.abs(left - right)) <= 1e-14
-
-    def test_dimension_cap(self):
-        big = np.eye(la.MAX_DIM)
-        with pytest.raises(ValueError, match="maximum dim"):
-            la.kron(big, np.eye(2))
-
-
 class TestEmbedPauli:
     def test_single_qubit(self):
         assert np.array_equal(la.embed_pauli("z", 0, 1), la.PAULI_Z)
@@ -205,6 +171,9 @@ class TestEntropy:
     def test_bad_base(self):
         with pytest.raises(ValueError, match="log_base"):
             la.von_neumann_entropy(np.eye(2) / 2, 10)
+        # nats are spelled "e" only, as in a sweep config
+        with pytest.raises(ValueError, match="log_base must be 2 or 'e'"):
+            la.von_neumann_entropy(np.eye(2) / 2, np.e)
 
 
 class TestHaarUnitary:

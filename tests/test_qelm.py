@@ -32,29 +32,30 @@ class TestInputColumns:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda u: exact_features(u, [KET0], [la.embed_pauli("z", 0, 2)]),
-            lambda u: sample_features(u, [KET0], 2, ShotModel("exact")),
-            lambda u: local_holevo_profile(u, 2),
+            lambda u, n: exact_features(u, [KET0], n),
+            lambda u, n: sample_features(u, [KET0], n, ShotModel("exact")),
+            lambda u, n: local_holevo_profile(u, n),
         ],
         ids=["exact_features", "sample_features", "local_holevo_profile"],
     )
     def test_wrong_size_unitary_rejected(self, call):
         with pytest.raises(ValueError, match=r"unitary has shape \(8, 4\), expected \(8, 8\)"):
-            call(np.eye(8, dtype=complex)[:, :4])
+            call(np.eye(8, dtype=complex)[:, :4], 2)
+        with pytest.raises(ValueError, match="n_reservoir must be >= 1, got 0"):
+            call(np.eye(2, dtype=complex), 0)
 
 
 class TestExactFeatures:
     def test_identity_rows_constant_one(self):
         states = [KET0, KET_PLUS, bloch_density(0.1, 0.2, -0.3)]
-        obs = [la.embed_pauli("z", j, 2) for j in range(2)]
-        feats = exact_features(np.eye(8, dtype=complex), states, obs)
+        feats = exact_features(np.eye(8, dtype=complex), states, 2)
         assert feats.shape == (2, 3)
         assert np.max(np.abs(feats - 1.0)) <= 1e-13
 
     def test_swap_reads_input_z(self):
         u = swap_unitary(2, 0, 1)
         rho_in = bloch_density(0.0, 0.0, 0.3)
-        feats = exact_features(u, [rho_in], [la.PAULI_Z])
+        feats = exact_features(u, [rho_in], 1)
         assert feats[0, 0] == pytest.approx(0.3, abs=1e-13)
 
     def test_full_space_vs_marginal_oracle(self):
@@ -62,31 +63,25 @@ class TestExactFeatures:
         rng = np.random.default_rng(2)
         u = random_unitary(rng, 8)
         states = [random_density(rng, 2) for _ in range(4)]
-        obs_res = [la.embed_pauli("z", j, 2) for j in range(2)]
-        feats = exact_features(u, states, obs_res)
+        feats = exact_features(u, states, 2)
         for k, rho_in in enumerate(states):
             rho_tot = np.kron(zero_reservoir_state(2), rho_in)
             out_full = u @ rho_tot @ u.conj().T
-            for j, o in enumerate(obs_res):
-                direct = np.trace(np.kron(o, np.eye(2)) @ out_full).real
+            for j in range(2):
+                direct = np.trace(la.embed_pauli("z", j, 3) @ out_full).real
                 assert feats[j, k] == pytest.approx(direct, abs=1e-12)
-        # full-register observables give the same numbers
-        obs_full = [np.kron(o, np.eye(2)) for o in obs_res]
-        feats_full = exact_features(u, states, obs_full)
-        assert np.max(np.abs(feats - feats_full)) <= 1e-12
 
     def test_column_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         u = random_unitary(rng, 8)
         states = [random_density(rng, 2) for _ in range(5)]
-        obs = [la.embed_pauli("z", j, 2) for j in range(2)]
-        feats = exact_features(u, states, obs)
+        feats = exact_features(u, states, 2)
         perm = [3, 1, 4, 0, 2]
-        feats_perm = exact_features(u, [states[p] for p in perm], obs)
+        feats_perm = exact_features(u, [states[p] for p in perm], 2)
         assert np.max(np.abs(feats_perm - feats[:, perm])) <= 1e-14
 
     def test_bias_row(self):
-        feats = exact_features(np.eye(4, dtype=complex), [KET0], [la.PAULI_Z], bias_row=True)
+        feats = exact_features(np.eye(4, dtype=complex), [KET0], 1, bias_row=True)
         assert feats.shape == (2, 1)
         assert feats[1, 0] == 1.0
 
@@ -94,8 +89,7 @@ class TestExactFeatures:
         rng = np.random.default_rng(4)
         u = random_unitary(rng, 16)
         states = [random_density(rng, 2) for _ in range(6)]
-        obs = [la.embed_pauli("z", j, 3) for j in range(3)]
-        feats = exact_features(u, states, obs)
+        feats = exact_features(u, states, 3)
         assert np.all(np.abs(feats) <= 1.0 + 1e-9)
 
 
@@ -105,16 +99,14 @@ class TestSampleFeatures:
         u = random_unitary(rng, 8)
         states = [random_density(rng, 2) for _ in range(3)]
         got = sample_features(u, states, 2, ShotModel("exact"))
-        obs = [la.embed_pauli("z", j, 2) for j in range(2)]
-        assert np.max(np.abs(got - exact_features(u, states, obs))) <= 1e-14
+        assert np.max(np.abs(got - exact_features(u, states, 2))) <= 1e-14
 
     def test_large_sample_consistency(self):
         # CLT bound: 1e8 joint shots reproduce exact expectations to 5 SE
         rng = np.random.default_rng(6)
         u = random_unitary(rng, 8)
         states = [bloch_density(0.2, -0.4, 0.5), KET_PLUS]
-        obs = [la.embed_pauli("z", j, 2) for j in range(2)]
-        exact = exact_features(u, states, obs)
+        exact = exact_features(u, states, 2)
         shots = 10**8
         sampled = sample_features(u, states, 2, ShotModel("joint_bitstrings", shots), np.random.default_rng(7))
         se = np.sqrt((1.0 - exact**2).clip(min=1e-12) / shots)
@@ -131,7 +123,7 @@ class TestSampleFeatures:
         rng = np.random.default_rng(9)
         u = random_unitary(rng, 4)
         state = bloch_density(0.3, 0.1, -0.2)
-        v = exact_features(u, [state], [la.embed_pauli("z", 0, 1)])[0, 0]
+        v = exact_features(u, [state], 1)[0, 0]
         shots = 400
         reps = 1000
         draws = np.empty(reps)
@@ -146,8 +138,7 @@ class TestSampleFeatures:
         rng = np.random.default_rng(11)
         u = random_unitary(rng, 8)
         states = [bloch_density(0.2, -0.4, 0.5)]
-        obs = [la.embed_pauli("z", j, 2) for j in range(2)]
-        exact = exact_features(u, states, obs)
+        exact = exact_features(u, states, 2)
         shots = 10**7
         sampled = sample_features(
             u, states, 2, ShotModel("independent_binomial", shots), np.random.default_rng(12)

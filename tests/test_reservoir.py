@@ -92,6 +92,26 @@ class TestHamiltonianSpec:
         with pytest.raises(ValueError, match="j_range"):
             HamiltonianSpec(3, "C", "SL", j_range=(1.0, -1.0))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_reservoir", 2.5),
+            ("n_reservoir", True),
+            ("j_range", ("0", "1")),
+            ("j_range", (0, 1, 2)),
+            ("delta_range", (False, 0.1)),
+            ("seed", True),
+            ("seed", 1.5),
+            ("seed", -1),
+        ],
+        ids=["n-float", "n-bool", "j-strings", "j-triple", "delta-bool", "seed-bool", "seed-float", "seed-negative"],
+    )
+    def test_rejects_what_a_sweep_config_rejects(self, field, value):
+        # the same value rules as SweepConfig, each error naming its field
+        spec = {"n_reservoir": 3, "topology": "C", "scheme": "SL", field: value}
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            HamiltonianSpec(**spec)
+
 
 class TestSampleHamiltonian:
     def test_coefficient_count_n7_fc_ml(self):

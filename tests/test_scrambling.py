@@ -4,87 +4,58 @@ import pytest
 from qelmsim import linalg as la
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
 from qelmsim.scrambling import (
-    PAULI_EIGENSTATES,
+    _EIGENKETS,
     _holevo_from_columns,
     _qubit_entropies,
     averaged_otoc,
-    heisenberg_evolve,
     local_channel,
     local_holevo_profile,
-    otoc_pair,
 )
 
-from _oracles import bloch_density, random_density, random_hermitian, random_unitary, swap_unitary
+from _oracles import bloch_density, random_density, random_unitary, swap_unitary
 
-
-class TestHeisenbergEvolve:
-    def test_identity(self):
-        o = random_hermitian(np.random.default_rng(0), 4)
-        assert np.max(np.abs(heisenberg_evolve(np.eye(4), o) - o)) == 0.0
-
-    def test_x_rotation_takes_z_to_y(self):
-        # 2x2 hand computation: U = exp(-i pi/4 sx) gives U^dag sz U = sy
-        u = la.evolve_unitary(la.herm_eig(la.PAULI_X), np.pi / 4)
-        out = heisenberg_evolve(u, la.PAULI_Z)
-        assert np.max(np.abs(out - la.PAULI_Y)) <= 1e-12
-
-    def test_trace_and_hermiticity_preserved(self):
-        rng = np.random.default_rng(1)
-        for _ in range(3):
-            o = random_hermitian(rng, 8)
-            u = random_unitary(rng, 8)
-            out = heisenberg_evolve(u, o)
-            assert np.trace(out) == pytest.approx(np.trace(o), abs=1e-12)
-            assert np.max(np.abs(out - out.conj().T)) <= 1e-12
-
-    def test_spectrum_preserved(self):
-        rng = np.random.default_rng(2)
-        o = random_hermitian(rng, 8)
-        u = random_unitary(rng, 8)
-        assert np.allclose(
-            np.linalg.eigvalsh(heisenberg_evolve(u, o)), np.linalg.eigvalsh(o), atol=1e-10
-        )
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            heisenberg_evolve(np.eye(4), np.eye(8))
+# (plus, minus) eigenkets of each input Pauli, in the kernel's column order.
+EIGENKETS = {axis: (_EIGENKETS[:, 2 * a], _EIGENKETS[:, 2 * a + 1]) for a, axis in enumerate(la.PAULI_AXES)}
 
 
 class TestOtocPair:
+    """Single (sigma_z reservoir site, input Pauli) correlators of ``averaged_otoc``."""
+
     def test_commuting_pair_is_zero(self):
-        a = la.kron(la.PAULI_Z, np.eye(2))
-        b = la.kron(np.eye(2), la.PAULI_X)
-        assert otoc_pair(a, b, 4) == pytest.approx(0.0, abs=1e-14)
+        # swapping two reservoir sites moves sigma_z to the other reservoir
+        # site, where it still commutes with every input Pauli
+        result = averaged_otoc(swap_unitary(3, 0, 1), 2)
+        assert np.max(np.abs(result.per_pair)) <= 1e-14
 
     def test_equal_paulis(self):
-        assert otoc_pair(la.PAULI_X, la.PAULI_X, 2) == pytest.approx(0.0, abs=1e-14)
+        # after a swap with the input qubit, A(t) is sigma_z on the input,
+        # which commutes with itself
+        assert averaged_otoc(swap_unitary(2, 0, 1), 1).per_pair[0, 2] == pytest.approx(0.0, abs=1e-14)
 
     def test_anticommuting_pair(self):
-        # sx sz sx sz = -I so the correlator saturates its maximum of 2
-        assert otoc_pair(la.PAULI_X, la.PAULI_Z, 2) == pytest.approx(2.0, abs=1e-14)
-
-    def test_rejects_non_involutory(self):
-        with pytest.raises(ValueError, match="involutory"):
-            otoc_pair(np.diag([2.0, 1.0]), la.PAULI_Z, 2)
-        with pytest.raises(ValueError, match="Hermitian"):
-            otoc_pair(np.array([[0.0, 1.0], [0.0, 0.0]]), la.PAULI_Z, 2)
+        # sz sx sz sx = -I on the input, so the correlator saturates its maximum of 2
+        per_pair = averaged_otoc(swap_unitary(2, 0, 1), 1).per_pair
+        assert per_pair[0, 0] == pytest.approx(2.0, abs=1e-14)
+        assert per_pair[0, 1] == pytest.approx(2.0, abs=1e-14)
 
     def test_conjugation_invariance(self):
+        # a unitary diagonal in the computational basis commutes with every
+        # sigma_z, so applying it after u leaves each A_i(t) unchanged
         rng = np.random.default_rng(3)
-        a = la.kron(la.PAULI_Z, np.eye(2))
-        b = la.kron(np.eye(2), la.PAULI_Y)
-        base = otoc_pair(a, b, 4)
+        u = random_unitary(rng, 8)
+        base = averaged_otoc(u, 2).per_pair
         for _ in range(3):
-            v = random_unitary(rng, 4)
-            conj = otoc_pair(v.conj().T @ a @ v, v.conj().T @ b @ v, 4)
-            assert abs(conj - base) <= 1e-10
+            w = np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, 8)))
+            assert np.max(np.abs(averaged_otoc(w @ u, 2).per_pair - base)) <= 1e-10
 
     def test_sign_flip_of_b_invariant(self):
-        # quadratic in the static operator
-        u = random_unitary(np.random.default_rng(4), 4)
-        a = heisenberg_evolve(u, la.kron(la.PAULI_Z, np.eye(2)))
-        b = la.kron(np.eye(2), la.PAULI_X)
-        assert otoc_pair(a, b, 4) == pytest.approx(otoc_pair(a, -b, 4), abs=1e-12)
+        # quadratic in the static operator: applying a Pauli p on the input
+        # before u conjugates each B_a into +-B_a, which leaves every pair unchanged
+        u = random_unitary(np.random.default_rng(4), 8)
+        base = averaged_otoc(u, 2).per_pair
+        for axis in la.PAULI_AXES:
+            flipped = averaged_otoc(u @ la.embed_pauli(axis, 2, 3), 2).per_pair
+            assert np.max(np.abs(flipped - base)) <= 1e-12
 
 
 class TestAveragedOtoc:
@@ -107,15 +78,25 @@ class TestAveragedOtoc:
             assert np.max(np.abs(result.per_pair - expected)) <= 1e-10
             assert result.averaged == pytest.approx(2.0 * (1.0 - np.cos(4 * t)) / 3.0, abs=1e-10)
 
-    def test_matches_pairwise_route(self):
-        rng = np.random.default_rng(5)
-        u = random_unitary(rng, 8)
-        result = averaged_otoc(u, 2)
-        for i in range(2):
-            a_t = heisenberg_evolve(u, la.embed_pauli("z", i, 3))
-            for ai, axis in enumerate("xyz"):
-                b = la.embed_pauli(axis, 2, 3)
-                assert result.per_pair[i, ai] == pytest.approx(otoc_pair(a_t, b, 8), abs=1e-10)
+    def test_swap_with_input_per_site(self):
+        # swapping reservoir site i with the input qubit makes A_i(t) sigma_z on
+        # the input: it anticommutes with sigma_x and sigma_y (2) and commutes
+        # with sigma_z (0); every other site's sigma_z commutes with the input
+        for n in (2, 3):
+            for i in range(n):
+                expected = np.zeros((n, 3))
+                expected[i] = (2.0, 2.0, 0.0)
+                result = averaged_otoc(swap_unitary(n + 1, i, n), n)
+                assert np.max(np.abs(result.per_pair - expected)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda u: averaged_otoc(u, 0), lambda u: local_channel(u, np.eye(2) / 2, 0, 0)],
+        ids=["averaged_otoc", "local_channel"],
+    )
+    def test_rejects_empty_reservoir(self, call):
+        with pytest.raises(ValueError, match="n_reservoir must be >= 1, got 0"):
+            call(np.eye(2, dtype=complex))
 
     def test_range_bounds(self):
         rng = np.random.default_rng(6)
@@ -190,7 +171,7 @@ class TestLocalHolevoProfile:
         # a single node can never beat it
         rng = np.random.default_rng(11)
         u = random_unitary(rng, 16)
-        plus, minus = PAULI_EIGENSTATES["z"]
+        plus, minus = EIGENKETS["z"]
         full_p = u[:, :2] @ plus
         full_m = u[:, :2] @ minus
         rho_p = np.outer(full_p, full_p.conj())
@@ -209,7 +190,7 @@ class TestLocalHolevoProfile:
 
     def test_pauli_eigenstates_are_eigenstates(self):
         for axis, pauli in zip("xyz", (la.PAULI_X, la.PAULI_Y, la.PAULI_Z)):
-            plus, minus = PAULI_EIGENSTATES[axis]
+            plus, minus = EIGENKETS[axis]
             assert np.max(np.abs(pauli @ plus - plus)) <= 1e-15
             assert np.max(np.abs(pauli @ minus + minus)) <= 1e-15
 
@@ -225,7 +206,7 @@ class TestHolevoKernel:
         u = la.haar_unitary(dim, np.random.default_rng(20)) if kind == "haar" else np.eye(dim, dtype=complex)
         ref = np.empty((n, 3))
         for ai, axis in enumerate(la.PAULI_AXES):
-            plus, minus = (np.outer(ket, ket.conj()) for ket in PAULI_EIGENSTATES[axis])
+            plus, minus = (np.outer(ket, ket.conj()) for ket in EIGENKETS[axis])
             for node in range(n):
                 rho_p = local_channel(u, plus, n, node)
                 rho_m = local_channel(u, minus, n, node)
@@ -258,3 +239,6 @@ class TestHolevoKernel:
         u = la.haar_unitary(8, np.random.default_rng(22))
         with pytest.raises(ValueError, match="log_base"):
             local_holevo_profile(u, 2, log_base=10)
+        # nats are spelled "e" only, as in a sweep config
+        with pytest.raises(ValueError, match="log_base must be 2 or 'e'"):
+            local_holevo_profile(u, 2, log_base=np.e)
