@@ -24,7 +24,6 @@ from .harness import (
     aggregate_stats,
     run_haar_baseline,
     run_single,
-    run_size_sweep,
     run_time_sweep,
 )
 from .linalg import (

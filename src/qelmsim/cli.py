@@ -74,14 +74,13 @@ class RunManifest:
     blas_threads: int | None
 
 
-def parse_config(path=None, strict: bool = True, overlay: dict | None = None) -> SweepConfig:
+def parse_config(path=None, strict: bool = True) -> SweepConfig:
     """Read a JSON config file and materialize every default.
 
     An empty or missing file yields the full defaults (7 reservoir qubits,
     C/R/FC topologies, both coupling schemes, 41 times on [0, 5], 500
     realizations, 50/50 train/test states, 10^6 joint-bitstring shots).
     Unknown keys are rejected under ``strict``, warned about otherwise.
-    ``overlay`` supplies per-command defaults for keys absent from the file.
     The values go to ``SweepConfig`` as the file gives them; it resolves
     every field and raises ConfigError naming a malformed one.
     """
@@ -102,9 +101,6 @@ def parse_config(path=None, strict: bool = True, overlay: dict | None = None) ->
             raise ConfigError(message)
         warnings.warn(message, stacklevel=2)
         raw = {k: v for k, v in raw.items() if k in _CONFIG_KEYS}
-    if overlay:
-        for key, value in overlay.items():
-            raw.setdefault(key, value)
     return SweepConfig(**raw)
 
 
@@ -248,10 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qelmsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_time = sub.add_parser("sweep-time", help="metrics over the configured time grid")
-    p_size = sub.add_parser("sweep-size", help="metrics over reservoir sizes (single-link coupling)")
+    p_time = sub.add_parser("sweep-time", help="metrics over the configured sizes and time grid")
     p_haar = sub.add_parser("baseline-haar", help="Haar-random global unitary baseline")
-    for p in (p_time, p_size, p_haar):
+    for p in (p_time, p_haar):
         _add_common_arguments(p)
 
     p_one = sub.add_parser("single-run", help="one realization at one time, record printed to stdout")
@@ -270,29 +265,16 @@ def _parse_metrics(text: str) -> tuple:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
-_SIZE_SWEEP_OVERLAY = {"n_reservoir": [2, 3, 4, 5, 6, 7], "time_grid": [0.25, 5.0]}
-
-
-def _load_sweep_config(args, command: str) -> SweepConfig:
-    overlay = _SIZE_SWEEP_OVERLAY if command == "sweep-size" else None
-    cfg = parse_config(args.config, strict=not args.lax, overlay=overlay)
+def _cmd_sweep(args) -> int:
     replacements = {}
     if args.seed is not None:
         replacements["master_seed"] = args.seed
     if args.metrics is not None:
         replacements["metrics"] = _parse_metrics(args.metrics)
-    return dataclasses.replace(cfg, **replacements)
-
-
-def _cmd_sweep(args, command: str) -> int:
-    cfg = _load_sweep_config(args, command)
+    cfg = dataclasses.replace(parse_config(args.config, strict=not args.lax), **replacements)
     out_dir = args.out or os.environ.get(ENV_OUT_DIR) or _DEFAULT_OUT_DIR
     started = datetime.now(timezone.utc).isoformat()
-    runner = {
-        "sweep-time": harness.run_time_sweep,
-        "sweep-size": harness.run_size_sweep,
-        "baseline-haar": harness.run_haar_baseline,
-    }[command]
+    runner = {"sweep-time": harness.run_time_sweep, "baseline-haar": harness.run_haar_baseline}[args.command]
     outcome: SweepResult = runner(cfg, threads=args.threads)
     finished = datetime.now(timezone.utc).isoformat()
     emit_records(
@@ -335,7 +317,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "single-run":
             return _cmd_single_run(args)
-        return _cmd_sweep(args, args.command)
+        return _cmd_sweep(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import linalg as la
 from . import qelm, scrambling
+from .linalg import _count, _entries, _finite, _interval, _is_bool, _is_integer, _is_real
 from .qelm import ShotMode, ShotModel
 from .reservoir import (
     DEFAULT_DELTA_RANGE,
@@ -28,13 +29,6 @@ from .reservoir import (
     HamiltonianSpec,
     ReservoirHamiltonian,
     Topology,
-    _count,
-    _entries,
-    _finite,
-    _interval,
-    _is_bool,
-    _is_integer,
-    _is_real,
     sample_hamiltonian,
 )
 
@@ -53,7 +47,6 @@ __all__ = [
     "derive_rng",
     "run_single",
     "run_time_sweep",
-    "run_size_sweep",
     "run_haar_baseline",
     "aggregate_stats",
     "aggregate_records",
@@ -84,8 +77,8 @@ class ConfigError(ValueError):
 
 # Config values: one resolver per kind of value maps a field's file form, or
 # its resolved value, to the resolved value or raises ValueError. The rules for
-# numbers, counts and intervals live in ``reservoir``, which resolves
-# ``HamiltonianSpec`` with them.
+# numbers, counts, intervals and the register size live in ``linalg``;
+# ``reservoir.HamiltonianSpec`` resolves its fields with them too.
 
 
 def _list_of(value, parse, bare=(), dedupe: bool = False) -> tuple:
@@ -109,8 +102,7 @@ def _sizes(value):
     """One size as an int, several as a tuple."""
     sizes = _list_of(value, _count, bare=(int, np.integer))
     for n in sizes:
-        if n + 1 > math.log2(la.MAX_DIM):  # 2 ** (n + 1) > MAX_DIM, without building the power
-            raise ValueError(f"size {n} exceeds the dense-algebra cap (dim {la.MAX_DIM})")
+        la._register_dim(n + 1)
     return sizes if len(sizes) > 1 else sizes[0]
 
 
@@ -498,17 +490,12 @@ def run_single(
 
 
 def _units(config: SweepConfig, command: str) -> list:
-    """``(worker, args)`` of every unit of one sweep command. ``sweep-size`` fixes
-    a single link, so the injection links stay constant as the reservoir grows;
-    Haar units come last, for ``baseline-haar`` or with ``include_haar_baseline``."""
-    if command == "sweep-time":
-        schemes = config.schemes
-    elif command == "sweep-size":
-        schemes = (CouplingScheme.SINGLE_LINK,)
-    elif command == "baseline-haar":
-        schemes = ()
-    else:
+    """``(worker, args)`` of every unit of one sweep command: ``sweep-time``
+    runs every configured (size, topology, scheme) realization, and Haar units
+    come last, for ``baseline-haar`` or with ``include_haar_baseline``."""
+    if command not in ("sweep-time", "baseline-haar"):
         raise ValueError(f"unknown command {command!r}")
+    schemes = config.schemes if command == "sweep-time" else ()
     units = [
         (_hamiltonian_unit, (config, n, topology, scheme, realization))
         for n in config.sizes
@@ -570,19 +557,15 @@ def _sweep(config: SweepConfig, command: str, threads: int) -> SweepResult:
 
 def run_time_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     """One record per (realization, topology, scheme, size, grid time), and
-    the Haar baseline's records last when the config includes it.
+    the Haar baseline's records last when the config includes it. A size
+    sweep is a config with several sizes, a short grid such as (0.25, 5.0)
+    and the single link as its only scheme (``configs/size-sweep.json``).
 
     Failed units are reported in ``failures`` with their keys, never dropped
     silently; the record order (and every metric value) is independent of the
     worker count.
     """
     return _sweep(config, "sweep-time", threads)
-
-
-def run_size_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
-    """Time sweep over the configured sizes with the coupling fixed to a
-    single link. Typical grids are short, e.g. (0.25, 5.0)."""
-    return _sweep(config, "sweep-size", threads)
 
 
 def run_haar_baseline(config: SweepConfig, threads: int = 1) -> SweepResult:

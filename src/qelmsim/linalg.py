@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -69,6 +70,81 @@ for _m in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2):
 del _m
 
 
+# Input rules, shared by ``reservoir.HamiltonianSpec`` and
+# ``harness.SweepConfig``: each resolver maps a value to its resolved form or
+# raises ValueError.
+
+
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; booleans are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, (bool, np.bool_))
+
+
+def _is_real(value) -> bool:
+    """True for Python and numpy reals; booleans are not numbers here."""
+    return isinstance(value, numbers.Real) and not _is_bool(value)
+
+
+def _count(value, minimum: int = 1) -> int:
+    if not _is_integer(value) or value < minimum:
+        raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _finite(value, label: str = "each entry") -> float:
+    if not _is_real(value) or not math.isfinite(value):
+        raise ValueError(f"{label} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _entries(value, bare=()) -> tuple:
+    """The entries of a list value; a value of a ``bare`` type is a one-entry list."""
+    if isinstance(value, bare):
+        return (value,)
+    if isinstance(value, (str, dict)) or not np.iterable(value):
+        raise ValueError(f"must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _interval(value) -> tuple:
+    pair = tuple(_finite(x) for x in _entries(value))
+    if len(pair) != 2 or pair[0] > pair[1]:
+        raise ValueError(f"must be a [lo, hi] pair with lo <= hi, got {value!r}")
+    return pair
+
+
+def _register_dim(n_qubits) -> int:
+    """``2 ** n_qubits``, once the register is known to fit ``MAX_DIM``.
+
+    The count is compared with log2(MAX_DIM) before the power is built, so a
+    huge count fails at once.
+    """
+    if n_qubits > math.log2(MAX_DIM):
+        raise ValueError(f"{n_qubits} qubits exceed the dense-algebra cap (dim {MAX_DIM})")
+    return 2**n_qubits
+
+
+def _parse_member(cls, value, kind: str, aliases=()):
+    """The member of the enum ``cls`` that ``value`` names.
+
+    A member stands for itself; text names one by its value or its name, in
+    any case, with "-" and spaces read as "_", or by an ``aliases`` key
+    (upper case).
+    """
+    if isinstance(value, cls):
+        return value
+    names = {**{str(m.value).upper(): m for m in cls}, **{m.name: m for m in cls}, **dict(aliases)}
+    member = names.get(str(value).strip().upper().replace("-", "_").replace(" ", "_"))
+    if member is None:
+        expected = ", ".join(str(m.value) for m in cls)
+        raise ValueError(f"unknown {kind} {value!r} (expected one of {expected})")
+    return member
+
+
 def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> None:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -87,8 +163,7 @@ def embed_pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
         raise ValueError(f"axis must be one of {PAULI_AXES}, got {axis!r}")
     if not 0 <= site < n_qubits:
         raise ValueError(f"site {site} out of range for {n_qubits} qubits")
-    if 2**n_qubits > MAX_DIM:
-        raise ValueError(f"2**{n_qubits} exceeds the maximum dim {MAX_DIM}")
+    _register_dim(n_qubits)
     op = PAULIS[axis]
     left = 2**site
     right = 2 ** (n_qubits - site - 1)
@@ -143,10 +218,12 @@ def _input_columns(u: np.ndarray, n_reservoir: int) -> np.ndarray:
     initial state lives on the first two basis vectors, so every input is
     carried by the first two columns of ``u``.
     """
+    if not _is_integer(n_reservoir):
+        raise ValueError(f"n_reservoir must be an integer, got {n_reservoir!r}")
     if n_reservoir < 1:
         raise ValueError(f"n_reservoir must be >= 1, got {n_reservoir}")
     u = np.asarray(u)
-    dim = 2 ** (n_reservoir + 1)
+    dim = _register_dim(n_reservoir + 1)
     if u.shape != (dim, dim):
         raise ValueError(f"unitary has shape {u.shape}, expected ({dim}, {dim})")
     return u[:, :2]
@@ -159,7 +236,7 @@ def partial_trace(rho: np.ndarray, n_qubits: int, keep) -> np.ndarray:
     kept indices (qubit 0 = leftmost factor).
     """
     rho = np.asarray(rho)
-    dim = 2**n_qubits
+    dim = _register_dim(n_qubits)
     if rho.shape != (dim, dim):
         raise ValueError(f"rho has shape {rho.shape}, expected ({dim}, {dim})")
     kept = sorted(set(int(q) for q in keep))

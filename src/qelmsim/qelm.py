@@ -47,19 +47,8 @@ class ShotMode(enum.Enum):
 
     @classmethod
     def parse(cls, value) -> "ShotMode":
-        if isinstance(value, cls):
-            return value
-        text = str(value).strip().lower().replace("-", "_").replace(" ", "_")
-        aliases = {
-            "exact": cls.EXACT,
-            "joint": cls.JOINT_BITSTRINGS,
-            "joint_bitstrings": cls.JOINT_BITSTRINGS,
-            "binomial": cls.INDEPENDENT_BINOMIAL,
-            "independent_binomial": cls.INDEPENDENT_BINOMIAL,
-        }
-        if text not in aliases:
-            raise ValueError(f"unknown shot mode {value!r}")
-        return aliases[text]
+        aliases = {"JOINT": cls.JOINT_BITSTRINGS, "BINOMIAL": cls.INDEPENDENT_BINOMIAL}
+        return la._parse_member(cls, value, "shot mode", aliases)
 
 
 @dataclass(frozen=True)

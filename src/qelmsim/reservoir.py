@@ -11,8 +11,6 @@ independent local field; the input qubit carries no local field.
 from __future__ import annotations
 
 import enum
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,52 +33,6 @@ DEFAULT_J_RANGE = (-1.0, 1.0)
 DEFAULT_DELTA_RANGE = (-0.1, 0.1)
 
 
-# Value rules, shared with ``harness.SweepConfig``: each resolver maps a value
-# to its resolved form or raises ValueError.
-
-
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers; booleans are not counts."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_bool(value) -> bool:
-    return isinstance(value, (bool, np.bool_))
-
-
-def _is_real(value) -> bool:
-    """True for Python and numpy reals; booleans are not numbers here."""
-    return isinstance(value, numbers.Real) and not _is_bool(value)
-
-
-def _count(value, minimum: int = 1) -> int:
-    if not _is_integer(value) or value < minimum:
-        raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _finite(value, label: str = "each entry") -> float:
-    if not _is_real(value) or not math.isfinite(value):
-        raise ValueError(f"{label} must be a finite real number, got {value!r}")
-    return float(value)
-
-
-def _entries(value, bare=()) -> tuple:
-    """The entries of a list value; a value of a ``bare`` type is a one-entry list."""
-    if isinstance(value, bare):
-        return (value,)
-    if isinstance(value, (str, dict)) or not np.iterable(value):
-        raise ValueError(f"must be a list, got {value!r}")
-    return tuple(value)
-
-
-def _interval(value) -> tuple:
-    pair = tuple(_finite(x) for x in _entries(value))
-    if len(pair) != 2 or pair[0] > pair[1]:
-        raise ValueError(f"must be a [lo, hi] pair with lo <= hi, got {value!r}")
-    return pair
-
-
 class Topology(enum.Enum):
     """Interaction graph of the reservoir qubits."""
 
@@ -90,20 +42,7 @@ class Topology(enum.Enum):
 
     @classmethod
     def parse(cls, value) -> "Topology":
-        if isinstance(value, cls):
-            return value
-        text = str(value).strip().upper().replace("-", "_").replace(" ", "_")
-        aliases = {
-            "C": cls.CHAIN,
-            "CHAIN": cls.CHAIN,
-            "R": cls.RING,
-            "RING": cls.RING,
-            "FC": cls.FULLY_CONNECTED,
-            "FULLY_CONNECTED": cls.FULLY_CONNECTED,
-        }
-        if text not in aliases:
-            raise ValueError(f"unknown topology {value!r} (expected one of C, R, FC)")
-        return aliases[text]
+        return la._parse_member(cls, value, "topology")
 
 
 class CouplingScheme(enum.Enum):
@@ -114,18 +53,7 @@ class CouplingScheme(enum.Enum):
 
     @classmethod
     def parse(cls, value) -> "CouplingScheme":
-        if isinstance(value, cls):
-            return value
-        text = str(value).strip().upper().replace("-", "_").replace(" ", "_")
-        aliases = {
-            "SL": cls.SINGLE_LINK,
-            "SINGLE_LINK": cls.SINGLE_LINK,
-            "ML": cls.MULTI_LINK,
-            "MULTI_LINK": cls.MULTI_LINK,
-        }
-        if text not in aliases:
-            raise ValueError(f"unknown coupling scheme {value!r} (expected SL or ML)")
-        return aliases[text]
+        return la._parse_member(cls, value, "coupling scheme")
 
 
 def edge_set(topology, n: int) -> list[tuple[int, int]]:
@@ -172,10 +100,7 @@ class HamiltonianSpec:
                 raise ValueError(f"{name}: {exc}") from exc
         if self.topology is Topology.RING and self.n_reservoir < 3:
             raise ValueError("ring topology needs n_reservoir >= 3")
-        if 2**self.n_total > la.MAX_DIM:
-            raise ValueError(
-                f"{self.n_total} qubits exceed the dense-algebra cap (dim {la.MAX_DIM})"
-            )
+        la._register_dim(self.n_total)
 
     @property
     def n_total(self) -> int:
@@ -191,10 +116,10 @@ class HamiltonianSpec:
 
 
 _SPEC_RESOLVERS = {
-    "n_reservoir": _count,
-    "j_range": _interval,
-    "delta_range": _interval,
-    "seed": lambda v: _count(v, minimum=0),
+    "n_reservoir": la._count,
+    "j_range": la._interval,
+    "delta_range": la._interval,
+    "seed": lambda v: la._count(v, minimum=0),
 }
 
 

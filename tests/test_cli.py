@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -22,6 +23,7 @@ from qelmsim.cli import (
 from qelmsim.harness import ConfigError, ExperimentRecord, SweepConfig
 from qelmsim.qelm import ShotMode, ShotModel
 from qelmsim.harness import run_time_sweep
+from qelmsim.reservoir import CouplingScheme
 
 
 TINY_CONFIG = {
@@ -183,12 +185,6 @@ class TestParseConfig:
         payload = {"shot_model": {"shots": 1e6}, "time_grid": {"start": 0, "stop": 5, "points": 41.0}}
         assert parse_config(write_config(tmp_path, payload)) == SweepConfig()
 
-    def test_overlay_fills_missing_keys_only(self, tmp_path):
-        path = write_config(tmp_path, {"time_grid": [1.0, 2.0]})
-        cfg = parse_config(path, overlay={"time_grid": [9.0], "n_realizations": 3})
-        assert cfg.time_grid == (1.0, 2.0)
-        assert cfg.n_realizations == 3
-
     def test_digest_stable_and_sensitive(self):
         a = SweepConfig(master_seed=1)
         b = SweepConfig(master_seed=1)
@@ -206,11 +202,15 @@ class TestParseConfig:
         assert full.include_haar_baseline
         quick = parse_config(root / "quick.json")
         assert quick.n_realizations == 20
+        size = parse_config(root / "size-sweep.json")
+        assert size.sizes == (2, 3, 4, 5, 6, 7)
+        assert size.schemes == (CouplingScheme.SINGLE_LINK,)
+        assert size.time_grid == (0.25, 5.0)
 
 
 class TestEmitRecords:
     def run_tiny(self):
-        cfg = parse_config(None, overlay=TINY_CONFIG)
+        cfg = SweepConfig(**TINY_CONFIG)
         return cfg, run_time_sweep(cfg)
 
     def test_csv_row_count_and_roundtrip(self, tmp_path):
@@ -335,18 +335,6 @@ class TestCommands:
         for name in CSV_TABLES:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
-    def test_sweep_size_defaults(self, tmp_path):
-        # without explicit keys the size sweep covers 2..7 at t in {0.25, 5};
-        # sizes below 3 leave the ring out of the default topologies
-        def load(*argv):
-            return cli._load_sweep_config(cli._build_parser().parse_args(["sweep-size", *argv]), "sweep-size")
-
-        with pytest.raises(ConfigError, match="topologies"):
-            load()
-        cfg = load("--config", write_config(tmp_path, {"topologies": ["C", "FC"]}))
-        assert cfg.sizes == (2, 3, 4, 5, 6, 7)
-        assert cfg.time_grid == (0.25, 5.0)
-
     def test_sweep_size_run_and_partial_failure_exit(self, tmp_path, monkeypatch):
         original = harness.sample_hamiltonian
 
@@ -356,11 +344,11 @@ class TestCommands:
             return original(spec)
 
         monkeypatch.setattr(harness, "sample_hamiltonian", failing_at_two)
-        payload = dict(TINY_CONFIG)
-        payload["n_reservoir"] = [2, 3]
+        # a size sweep is a sweep-time config with several sizes and the single link
+        payload = dict(TINY_CONFIG, n_reservoir=[2, 3], schemes=["SL"])
         config_path = write_config(tmp_path, payload)
         out_dir = tmp_path / "out"
-        code = main(["sweep-size", "--config", config_path, "--out", str(out_dir)])
+        code = main(["sweep-time", "--config", config_path, "--out", str(out_dir)])
         assert code == EXIT_PARTIAL
         assert (out_dir / "failures.csv").exists()
         failures = (out_dir / "failures.csv").read_text().splitlines()
@@ -625,3 +613,24 @@ class TestConfigDigestPinned:
             config_digest(parse_config(root / "full-scale.json"))
             == "ff76b8554822c1e73ee2873f06f8905f024c2c76a4bc0d5983112548af2fb884"
         )
+        assert (
+            config_digest(parse_config(root / "size-sweep.json"))
+            == "bd895d07c52a7d7956a1eaf6da74c7d6eb7054fd9581c68f55a79202016b39df"
+        )
+
+
+class TestReadme:
+    def test_command_lines_parse(self):
+        # every `qelmsim ...` line of the README's bash blocks is a valid command
+        root = Path(__file__).resolve().parent.parent
+        argvs, in_bash = [], False
+        for line in (root / "README.md").read_text().splitlines():
+            if line.startswith("```"):
+                in_bash = line == "```bash"
+            elif in_bash and line.startswith("qelmsim "):
+                argvs.append(shlex.split(line, comments=True)[1:])
+        assert {argv[0] for argv in argvs} == {"single-run", "sweep-time", "baseline-haar"}
+        for argv in argvs:
+            args = cli._build_parser().parse_args(argv)
+            config = getattr(args, "config", None)
+            assert config is None or not config.startswith("configs/") or (root / config).is_file(), argv

@@ -14,7 +14,6 @@ from qelmsim.harness import (
     derive_rng,
     run_haar_baseline,
     run_single,
-    run_size_sweep,
     run_time_sweep,
 )
 from qelmsim.qelm import ShotModel
@@ -356,23 +355,14 @@ class TestFastPathKernels:
 
 
 class TestSizeSweep:
-    def test_forces_single_link_and_uses_grid(self):
-        cfg = small_config(
-            n_reservoir=[2, 3], schemes=("SL", "ML"), time_grid=(0.25, 5.0), n_realizations=1
-        )
-        out = run_size_sweep(cfg)
-        assert {r.scheme for r in out.records} == {"SL"}
-        assert {r.n_reservoir for r in out.records} == {2, 3}
-        assert {r.time for r in out.records} == {0.25, 5.0}
-
     def test_invalid_ring_units_reported_not_dropped(self, monkeypatch):
         # a ring below 3 sites is refused before any unit runs ...
         with pytest.raises(ConfigError, match="topologies"):
             small_config(n_reservoir=[2, 3], topologies=("R",))
         # ... and a unit that fails to set up is reported, not dropped
         fail_set_up_at_two(monkeypatch)
-        cfg = small_config(n_reservoir=[2, 3], time_grid=(0.25, 5.0), n_realizations=1)
-        out = run_size_sweep(cfg)
+        cfg = small_config(n_reservoir=[2, 3], schemes=("SL",), time_grid=(0.25, 5.0), n_realizations=1)
+        out = run_time_sweep(cfg)
         assert {r.n_reservoir for r in out.records} == {3}
         assert len(out.failures) == 2  # both grid times of the n=2 unit
         assert all(f.n_reservoir == 2 for f in out.failures)
@@ -429,8 +419,8 @@ class TestAggregateRecords:
         cfg = small_config(
             n_reservoir=[2, 3], topologies=("C", "FC"), schemes=("SL", "ML"), n_realizations=2, include_haar_baseline=True
         )
-        runners = {"sweep-time": run_time_sweep, "sweep-size": run_size_sweep, "baseline-haar": run_haar_baseline}
-        counts = {"sweep-time": 2 * 2 * 2 * 2 * 3 + 2 * 2, "sweep-size": 2 * 2 * 2 * 3 + 2 * 2, "baseline-haar": 2 * 2}
+        runners = {"sweep-time": run_time_sweep, "baseline-haar": run_haar_baseline}
+        counts = {"sweep-time": 2 * 2 * 2 * 2 * 3 + 2 * 2, "baseline-haar": 2 * 2}
         for command, runner in runners.items():
             out = runner(cfg)
             assert harness.expected_record_count(cfg, command) == counts[command]

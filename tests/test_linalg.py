@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -299,3 +304,31 @@ class TestSingleBlasThread:
             assert get() == 2
         finally:
             put(original)
+
+
+class TestRegisterCap:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            'HamiltonianSpec(10**30, "C", "SL")',
+            'embed_pauli("z", 0, 10**30)',
+            "partial_trace(np.eye(2), 10**30, [0])",
+            'sample_features(np.eye(2), [np.eye(2) / 2], 10**30, ShotModel("exact"))',
+            "averaged_otoc(np.eye(2), 10**30)",
+        ],
+    )
+    def test_huge_count_fails_before_building_the_register(self, call):
+        # In a child process: building 2 ** (10**30) never returns, and the
+        # timeout turns that into a failure rather than a hung suite.
+        code = (
+            "import time\nimport numpy as np\nfrom qelmsim import *\n"
+            f"start = time.perf_counter()\ntry:\n    {call}\n"
+            "except ValueError as exc:\n    print(time.perf_counter() - start, exc)\n"
+        )
+        src = Path(la.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+        assert done.returncode == 0 and done.stdout, done.stderr
+        elapsed, message = done.stdout.split(" ", 1)
+        assert float(elapsed) < 1.0
+        assert "exceed the dense-algebra cap" in message

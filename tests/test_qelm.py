@@ -43,6 +43,8 @@ class TestInputColumns:
             call(np.eye(8, dtype=complex)[:, :4], 2)
         with pytest.raises(ValueError, match="n_reservoir must be >= 1, got 0"):
             call(np.eye(2, dtype=complex), 0)
+        with pytest.raises(ValueError, match="n_reservoir must be an integer, got 2.0"):
+            call(np.eye(8, dtype=complex), 2.0)
 
 
 class TestExactFeatures:

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from qelmsim import linalg as la
+from qelmsim.qelm import ShotMode
 from qelmsim.reservoir import (
     CouplingScheme,
     HamiltonianSpec,
@@ -65,11 +66,34 @@ class TestEdgeSet:
             assert chain < ring <= fc
 
     def test_parse_aliases(self):
-        assert Topology.parse("chain") is Topology.CHAIN
-        assert Topology.parse("fully-connected") is Topology.FULLY_CONNECTED
-        assert CouplingScheme.parse("multi link") is CouplingScheme.MULTI_LINK
-        with pytest.raises(ValueError, match="topology"):
-            Topology.parse("star")
+        # a member, or its value or name in any case with "-" and spaces read
+        # as "_"; shot modes also take "joint" and "binomial"
+        spellings = {
+            Topology.CHAIN: ["C", "c", " c ", "chain", "CHAIN", "Chain"],
+            Topology.RING: ["R", "r", "ring", "RING"],
+            Topology.FULLY_CONNECTED: [
+                "FC", "fc", "Fc", "fully-connected", "fully connected", "FULLY_CONNECTED", "Fully-Connected",
+            ],
+            CouplingScheme.SINGLE_LINK: ["SL", "sl", "single-link", "single link", "SINGLE_LINK", " Single_Link"],
+            CouplingScheme.MULTI_LINK: ["ML", "ml", "multi link", "multi-link", "MULTI_LINK", "Multi Link"],
+            ShotMode.EXACT: ["exact", "EXACT", " Exact "],
+            ShotMode.JOINT_BITSTRINGS: [
+                "joint", "JOINT", "joint_bitstrings", "joint-bitstrings", "Joint Bitstrings", "JOINT_BITSTRINGS",
+            ],
+            ShotMode.INDEPENDENT_BINOMIAL: [
+                "binomial", "Binomial", "independent_binomial", "independent-binomial", "INDEPENDENT BINOMIAL",
+            ],
+        }
+        for member, texts in spellings.items():
+            for text in [member, *texts]:
+                assert type(member).parse(text) is member, text
+        for cls, kind, text in [
+            (Topology, "topology", "star"),
+            (CouplingScheme, "coupling scheme", "XL"),
+            (ShotMode, "shot mode", "bogus"),
+        ]:
+            with pytest.raises(ValueError, match=f"^unknown {kind} '{text}'"):
+                cls.parse(text)
 
 
 class TestHamiltonianSpec:
