@@ -33,7 +33,6 @@ from .linalg import (
     haar_unitary,
     herm_eig,
     partial_trace,
-    pseudoinverse,
     random_pure_qubit_state,
     von_neumann_entropy,
 )
@@ -42,7 +41,6 @@ from .qelm import (
     ShotMode,
     TrainedReadout,
     condition_number,
-    exact_features,
     mse,
     pauli_targets,
     predict,

@@ -102,7 +102,7 @@ def _sizes(value):
     """One size as an int, several as a tuple."""
     sizes = _list_of(value, _count, bare=(int, np.integer))
     for n in sizes:
-        la._register_dim(n + 1)
+        la._register_dim(n, "n_reservoir", extra=1)
     return sizes if len(sizes) > 1 else sizes[0]
 
 

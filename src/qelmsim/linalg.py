@@ -33,7 +33,6 @@ __all__ = [
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "IDENTITY_2",
     "PAULIS",
     "PAULI_AXES",
     "SpectralDecomposition",
@@ -44,7 +43,6 @@ __all__ = [
     "von_neumann_entropy",
     "haar_unitary",
     "random_pure_qubit_state",
-    "pseudoinverse",
     "svd_pseudoinverse",
     "require_hermitian",
     "single_blas_thread",
@@ -60,12 +58,11 @@ ENTROPY_EIGENVALUE_CUTOFF = 1e-12
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 PAULI_AXES = ("x", "y", "z")
 PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
-for _m in (PAULI_X, PAULI_Y, PAULI_Z, IDENTITY_2):
+for _m in (PAULI_X, PAULI_Y, PAULI_Z):
     _m.setflags(write=False)
 del _m
 
@@ -89,9 +86,10 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not _is_bool(value)
 
 
-def _count(value, minimum: int = 1) -> int:
+def _count(value, minimum: int = 1, name: str = "") -> int:
+    """``value`` as an int; the error starts with ``name`` when one is given."""
     if not _is_integer(value) or value < minimum:
-        raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}".lstrip())
     return int(value)
 
 
@@ -117,15 +115,18 @@ def _interval(value) -> tuple:
     return pair
 
 
-def _register_dim(n_qubits) -> int:
-    """``2 ** n_qubits``, once the register is known to fit ``MAX_DIM``.
+def _register_dim(n_qubits, name: str, extra: int = 0) -> int:
+    """``2 ** (n_qubits + extra)``, once the count is an integer >= 1 and the
+    register fits ``MAX_DIM``: the one rule for a qubit count.
 
-    The count is compared with log2(MAX_DIM) before the power is built, so a
-    huge count fails at once.
+    ``name`` is the caller's parameter, and ``extra`` the input qubit where
+    ``n_qubits`` counts the reservoir only. The register is compared with
+    log2(MAX_DIM) before the power is built, so a huge count fails at once.
     """
-    if n_qubits > math.log2(MAX_DIM):
-        raise ValueError(f"{n_qubits} qubits exceed the dense-algebra cap (dim {MAX_DIM})")
-    return 2**n_qubits
+    n_total = _count(n_qubits, name=name) + extra
+    if n_total > math.log2(MAX_DIM):
+        raise ValueError(f"{n_total} qubits exceed the dense-algebra cap (dim {MAX_DIM})")
+    return 2**n_total
 
 
 def _parse_member(cls, value, kind: str, aliases=()):
@@ -145,13 +146,14 @@ def _parse_member(cls, value, kind: str, aliases=()):
     return member
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> None:
+def require_hermitian(a: np.ndarray, name: str = "operator") -> None:
+    """Raise ValueError unless ``a`` is a Hermitian matrix or a (..., d, d) stack of them."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol:
-        raise ValueError(f"{name} is not Hermitian: max |A - A^dag| = {dev:.3e} > {tol:.1e}")
+    dev = float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)), initial=0.0))
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"{name} is not Hermitian: max |A - A^dag| = {dev:.3e} > {HERMITIAN_TOL:.1e}")
 
 
 def embed_pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
@@ -161,9 +163,9 @@ def embed_pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
     """
     if axis not in PAULIS:
         raise ValueError(f"axis must be one of {PAULI_AXES}, got {axis!r}")
+    _register_dim(n_qubits, "n_qubits")
     if not 0 <= site < n_qubits:
         raise ValueError(f"site {site} out of range for {n_qubits} qubits")
-    _register_dim(n_qubits)
     op = PAULIS[axis]
     left = 2**site
     right = 2 ** (n_qubits - site - 1)
@@ -185,10 +187,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def herm_eig(a: np.ndarray) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
@@ -198,6 +196,8 @@ def herm_eig(a: np.ndarray) -> SpectralDecomposition:
     ever returned).
     """
     a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"operator must be a square matrix, got shape {a.shape}")
     require_hermitian(a)
     w, v = np.linalg.eigh(a)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
@@ -218,12 +218,8 @@ def _input_columns(u: np.ndarray, n_reservoir: int) -> np.ndarray:
     initial state lives on the first two basis vectors, so every input is
     carried by the first two columns of ``u``.
     """
-    if not _is_integer(n_reservoir):
-        raise ValueError(f"n_reservoir must be an integer, got {n_reservoir!r}")
-    if n_reservoir < 1:
-        raise ValueError(f"n_reservoir must be >= 1, got {n_reservoir}")
     u = np.asarray(u)
-    dim = _register_dim(n_reservoir + 1)
+    dim = _register_dim(n_reservoir, "n_reservoir", extra=1)
     if u.shape != (dim, dim):
         raise ValueError(f"unitary has shape {u.shape}, expected ({dim}, {dim})")
     return u[:, :2]
@@ -236,7 +232,7 @@ def partial_trace(rho: np.ndarray, n_qubits: int, keep) -> np.ndarray:
     kept indices (qubit 0 = leftmost factor).
     """
     rho = np.asarray(rho)
-    dim = _register_dim(n_qubits)
+    dim = _register_dim(n_qubits, "n_qubits")
     if rho.shape != (dim, dim):
         raise ValueError(f"rho has shape {rho.shape}, expected ({dim}, {dim})")
     kept = sorted(set(int(q) for q in keep))
@@ -271,6 +267,8 @@ def von_neumann_entropy(rho: np.ndarray, log_base=2) -> float:
     """
     log_base = _log_base(log_base)
     rho = np.asarray(rho)
+    if rho.ndim != 2:
+        raise ValueError(f"rho must be a square matrix, got shape {rho.shape}")
     require_hermitian(rho, name="rho")
     w = np.linalg.eigvalsh(rho)
     w = w[w > ENTROPY_EIGENVALUE_CUTOFF]
@@ -286,8 +284,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     The diagonal of the triangular factor is phase-corrected so the result
     carries the group-invariant measure.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    dim = _count(dim, name="dim")
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -336,12 +333,6 @@ def svd_pseudoinverse(m: np.ndarray, rcond: float | None = None):
     inv[keep] = 1.0 / s[keep]
     pinv = (vh.conj().T * inv) @ u.conj().T
     return pinv, s
-
-
-def pseudoinverse(m: np.ndarray, rcond: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with relative singular-value truncation."""
-    pinv, _ = svd_pseudoinverse(m, rcond)
-    return pinv
 
 
 # (getter, setter) symbol pairs of the OpenBLAS builds numpy ships or links:

@@ -5,6 +5,8 @@ Input qubit states are pushed through a fixed unitary acting on the
 features are the expectation values of ``sigma_z`` on each reservoir qubit --
 exact, or estimated from a finite number of measurement shots -- and a linear
 map trained by pseudoinverse regression recovers the input Bloch vector.
+``sample_features`` computes both kinds with the kernel that sweeps call; its
+``exact`` mode gives the exact features.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "ShotMode",
     "ShotModel",
     "TrainedReadout",
-    "exact_features",
     "sample_features",
     "pauli_targets",
     "train_readout",
@@ -116,28 +117,6 @@ def _qubit_states(states) -> np.ndarray:
             )
         raise ValueError(f"state {k} must have unit trace, got {complex(traces[k]):.12g}")
     return rhos
-
-
-def exact_features(u: np.ndarray, states, n_reservoir: int, bias_row: bool = False) -> np.ndarray:
-    """Exact per-site sigma_z features, one column per input state.
-
-    The dense reference for the sweep features: each state's joint output
-    state ``v01 @ rho @ v01^dag`` is traced down to the reservoir, and row j
-    is the expectation value of sigma_z on reservoir site j.
-    ``bias_row`` appends a constant-1 row.
-    """
-    v01 = la._input_columns(u, n_reservoir)
-    obs = [la.embed_pauli("z", j, n_reservoir) for j in range(n_reservoir)]
-    rhos = _qubit_states(states)
-    feats = np.empty((n_reservoir + (1 if bias_row else 0), len(rhos)))
-    for k, rho in enumerate(rhos):
-        out_full = (v01 @ rho) @ v01.conj().T
-        marg = la.partial_trace(out_full, n_reservoir + 1, keep=range(n_reservoir))
-        for j, o in enumerate(obs):
-            feats[j, k] = np.einsum("ij,ji->", o, marg).real
-    if bias_row:
-        feats[n_reservoir] = 1.0
-    return feats
 
 
 def _features_from_columns(

@@ -59,8 +59,7 @@ class CouplingScheme(enum.Enum):
 def edge_set(topology, n: int) -> list[tuple[int, int]]:
     """Ordered (k < j) interaction edges for ``n`` reservoir qubits."""
     topology = Topology.parse(topology)
-    if n < 1:
-        raise ValueError(f"need at least one reservoir qubit, got n={n}")
+    la._register_dim(n, "n", extra=1)
     chain = [(k, k + 1) for k in range(n - 1)]
     if topology is Topology.CHAIN:
         return chain
@@ -74,6 +73,7 @@ def edge_set(topology, n: int) -> list[tuple[int, int]]:
 def injection_sites(scheme, n: int) -> list[int]:
     """Reservoir sites the input qubit couples to."""
     scheme = CouplingScheme.parse(scheme)
+    la._register_dim(n, "n", extra=1)
     if scheme is CouplingScheme.SINGLE_LINK:
         return [0]
     return list(range(n))
@@ -98,9 +98,7 @@ class HamiltonianSpec:
                 object.__setattr__(self, name, resolve(getattr(self, name)))
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from exc
-        if self.topology is Topology.RING and self.n_reservoir < 3:
-            raise ValueError("ring topology needs n_reservoir >= 3")
-        la._register_dim(self.n_total)
+        edge_set(self.topology, self.n_reservoir)  # the cap and the ring size
 
     @property
     def n_total(self) -> int:

@@ -7,7 +7,8 @@ Sweeps compute Holevo information through ``_holevo_from_columns``, which
 ``local_holevo_profile`` also calls. ``averaged_otoc`` and ``local_channel``
 are dense references that sweeps do not call (their OTOC comes from the
 closed-form kernel in ``harness``); the tests and the benchmark's output
-checks compare sweep outputs against them.
+checks compare sweep outputs against them. Every marginal goes through the
+same Hermiticity check as any other operator (``linalg.require_hermitian``).
 """
 
 from __future__ import annotations
@@ -104,9 +105,7 @@ def _qubit_entropies(rhos: np.ndarray, log_base=2) -> np.ndarray:
     ``tr/2 +- sqrt(((a - d)/2)^2 + |rho_10|^2)``.
     """
     log_base = la._log_base(log_base)
-    dev = float(np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)), initial=0.0))
-    if dev > la.HERMITIAN_TOL:
-        raise ValueError(f"rho is not Hermitian: max |A - A^dag| = {dev:.3e} > {la.HERMITIAN_TOL:.1e}")
+    la.require_hermitian(rhos, name="rho")
     a = rhos[..., 0, 0].real
     d = rhos[..., 1, 1].real
     half_tr = 0.5 * (a + d)

@@ -81,3 +81,19 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def bloch_density(rx: float, ry: float, rz: float) -> np.ndarray:
     return 0.5 * np.array([[1.0 + rz, rx - 1j * ry], [rx + 1j * ry, 1.0 - rz]], dtype=complex)
+
+
+def full_space_z_features(u: np.ndarray, states, n_reservoir: int) -> np.ndarray:
+    """Tr[(Z_j x I) u (|0...0><0...0| x rho) u^dag] per reservoir site j (rows)
+    and input state rho (columns), with every operator built by ``np.kron``
+    on the whole register and no partial trace."""
+    z = np.diag([1.0, -1.0]).astype(complex)
+    fiducial = np.zeros((2**n_reservoir, 2**n_reservoir), dtype=complex)
+    fiducial[0, 0] = 1.0
+    feats = np.empty((n_reservoir, len(states)))
+    for k, rho in enumerate(states):
+        out = u @ np.kron(fiducial, rho) @ u.conj().T
+        for j in range(n_reservoir):
+            z_j = np.kron(np.kron(np.eye(2**j), z), np.eye(2 ** (n_reservoir - j)))
+            feats[j, k] = np.trace(z_j @ out).real
+    return feats

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import qelmsim
 from qelmsim import cli, harness
 from qelmsim.cli import (
     EXIT_CONFIG,
@@ -634,3 +636,11 @@ class TestReadme:
             args = cli._build_parser().parse_args(argv)
             config = getattr(args, "config", None)
             assert config is None or not config.startswith("configs/") or (root / config).is_file(), argv
+
+    def test_building_blocks_are_package_names(self):
+        # every name in the "Library use" building-block list is real API
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        listed = re.search(r"Lower-level building blocks \((.*?)\.\.\.\)", text, re.S)
+        names = re.findall(r"`(\w+)`", listed.group(1))
+        assert len(names) >= 10
+        assert [name for name in names if not hasattr(qelmsim, name)] == []

@@ -20,6 +20,8 @@ from qelmsim.qelm import ShotModel
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
 from qelmsim.scrambling import averaged_otoc, local_holevo_profile
 
+from _oracles import full_space_z_features
+
 
 def small_config(**overrides):
     base = dict(
@@ -275,8 +277,8 @@ class TestSweeps:
         test = [la.random_pure_qubit_state(state_rng) for _ in range(cfg.n_test)]
         for record, t in zip(out.records, cfg.time_grid):
             u = la.evolve_unitary(decomp, t)
-            p_train = qelm.exact_features(u, train, 3)
-            p_test = qelm.exact_features(u, test, 3)
+            p_train = full_space_z_features(u, train, 3)
+            p_test = full_space_z_features(u, test, 3)
             trained = qelm.train_readout(p_train, qelm.pauli_targets(train), cfg.rcond)
             ref_mse = qelm.mse(qelm.pauli_targets(test), qelm.predict(trained, p_test))
             assert record.mse == pytest.approx(ref_mse, abs=1e-10)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qelmsim import linalg as la
+from qelmsim.reservoir import edge_set, injection_sites
 
 from _oracles import (
     partial_trace_indexsum,
@@ -257,22 +259,22 @@ class TestRandomPureQubit:
 
 class TestPseudoinverse:
     def test_identity(self):
-        assert np.max(np.abs(la.pseudoinverse(np.eye(5)) - np.eye(5))) <= 1e-12
+        assert np.max(np.abs(la.svd_pseudoinverse(np.eye(5))[0] - np.eye(5))) <= 1e-12
 
     def test_diagonal_with_zero(self):
-        out = la.pseudoinverse(np.diag([2.0, 0.0]))
+        out = la.svd_pseudoinverse(np.diag([2.0, 0.0]))[0]
         assert np.max(np.abs(out - np.diag([0.5, 0.0]))) <= 1e-12
 
     def test_moore_penrose_rectangular(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((5, 8))
-        p = la.pseudoinverse(m)
+        p = la.svd_pseudoinverse(m)[0]
         assert np.max(np.abs(m @ p @ m - m)) <= 1e-10
 
     def test_all_four_identities_full_rank(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        p = la.pseudoinverse(m)
+        p = la.svd_pseudoinverse(m)[0]
         assert np.max(np.abs(m @ p @ m - m)) <= 1e-10
         assert np.max(np.abs(p @ m @ p - p)) <= 1e-10
         assert np.max(np.abs((m @ p).conj().T - m @ p)) <= 1e-10
@@ -280,14 +282,14 @@ class TestPseudoinverse:
 
     def test_rcond_truncates(self):
         m = np.diag([1.0, 1e-6])
-        full = la.pseudoinverse(m, rcond=1e-8)
+        full = la.svd_pseudoinverse(m, rcond=1e-8)[0]
         assert full[1, 1] == pytest.approx(1e6)
-        truncated = la.pseudoinverse(m, rcond=1e-3)
+        truncated = la.svd_pseudoinverse(m, rcond=1e-3)[0]
         assert truncated[1, 1] == 0.0
 
     def test_negative_rcond_rejected(self):
         with pytest.raises(ValueError, match="rcond"):
-            la.pseudoinverse(np.eye(2), rcond=-1.0)
+            la.svd_pseudoinverse(np.eye(2), rcond=-1.0)[0]
 
 
 class TestSingleBlasThread:
@@ -315,13 +317,15 @@ class TestRegisterCap:
             "partial_trace(np.eye(2), 10**30, [0])",
             'sample_features(np.eye(2), [np.eye(2) / 2], 10**30, ShotModel("exact"))',
             "averaged_otoc(np.eye(2), 10**30)",
+            'edge_set("C", 10**30)',
+            'injection_sites("ML", 10**30)',
         ],
     )
     def test_huge_count_fails_before_building_the_register(self, call):
         # In a child process: building 2 ** (10**30) never returns, and the
         # timeout turns that into a failure rather than a hung suite.
         code = (
-            "import time\nimport numpy as np\nfrom qelmsim import *\n"
+            "import time\nimport numpy as np\nfrom qelmsim import *\nfrom qelmsim.reservoir import injection_sites\n"
             f"start = time.perf_counter()\ntry:\n    {call}\n"
             "except ValueError as exc:\n    print(time.perf_counter() - start, exc)\n"
         )
@@ -332,3 +336,21 @@ class TestRegisterCap:
         elapsed, message = done.stdout.split(" ", 1)
         assert float(elapsed) < 1.0
         assert "exceed the dense-algebra cap" in message
+
+    @pytest.mark.parametrize("count", [2.0, True, 0], ids=["float", "bool", "zero"])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda n: edge_set("C", n), "n"),
+            (lambda n: injection_sites("ML", n), "n"),
+            (lambda n: injection_sites("SL", n), "n"),
+            (lambda n: la.embed_pauli("z", 0, n), "n_qubits"),
+            (lambda n: la.partial_trace(np.eye(2), n, [0]), "n_qubits"),
+            (lambda n: la.haar_unitary(n, np.random.default_rng(0)), "dim"),
+        ],
+        ids=["edge_set", "injection_sites-ML", "injection_sites-SL", "embed_pauli", "partial_trace", "haar_unitary"],
+    )
+    def test_non_count_raises_naming_the_parameter(self, call, name, count):
+        # one rule for every count: an integer >= 1, and a boolean is not one
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {re.escape(repr(count))}$"):
+            call(count)

@@ -26,7 +26,6 @@ PUBLIC_NAMES = (
     "edge_set",
     "embed_pauli",
     "evolve_unitary",
-    "exact_features",
     "haar_unitary",
     "harness",
     "herm_eig",
@@ -37,7 +36,6 @@ PUBLIC_NAMES = (
     "partial_trace",
     "pauli_targets",
     "predict",
-    "pseudoinverse",
     "qelm",
     "random_pure_qubit_state",
     "reservoir",

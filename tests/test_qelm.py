@@ -6,7 +6,6 @@ from qelmsim.qelm import (
     ShotMode,
     ShotModel,
     condition_number,
-    exact_features,
     mse,
     pauli_targets,
     predict,
@@ -16,48 +15,44 @@ from qelmsim.qelm import (
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
 from qelmsim.scrambling import local_holevo_profile
 
-from _oracles import bloch_density, random_density, random_unitary, swap_unitary
+from _oracles import bloch_density, full_space_z_features, random_density, random_unitary, swap_unitary
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET_PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
 
 
-def zero_reservoir_state(n):
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
+EXACT = ShotModel("exact")
 
 
 class TestInputColumns:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda u, n: exact_features(u, [KET0], n),
             lambda u, n: sample_features(u, [KET0], n, ShotModel("exact")),
             lambda u, n: local_holevo_profile(u, n),
         ],
-        ids=["exact_features", "sample_features", "local_holevo_profile"],
+        ids=["sample_features", "local_holevo_profile"],
     )
     def test_wrong_size_unitary_rejected(self, call):
         with pytest.raises(ValueError, match=r"unitary has shape \(8, 4\), expected \(8, 8\)"):
             call(np.eye(8, dtype=complex)[:, :4], 2)
-        with pytest.raises(ValueError, match="n_reservoir must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="n_reservoir must be an integer >= 1, got 0"):
             call(np.eye(2, dtype=complex), 0)
-        with pytest.raises(ValueError, match="n_reservoir must be an integer, got 2.0"):
+        with pytest.raises(ValueError, match="n_reservoir must be an integer >= 1, got 2.0"):
             call(np.eye(8, dtype=complex), 2.0)
 
 
 class TestExactFeatures:
     def test_identity_rows_constant_one(self):
         states = [KET0, KET_PLUS, bloch_density(0.1, 0.2, -0.3)]
-        feats = exact_features(np.eye(8, dtype=complex), states, 2)
+        feats = sample_features(np.eye(8, dtype=complex), states, 2, EXACT)
         assert feats.shape == (2, 3)
         assert np.max(np.abs(feats - 1.0)) <= 1e-13
 
     def test_swap_reads_input_z(self):
         u = swap_unitary(2, 0, 1)
         rho_in = bloch_density(0.0, 0.0, 0.3)
-        feats = exact_features(u, [rho_in], 1)
+        feats = sample_features(u, [rho_in], 1, EXACT)
         assert feats[0, 0] == pytest.approx(0.3, abs=1e-13)
 
     def test_full_space_vs_marginal_oracle(self):
@@ -65,25 +60,20 @@ class TestExactFeatures:
         rng = np.random.default_rng(2)
         u = random_unitary(rng, 8)
         states = [random_density(rng, 2) for _ in range(4)]
-        feats = exact_features(u, states, 2)
-        for k, rho_in in enumerate(states):
-            rho_tot = np.kron(zero_reservoir_state(2), rho_in)
-            out_full = u @ rho_tot @ u.conj().T
-            for j in range(2):
-                direct = np.trace(la.embed_pauli("z", j, 3) @ out_full).real
-                assert feats[j, k] == pytest.approx(direct, abs=1e-12)
+        feats = sample_features(u, states, 2, EXACT)
+        assert np.max(np.abs(feats - full_space_z_features(u, states, 2))) <= 1e-12
 
     def test_column_permutation_equivariance(self):
         rng = np.random.default_rng(3)
         u = random_unitary(rng, 8)
         states = [random_density(rng, 2) for _ in range(5)]
-        feats = exact_features(u, states, 2)
+        feats = sample_features(u, states, 2, EXACT)
         perm = [3, 1, 4, 0, 2]
-        feats_perm = exact_features(u, [states[p] for p in perm], 2)
+        feats_perm = sample_features(u, [states[p] for p in perm], 2, EXACT)
         assert np.max(np.abs(feats_perm - feats[:, perm])) <= 1e-14
 
     def test_bias_row(self):
-        feats = exact_features(np.eye(4, dtype=complex), [KET0], 1, bias_row=True)
+        feats = sample_features(np.eye(4, dtype=complex), [KET0], 1, EXACT, bias_row=True)
         assert feats.shape == (2, 1)
         assert feats[1, 0] == 1.0
 
@@ -91,7 +81,7 @@ class TestExactFeatures:
         rng = np.random.default_rng(4)
         u = random_unitary(rng, 16)
         states = [random_density(rng, 2) for _ in range(6)]
-        feats = exact_features(u, states, 3)
+        feats = sample_features(u, states, 3, EXACT)
         assert np.all(np.abs(feats) <= 1.0 + 1e-9)
 
 
@@ -101,14 +91,14 @@ class TestSampleFeatures:
         u = random_unitary(rng, 8)
         states = [random_density(rng, 2) for _ in range(3)]
         got = sample_features(u, states, 2, ShotModel("exact"))
-        assert np.max(np.abs(got - exact_features(u, states, 2))) <= 1e-14
+        assert np.max(np.abs(got - full_space_z_features(u, states, 2))) <= 1e-14
 
     def test_large_sample_consistency(self):
         # CLT bound: 1e8 joint shots reproduce exact expectations to 5 SE
         rng = np.random.default_rng(6)
         u = random_unitary(rng, 8)
         states = [bloch_density(0.2, -0.4, 0.5), KET_PLUS]
-        exact = exact_features(u, states, 2)
+        exact = full_space_z_features(u, states, 2)
         shots = 10**8
         sampled = sample_features(u, states, 2, ShotModel("joint_bitstrings", shots), np.random.default_rng(7))
         se = np.sqrt((1.0 - exact**2).clip(min=1e-12) / shots)
@@ -125,7 +115,7 @@ class TestSampleFeatures:
         rng = np.random.default_rng(9)
         u = random_unitary(rng, 4)
         state = bloch_density(0.3, 0.1, -0.2)
-        v = exact_features(u, [state], 1)[0, 0]
+        v = full_space_z_features(u, [state], 1)[0, 0]
         shots = 400
         reps = 1000
         draws = np.empty(reps)
@@ -140,7 +130,7 @@ class TestSampleFeatures:
         rng = np.random.default_rng(11)
         u = random_unitary(rng, 8)
         states = [bloch_density(0.2, -0.4, 0.5)]
-        exact = exact_features(u, states, 2)
+        exact = full_space_z_features(u, states, 2)
         shots = 10**7
         sampled = sample_features(
             u, states, 2, ShotModel("independent_binomial", shots), np.random.default_rng(12)
@@ -331,7 +321,7 @@ class TestTrainPredictMse:
         y = rng.standard_normal((3, 20))
         trained = train_readout(p, y)
         residual = trained.w @ p - y
-        projector = la.pseudoinverse(p) @ p  # onto the row space of p
+        projector = la.svd_pseudoinverse(p)[0] @ p  # onto the row space of p
         assert np.max(np.abs(residual @ projector)) <= 1e-9
 
     def test_observable_relabeling_equivariance(self):

@@ -95,7 +95,7 @@ class TestAveragedOtoc:
         ids=["averaged_otoc", "local_channel"],
     )
     def test_rejects_empty_reservoir(self, call):
-        with pytest.raises(ValueError, match="n_reservoir must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="n_reservoir must be an integer >= 1, got 0"):
             call(np.eye(2, dtype=complex))
 
     def test_range_bounds(self):
