@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -74,13 +73,13 @@ class RunManifest:
     blas_threads: int | None
 
 
-def parse_config(path=None, strict: bool = True) -> SweepConfig:
+def parse_config(path=None) -> SweepConfig:
     """Read a JSON config file and materialize every default.
 
     An empty or missing file yields the full defaults (7 reservoir qubits,
     C/R/FC topologies, both coupling schemes, 41 times on [0, 5], 500
     realizations, 50/50 train/test states, 10^6 joint-bitstring shots).
-    Unknown keys are rejected under ``strict``, warned about otherwise.
+    Unknown keys are rejected.
     The values go to ``SweepConfig`` as the file gives them; it resolves
     every field and raises ConfigError naming a malformed one.
     """
@@ -96,11 +95,7 @@ def parse_config(path=None, strict: bool = True) -> SweepConfig:
             raise ConfigError(f"{path}: top-level config must be an object")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
-        message = f"unknown config keys: {sorted(unknown)}"
-        if strict:
-            raise ConfigError(message)
-        warnings.warn(message, stacklevel=2)
-        raw = {k: v for k, v in raw.items() if k in _CONFIG_KEYS}
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return SweepConfig(**raw)
 
 
@@ -128,12 +123,6 @@ def _write_csv(path: Path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_fmt(v) for v in row] for row in rows)
-
-
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 # The scalar record fields, one column each; ``holevo_per_node`` spreads over
@@ -164,7 +153,6 @@ def _stats_table(row_type, rows) -> tuple:
 
 def emit_records(
     records,
-    format: str = "csv",
     out_dir=".",
     *,
     failures=(),
@@ -174,31 +162,23 @@ def emit_records(
 ) -> RunManifest:
     """Write records, aggregate tables, per-node Holevo tables, and a manifest.
 
-    The tables are computed from the records. ``format`` selects csv or json
-    for the data files; the manifest is always JSON.
+    The tables are computed from the records and written as CSV; the manifest
+    is JSON.
     """
     records = list(records)
     failures = list(failures)
     if not records and not failures:
         raise ValueError("nothing to emit: no records and no failure report")
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     agg_rows, node_rows = harness.aggregate_records(records)
 
     try:
-        if format == "csv":
-            _write_csv(out / "records.csv", *_records_table(records))
-            _write_csv(out / "aggregates.csv", *_stats_table(AggregateRow, agg_rows))
-            if node_rows:
-                _write_csv(out / "holevo_nodes.csv", *_stats_table(HolevoNodeRow, node_rows))
-        else:
-            _write_json(out / "records.json", [dataclasses.asdict(r) for r in records])
-            _write_json(out / "aggregates.json", [dataclasses.asdict(r) for r in agg_rows])
-            if node_rows:
-                _write_json(out / "holevo_nodes.json", [dataclasses.asdict(r) for r in node_rows])
+        _write_csv(out / "records.csv", *_records_table(records))
+        _write_csv(out / "aggregates.csv", *_stats_table(AggregateRow, agg_rows))
+        if node_rows:
+            _write_csv(out / "holevo_nodes.csv", *_stats_table(HolevoNodeRow, node_rows))
         if failures:
             _write_csv(out / "failures.csv", _FAILURE_COLUMNS, map(dataclasses.astuple, failures))
         now = datetime.now(timezone.utc).isoformat()
@@ -211,7 +191,9 @@ def emit_records(
             failure_count=len(failures),
             blas_threads=1 if la._openblas_threads() is not None else None,
         )
-        _write_json(out / "manifest.json", dataclasses.asdict(manifest))
+        with open(out / "manifest.json", "w") as fh:
+            json.dump(dataclasses.asdict(manifest), fh, indent=1, sort_keys=True)
+            fh.write("\n")
     except OSError as exc:
         raise RuntimeError(f"failed writing results under {out}: {exc}") from exc
     return manifest
@@ -232,11 +214,9 @@ def _positive_int(text: str) -> int:
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file (defaults apply when omitted)")
     parser.add_argument("--out", metavar="DIR", default=None, help=f"output directory (default ${ENV_OUT_DIR} or ./{_DEFAULT_OUT_DIR})")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="data file format")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
     parser.add_argument("--threads", type=_positive_int, default=1, help="worker processes, each on one core (results are schedule-independent)")
     parser.add_argument("--metrics", default=None, help=f"comma-separated subset of {','.join(ALL_METRICS)}")
-    parser.add_argument("--lax", action="store_true", help="warn on unknown config keys instead of rejecting")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -271,7 +251,7 @@ def _cmd_sweep(args) -> int:
         replacements["master_seed"] = args.seed
     if args.metrics is not None:
         replacements["metrics"] = _parse_metrics(args.metrics)
-    cfg = dataclasses.replace(parse_config(args.config, strict=not args.lax), **replacements)
+    cfg = dataclasses.replace(parse_config(args.config), **replacements)
     out_dir = args.out or os.environ.get(ENV_OUT_DIR) or _DEFAULT_OUT_DIR
     started = datetime.now(timezone.utc).isoformat()
     runner = {"sweep-time": harness.run_time_sweep, "baseline-haar": harness.run_haar_baseline}[args.command]
@@ -279,7 +259,6 @@ def _cmd_sweep(args) -> int:
     finished = datetime.now(timezone.utc).isoformat()
     emit_records(
         outcome.records,
-        args.format,
         out_dir,
         failures=outcome.failures,
         config=cfg,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg as la
 from . import qelm, scrambling
-from .linalg import _count, _entries, _finite, _interval, _is_bool, _is_integer, _is_real
+from .linalg import _count, _entries, _finite, _interval, _is_bool
 from .qelm import ShotMode, ShotModel
 from .reservoir import (
     DEFAULT_DELTA_RANGE,
@@ -113,12 +113,9 @@ def _time_grid(value) -> tuple:
         if set(value) != {"start", "stop", "points"}:
             keys = sorted(value, key=str)
             raise ValueError(f"an object needs exactly the keys start, stop and points, got {keys}")
-        points = value["points"]
-        integral = _is_integer(points) or _is_real(points) and float(points).is_integer()
-        if not integral or points < 1:
-            raise ValueError(f"points must be an integer >= 1, got {points!r}")
+        points = la._integral_count(value["points"], name="points")
         start, stop = (_finite(value[key], key) for key in ("start", "stop"))
-        value = np.linspace(start, stop, int(points)).tolist()
+        value = np.linspace(start, stop, points).tolist()
     times = tuple(_finite(t) for t in _entries(value))
     if not times:
         raise ValueError("must contain at least one time")
@@ -186,8 +183,7 @@ class SweepConfig:
         for field in dataclasses.fields(self):
             try:
                 value = _RESOLVERS[field.name](getattr(self, field.name))
-            # ShotModel's int() conversions raise TypeError and OverflowError too.
-            except (TypeError, ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"{field.name}: {exc}") from exc
             object.__setattr__(self, field.name, value)
         small = [n for n in self.sizes if n < 3]

@@ -67,9 +67,9 @@ for _m in (PAULI_X, PAULI_Y, PAULI_Z):
 del _m
 
 
-# Input rules, shared by ``reservoir.HamiltonianSpec`` and
-# ``harness.SweepConfig``: each resolver maps a value to its resolved form or
-# raises ValueError.
+# Input rules, shared by ``reservoir.HamiltonianSpec``, ``qelm.ShotModel``,
+# ``harness.SweepConfig`` and the functions here that take a qubit count or an
+# index: each resolver maps a value to its resolved form or raises ValueError.
 
 
 def _is_integer(value) -> bool:
@@ -90,6 +90,22 @@ def _count(value, minimum: int = 1, name: str = "") -> int:
     """``value`` as an int; the error starts with ``name`` when one is given."""
     if not _is_integer(value) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}".lstrip())
+    return int(value)
+
+
+def _integral_count(value, name: str) -> int:
+    """``_count`` that also takes a finite integral real such as 1e6 or 41.0."""
+    if _is_real(value) and not _is_integer(value) and math.isfinite(value) and float(value).is_integer():
+        value = int(value)
+    return _count(value, name=name)
+
+
+def _index(value, name: str) -> int:
+    """``value`` as an int, once it is an integer and not a boolean: the rule
+    for a site or node index. Each caller then checks it against its register
+    with its own out-of-range text."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -164,6 +180,7 @@ def embed_pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
     if axis not in PAULIS:
         raise ValueError(f"axis must be one of {PAULI_AXES}, got {axis!r}")
     _register_dim(n_qubits, "n_qubits")
+    site = _index(site, "site")
     if not 0 <= site < n_qubits:
         raise ValueError(f"site {site} out of range for {n_qubits} qubits")
     op = PAULIS[axis]
@@ -235,7 +252,7 @@ def partial_trace(rho: np.ndarray, n_qubits: int, keep) -> np.ndarray:
     dim = _register_dim(n_qubits, "n_qubits")
     if rho.shape != (dim, dim):
         raise ValueError(f"rho has shape {rho.shape}, expected ({dim}, {dim})")
-    kept = sorted(set(int(q) for q in keep))
+    kept = sorted({_index(q, "keep entry") for q in keep})
     if not kept:
         raise ValueError("keep must be a nonempty set of qubit indices")
     if kept[0] < 0 or kept[-1] >= n_qubits:

@@ -61,9 +61,10 @@ class ShotModel:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", ShotMode.parse(self.mode))
-        if isinstance(self.shots, bool) or int(self.shots) != self.shots or not 1 <= self.shots <= _MAX_SHOTS:
+        shots = la._integral_count(self.shots, name="shots")
+        if shots > _MAX_SHOTS:
             raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {self.shots!r}")
-        object.__setattr__(self, "shots", int(self.shots))
+        object.__setattr__(self, "shots", shots)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -5,7 +6,6 @@ import re
 import shlex
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -65,15 +65,6 @@ def read_records_csv(path) -> list:
     return records
 
 
-def read_records_json(path) -> list:
-    with open(path) as fh:
-        items = json.load(fh)
-    for item in items:
-        if item["holevo_per_node"] is not None:
-            item["holevo_per_node"] = tuple(item["holevo_per_node"])
-    return [ExperimentRecord(**item) for item in items]
-
-
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -98,15 +89,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="time_grid"):
             parse_config(path)
 
-    def test_unknown_key_strict_vs_lax(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"n_qubits": 7})
         with pytest.raises(ConfigError, match="n_qubits"):
             parse_config(path)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cfg = parse_config(path, strict=False)
-        assert any("n_qubits" in str(w.message) for w in caught)
-        assert cfg == SweepConfig()
 
     def test_time_grid_object_form(self, tmp_path):
         path = write_config(tmp_path, {"time_grid": {"start": 0.0, "stop": 2.0, "points": 5}})
@@ -175,6 +161,8 @@ class TestParseConfig:
             ({"n_reservoir": 10**30}, "cap"),
             ({"shot_model": {"shots": 1e20}}, "shots"),
             ({"shot_model": {"mode": "binomial", "shots": 2**63}}, "shots"),
+            ({"shot_model": {"shots": float("inf")}}, "shots"),
+            ({"shot_model": {"shots": [5]}}, "shots"),
         ],
     )
     def test_booleans_and_fractional_counts_rejected(self, tmp_path, payload, field):
@@ -217,7 +205,7 @@ class TestEmitRecords:
 
     def test_csv_row_count_and_roundtrip(self, tmp_path):
         cfg, out = self.run_tiny()
-        manifest = emit_records(out.records, "csv", tmp_path, config=cfg)
+        manifest = emit_records(out.records, tmp_path, config=cfg)
         lines = (tmp_path / "records.csv").read_text().splitlines()
         assert len(lines) == len(out.records) + 1  # header + one row per record
         assert manifest.record_count == 4 and manifest.failure_count == 0
@@ -227,36 +215,28 @@ class TestEmitRecords:
         parsed = read_records_csv(tmp_path / "records.csv")
         assert parsed == list(out.records)
 
-    def test_json_roundtrip_matches_csv(self, tmp_path):
-        cfg, out = self.run_tiny()
-        emit_records(out.records, "json", tmp_path / "j", config=cfg)
-        emit_records(out.records, "csv", tmp_path / "c", config=cfg)
-        from_json = read_records_json(tmp_path / "j" / "records.json")
-        from_csv = read_records_csv(tmp_path / "c" / "records.csv")
-        assert from_json == from_csv == list(out.records)
-
     def test_csv_bodies_bit_identical_across_runs(self, tmp_path):
         cfg, out1 = self.run_tiny()
         _, out2 = self.run_tiny()
-        emit_records(out1.records, "csv", tmp_path / "a", config=cfg)
-        emit_records(out2.records, "csv", tmp_path / "b", config=cfg)
+        emit_records(out1.records, tmp_path / "a", config=cfg)
+        emit_records(out2.records, tmp_path / "b", config=cfg)
         for name in ("records.csv", "aggregates.csv", "holevo_nodes.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_seventeen_significant_digits(self, tmp_path):
         cfg, out = self.run_tiny()
-        emit_records(out.records, "csv", tmp_path, config=cfg)
+        emit_records(out.records, tmp_path, config=cfg)
         parsed = read_records_csv(tmp_path / "records.csv")
         for before, after in zip(out.records, parsed):
             assert after.mse == before.mse  # exact float round-trip
 
     def test_rejects_empty_emission(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to emit"):
-            emit_records([], "csv", tmp_path)
+            emit_records([], tmp_path)
 
     def test_manifest_fields(self, tmp_path):
         cfg, out = self.run_tiny()
-        emit_records(out.records, "csv", tmp_path, config=cfg)
+        emit_records(out.records, tmp_path, config=cfg)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config_digest"] == config_digest(cfg)
         assert manifest["tool_version"]
@@ -408,10 +388,13 @@ class TestCommands:
         config_path = write_config(tmp_path, {"time_grid": [1.0, 1.0]})
         assert main(["sweep-time", "--config", config_path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
-    def test_usage_error_exit_code(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep-time", "--format", "xml"])
-        assert excinfo.value.code == 2
+    def test_usage_error_exit_code(self, tmp_path):
+        # A value a flag rejects, and the removed table-format and lax-key flags.
+        base = ["sweep-time", "--config", write_config(tmp_path, TINY_CONFIG), "--out", str(tmp_path / "o")]
+        for extra in (["--seed", "abc"], ["--format", "csv"], ["--lax"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(base + extra)
+            assert excinfo.value.code == EXIT_USAGE, extra
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "envout"))
@@ -488,28 +471,13 @@ class TestEmissionFormat:
         '1,RU,RU,3,,"LinAlgError: eigh failed, ""twice"""\n'
     )
 
-    @staticmethod
-    def stat_rows(keys, key_name, stats):
-        return [
-            {
-                "topology": k[0],
-                "scheme": k[1],
-                "n_reservoir": k[2],
-                "time": k[3],
-                key_name: k[4],
-                "stats": {"median": s[0], "q1": s[1], "q3": s[2], "n": s[3]},
-            }
-            for k, s in zip(keys, stats)
-        ]
-
-    def emit(self, tmp_path, fmt):
-        out = tmp_path / fmt
-        manifest = emit_records(self.RECORDS, fmt, out, failures=self.FAILURES)
+    def emit(self, tmp_path):
+        manifest = emit_records(self.RECORDS, tmp_path, failures=self.FAILURES)
         assert (manifest.record_count, manifest.failure_count) == (4, 2)
-        return out
+        return tmp_path
 
     def test_csv_tables_exact_text(self, tmp_path):
-        out = self.emit(tmp_path, "csv")
+        out = self.emit(tmp_path)
         assert (out / "records.csv").read_text() == self.RECORDS_CSV
         assert (out / "aggregates.csv").read_text() == self.AGGREGATES_CSV
         assert (out / "holevo_nodes.csv").read_text() == self.HOLEVO_NODES_CSV
@@ -522,83 +490,8 @@ class TestEmissionFormat:
             "records.csv",
         ]
 
-    def test_json_tables_content(self, tmp_path):
-        out = self.emit(tmp_path, "json")
-        records = json.loads((out / "records.json").read_text())
-        assert records == [
-            {
-                "realization_index": r.realization_index,
-                "topology": r.topology,
-                "scheme": r.scheme,
-                "n_reservoir": r.n_reservoir,
-                "time": r.time,
-                "seed": r.seed,
-                "mse": r.mse,
-                "condition_number": r.condition_number,
-                "otoc_avg": r.otoc_avg,
-                "holevo_avg": r.holevo_avg,
-                "holevo_per_node": list(r.holevo_per_node) if r.holevo_per_node else None,
-            }
-            for r in self.RECORDS
-        ]
-        aggregates = json.loads((out / "aggregates.json").read_text())
-        assert aggregates == self.stat_rows(
-            [
-                ("C", "SL", 2, 0.0, "mse"),
-                ("C", "SL", 2, 0.0, "condition_number"),
-                ("C", "SL", 2, 0.0, "otoc_avg"),
-                ("C", "SL", 2, 0.0, "holevo_avg"),
-                ("FC", "ML", 3, 1.5, "condition_number"),
-                ("FC", "ML", 3, 1.5, "otoc_avg"),
-                ("FC", "ML", 3, 1.5, "holevo_avg"),
-                ("RU", "RU", 2, None, "mse"),
-                ("RU", "RU", 2, None, "condition_number"),
-                ("RU", "RU", 2, None, "otoc_avg"),
-            ],
-            "metric",
-            [
-                (0.2, 0.15, 0.25, 2),
-                (3.25, 2.875, 3.625, 2),
-                (0.0625, 0.03125, 0.09375, 2),
-                (0.375, 0.3125, 0.4375, 2),
-                (float("inf"), float("inf"), float("inf"), 1),
-                (0.5, 0.5, 0.5, 1),
-                (1 / 3, 1 / 3, 1 / 3, 1),
-                (0.2, 0.2, 0.2, 1),
-                (3.0, 3.0, 3.0, 1),
-                (0.75, 0.75, 0.75, 1),
-            ],
-        )
-        nodes = json.loads((out / "holevo_nodes.json").read_text())
-        assert nodes == self.stat_rows(
-            [
-                ("C", "SL", 2, 0.0, 0),
-                ("C", "SL", 2, 0.0, 1),
-                ("FC", "ML", 3, 1.5, 0),
-                ("FC", "ML", 3, 1.5, 1),
-                ("FC", "ML", 3, 1.5, 2),
-            ],
-            "node",
-            [
-                (0.625, 0.5625, 0.6875, 2),
-                (0.125, 0.0625, 0.1875, 2),
-                (0.1, 0.1, 0.1, 1),
-                (0.2, 0.2, 0.2, 1),
-                (0.3, 0.3, 0.3, 1),
-            ],
-        )
-        assert (out / "failures.csv").read_text() == self.FAILURES_CSV
-        assert sorted(p.name for p in out.iterdir()) == [
-            "aggregates.json",
-            "failures.csv",
-            "holevo_nodes.json",
-            "manifest.json",
-            "records.json",
-        ]
-
     def test_read_back_both_formats(self, tmp_path):
-        assert read_records_csv(self.emit(tmp_path, "csv") / "records.csv") == self.RECORDS
-        assert read_records_json(self.emit(tmp_path, "json") / "records.json") == self.RECORDS
+        assert read_records_csv(self.emit(tmp_path) / "records.csv") == self.RECORDS
 
 
 class TestConfigDigestPinned:
@@ -644,3 +537,12 @@ class TestReadme:
         names = re.findall(r"`(\w+)`", listed.group(1))
         assert len(names) >= 10
         assert [name for name in names if not hasattr(qelmsim, name)] == []
+
+    def test_common_flags_are_sweep_time_options(self):
+        # every --flag in the README's "Common flags" paragraph is a sweep-time option
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        paragraph = re.search(r"^Common flags:(.*?)\n\n", text, re.S | re.M).group(1)
+        flags = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+        sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert len(flags) >= 5
+        assert sorted(flags - set(sub.choices["sweep-time"]._option_string_actions)) == []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qelmsim import linalg as la
+from qelmsim.scrambling import local_channel
 from qelmsim.reservoir import edge_set, injection_sites
 
 from _oracles import (
@@ -354,3 +355,20 @@ class TestRegisterCap:
         # one rule for every count: an integer >= 1, and a boolean is not one
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {re.escape(repr(count))}$"):
             call(count)
+
+
+class TestIndexRule:
+    @pytest.mark.parametrize("index", [1.5, True, -1], ids=["float", "bool", "negative"])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda i: la.embed_pauli("z", i, 3), "site"),
+            (lambda i: la.partial_trace(np.eye(4) / 4, 2, [i]), "keep"),
+            (lambda i: local_channel(np.eye(8, dtype=complex), np.eye(2) / 2, 2, i), "node"),
+        ],
+        ids=["embed_pauli", "partial_trace", "local_channel"],
+    )
+    def test_non_index_raises_naming_the_parameter(self, call, name, index):
+        # an index is an integer (a boolean is not one) inside the register
+        with pytest.raises(ValueError, match=f"^{name}"):
+            call(index)

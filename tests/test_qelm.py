@@ -228,8 +228,10 @@ class TestSampleFeatures:
             assert np.array_equal(got, ref)
 
     def test_shot_model_validation(self):
-        with pytest.raises(ValueError, match="shots"):
-            ShotModel("joint_bitstrings", 0)
+        for shots in (0, None, [5], float("inf"), 2.5, True):
+            with pytest.raises(ValueError, match="^shots must be an integer"):
+                ShotModel("joint_bitstrings", shots)
+        assert ShotModel("joint_bitstrings", 1e6).shots == 10**6
         assert ShotModel("joint").mode is ShotMode.JOINT_BITSTRINGS
         assert ShotModel("exact").shots == 10**6
 
