@@ -23,7 +23,6 @@ from .harness import (
     aggregate_records,
     aggregate_stats,
     run_haar_baseline,
-    run_single,
     run_time_sweep,
 )
 from .linalg import (

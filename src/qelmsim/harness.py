@@ -5,8 +5,7 @@ across the time grid, or one Haar draw -- and every unit derives its own random
 streams from the master seed, so the record set is a pure function of the
 configuration however the units are scheduled. A realization's Hamiltonian is
 diagonalized once; each grid time builds its propagator from that factorization.
-Every record, of a sweep unit or of ``run_single``, comes from one per-unit loop
-around one evaluator, so ``run_single`` returns the bytes a sweep writes.
+Every record comes from one per-unit loop around one evaluator.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .reservoir import (
     DEFAULT_J_RANGE,
     CouplingScheme,
     HamiltonianSpec,
-    ReservoirHamiltonian,
     Topology,
     sample_hamiltonian,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "HolevoNodeRow",
     "DEFAULT_TIME_GRID",
     "derive_rng",
-    "run_single",
     "run_time_sweep",
     "run_haar_baseline",
     "aggregate_stats",
@@ -77,8 +74,9 @@ class ConfigError(ValueError):
 
 # Config values: one resolver per kind of value maps a field's file form, or
 # its resolved value, to the resolved value or raises ValueError. The rules for
-# numbers, counts, intervals and the register size live in ``linalg``;
-# ``reservoir.HamiltonianSpec`` resolves its fields with them too.
+# numbers, counts, intervals, the register size and ``rcond`` live in
+# ``linalg``; ``reservoir.HamiltonianSpec`` and ``linalg.svd_pseudoinverse``
+# resolve their inputs with them too.
 
 
 def _list_of(value, parse, bare=(), dedupe: bool = False) -> tuple:
@@ -135,12 +133,6 @@ def _shot_model(value) -> ShotModel:
             raise ValueError(f"unknown keys {sorted(unknown, key=str)}")
         return ShotModel(**value)
     raise ValueError(f"must be a mode string or a {{mode, shots}} object, got {value!r}")
-
-
-def _rcond(value):
-    if value is not None and _finite(value, "a non-null value") < 0:
-        raise ValueError(f"must be >= 0 or null, got {value!r}")
-    return value if value is None else float(value)
 
 
 def _flag(value) -> bool:
@@ -214,7 +206,7 @@ _RESOLVERS = {
     "n_test": _count,
     "shot_model": _shot_model,
     "master_seed": lambda v: _count(v, minimum=0),
-    "rcond": _rcond,
+    "rcond": la._rcond,
     "log_base": la._log_base,
     "include_haar_baseline": _flag,
     "metrics": lambda v: _list_of(v, _metric, dedupe=True),
@@ -327,29 +319,29 @@ def _otoc_eigenbasis_ops(n_reservoir: int) -> np.ndarray:
     return np.repeat(qelm._z_sign_matrix(n_reservoir), 2, axis=1)
 
 
-def _otoc_per_pair_from_unitary(u: np.ndarray, n_reservoir: int) -> np.ndarray:
-    """OTOC of each (sigma_z on reservoir site i, input Pauli a) pair under ``u``.
+def _otoc_per_pair_from_unitary(u: np.ndarray, n_reservoir: int) -> float:
+    """Mean OTOC under ``u`` over (sigma_z on reservoir site i, input Pauli a)
+    pairs, the ``otoc_avg`` that sweeps record.
 
-    B_a = u (I x sigma_a) u^dag is Hermitian, so with z_i the diagonal of
-    sigma_z on site i, Tr[A_i(t) sigma_a A_i(t) sigma_a] = sum_mn z_i,m z_i,n
-    |B_a,mn|^2. From the even and odd columns U0, U1 of ``u``, P = U0 U1^dag
-    and Q = U0 U0^dag give B_x = P + P^dag, B_y = i(P^dag - P) and
-    B_z = 2Q - I; the symmetric z-form turns the first two into
-    2 z|P|^2z +- 2 z Re(P o P^T) z.
+    With B_a = u (I x sigma_a) u^dag, z_i the diagonal of sigma_z on site i,
+    and the even and odd columns U0, U1 of ``u``, P = U0 U1^dag and
+    Q = U0 U0^dag give B_x = P + P^dag, B_y = i(P^dag - P) and B_z = 2Q - I.
+    The one-qubit twirl sum_a sigma_a X sigma_a = 2 Tr(X) I - X on the input
+    qubit cancels the x/y cross terms:
+    sum_a Tr[Z_i B_a Z_i B_a] = 4 z_i^T (|P|^2 + |Q|^2) z_i - 4 Tr Q + dim,
+    which is 4 z_i^T (|P|^2 + |Q|^2) z_i - dim for a unitary ``u``. Keeping
+    the computed Tr Q holds the round-off to that of the 3N per-pair values
+    1 - Tr/dim whose mean this is. The function returns only the mean; it
+    keeps its name because bench/bench_trace.py wraps it by that name.
     """
     z = _otoc_eigenbasis_ops(n_reservoir)
     dim = u.shape[0]
-
-    def z_forms(m):
-        return ((z @ m) * z).sum(axis=1)
-
     u0, u1 = u[:, 0::2], u[:, 1::2]
     p = u0 @ u1.conj().T
-    square = z_forms(p.real**2 + p.imag**2)
-    cross = z_forms(p.real * p.real.T - p.imag * p.imag.T)
-    b_z = 2.0 * (u0 @ u0.conj().T) - np.eye(dim)
-    tr_z = z_forms(b_z.real**2 + b_z.imag**2)
-    return 1.0 - np.stack([2.0 * (square + cross), 2.0 * (square - cross), tr_z], axis=1) / dim
+    q = u0 @ u0.conj().T
+    m = p.real**2 + p.imag**2 + q.real**2 + q.imag**2
+    twirled = 4.0 * ((z @ m) * z).sum() - n_reservoir * (4.0 * np.trace(q).real - dim)
+    return float(1.0 - twirled / (3 * n_reservoir * dim))
 
 
 # The same kernel under the name Hamiltonian records call it by, so that the
@@ -360,16 +352,16 @@ _otoc_per_pair_from_eig = _otoc_per_pair_from_unitary
 
 def _propagator_columns(eig: la.SpectralDecomposition, t: float) -> np.ndarray:
     """exp(-iHt) at one grid time. The evaluator reads its first two columns
-    for features and Holevo information, and all of it for the OTOCs."""
+    for features and Holevo information, and all of it for the mean OTOC."""
     return la.evolve_unitary(eig, t)
 
 
-def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, otoc_pairs) -> dict:
+def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, otoc_mean) -> dict:
     """Requested metric fields of one record under the propagator ``u``.
 
     Features and Holevo information see only the input columns of ``u``
-    (``la._input_columns``); the OTOCs need all of ``u`` and come from
-    ``otoc_pairs(u, n)``.
+    (``la._input_columns``); the mean OTOC needs all of ``u`` and comes from
+    ``otoc_mean(u, n)``.
     """
     want = set(cfg.metrics)
     train, test, y_train, y_test = inputs
@@ -384,7 +376,7 @@ def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, 
             trained = qelm.train_readout(p_train, y_train, cfg.rcond)
             fields["mse"] = qelm.mse(y_test, qelm.predict(trained, p_test))
     if "otoc" in want:
-        fields["otoc_avg"] = float(otoc_pairs(u, n).mean())
+        fields["otoc_avg"] = otoc_mean(u, n)
     if {"holevo", "holevo_per_node"} & want:
         profile = scrambling._holevo_from_columns(v01, n, cfg.log_base)
         if "holevo" in want:
@@ -395,7 +387,7 @@ def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, 
 
 
 def _unit_outcomes(
-    cfg: SweepConfig, n: int, slots: tuple, labels: tuple, times, prepare, propagator, otoc_pairs
+    cfg: SweepConfig, n: int, slots: tuple, labels: tuple, times, prepare, propagator, otoc_mean
 ) -> tuple:
     """``(records, failures)`` of one unit: one record per time, or its failure.
 
@@ -419,7 +411,7 @@ def _unit_outcomes(
     for ti, t in enumerate(times):
         try:
             shot_rng = derive_rng(cfg.master_seed, _KIND_SHOTS, n, topo_i, scheme_i, realization, ti)
-            fields = _evaluate(cfg, propagator(state, t), n, inputs, shot_rng, otoc_pairs)
+            fields = _evaluate(cfg, propagator(state, t), n, inputs, shot_rng, otoc_mean)
         except Exception as exc:
             failures.append(failure(t, exc))
             continue
@@ -455,29 +447,6 @@ def _haar_unit(args) -> tuple:
         cfg, n, (_HAAR_TOPOLOGY_INDEX, _HAAR_SCHEME_INDEX, realization), (HAAR_LABEL, HAAR_LABEL), (None,),
         prepare, lambda u, t: u, _otoc_per_pair_from_unitary,
     )
-
-
-def run_single(
-    ham: ReservoirHamiltonian, t: float, config: SweepConfig, realization_index: int = 0
-) -> ExperimentRecord:
-    """Evaluate one realization at one time through the sweeps' per-unit loop.
-
-    The record equals, byte for byte, the one a sweep of ``config`` with the
-    grid ``(t,)`` writes for this Hamiltonian at ``realization_index``.
-    A failure is re-raised as RuntimeError tagged with the record key.
-    """
-    spec = ham.spec
-    topo_i, scheme_i = _TOPOLOGY_INDEX[spec.topology], _SCHEME_INDEX[spec.scheme]
-    with la.single_blas_thread():
-        records, failures = _unit_outcomes(
-            config, spec.n_reservoir, (topo_i, scheme_i, realization_index),
-            (spec.topology.value, spec.scheme.value), (float(t),),
-            lambda: (spec.seed, la.herm_eig(ham.h_total)), _propagator_columns, _otoc_per_pair_from_eig,
-        )
-    if failures:
-        key = (realization_index, spec.topology.value, spec.scheme.value, spec.n_reservoir, t)
-        raise RuntimeError(f"run_single failed for record key {key}: {failures[0].error}")
-    return records[0]
 
 
 # ---------------------------------------------------------------------------

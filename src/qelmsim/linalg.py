@@ -68,8 +68,9 @@ del _m
 
 
 # Input rules, shared by ``reservoir.HamiltonianSpec``, ``qelm.ShotModel``,
-# ``harness.SweepConfig`` and the functions here that take a qubit count or an
-# index: each resolver maps a value to its resolved form or raises ValueError.
+# ``harness.SweepConfig`` and the functions here that take a qubit count, an
+# index or a cutoff: each resolver maps a value to its resolved form or raises
+# ValueError.
 
 
 def _is_integer(value) -> bool:
@@ -129,6 +130,13 @@ def _interval(value) -> tuple:
     if len(pair) != 2 or pair[0] > pair[1]:
         raise ValueError(f"must be a [lo, hi] pair with lo <= hi, got {value!r}")
     return pair
+
+
+def _rcond(value):
+    """The pseudoinverse cutoff: None for the default, or a finite real >= 0."""
+    if value is not None and _finite(value, "rcond") < 0:
+        raise ValueError(f"rcond must be >= 0 or None, got {value!r}")
+    return value if value is None else float(value)
 
 
 def _register_dim(n_qubits, name: str, extra: int = 0) -> int:
@@ -338,10 +346,9 @@ def svd_pseudoinverse(m: np.ndarray, rcond: float | None = None):
     ``(pinv, singular_values)`` with singular values sorted descending.
     """
     m = np.asarray(m)
+    rcond = _rcond(rcond)
     if rcond is None:
         rcond = 1e-12 * max(m.shape)
-    if rcond < 0:
-        raise ValueError(f"rcond must be >= 0, got {rcond}")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     smax = s[0] if s.size else 0.0
     cutoff = rcond * smax

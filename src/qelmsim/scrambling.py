@@ -4,11 +4,13 @@ Both quantifiers live on the same (N+1)-qubit register as the estimation
 pipeline: ``sigma_z`` on each reservoir site plays the role of the readout
 operator, Paulis on the input qubit the role of the encoded degree of freedom.
 Sweeps compute Holevo information through ``_holevo_from_columns``, which
-``local_holevo_profile`` also calls. ``averaged_otoc`` and ``local_channel``
-are dense references that sweeps do not call (their OTOC comes from the
-closed-form kernel in ``harness``); the tests and the benchmark's output
-checks compare sweep outputs against them. Every marginal goes through the
-same Hermiticity check as any other operator (``linalg.require_hermitian``).
+``local_holevo_profile`` also calls, and record only the mean OTOC, which the
+closed-form kernel in ``harness`` computes from the Pauli twirl.
+``averaged_otoc``, ``local_channel`` and ``linalg.von_neumann_entropy`` stay
+dense references that sweeps do not call, because ``bench/bench_checks.py``
+recomputes records through them; the tests compare the kernels with them
+too. Every marginal goes through the same Hermiticity check as any other
+operator (``linalg.require_hermitian``).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import pytest
 
 import qelmsim.harness as harness
 from qelmsim import cli, linalg as la, qelm
-from qelmsim.harness import SweepConfig, derive_rng, run_haar_baseline, run_single, run_time_sweep
+from qelmsim.harness import SweepConfig, derive_rng, run_haar_baseline, run_time_sweep
 from qelmsim.qelm import ShotModel
 from qelmsim.reservoir import CouplingScheme, HamiltonianSpec, Topology, sample_hamiltonian
 from qelmsim.scrambling import averaged_otoc
@@ -74,20 +74,22 @@ def haar_ensemble():
 
 class TestCriterion1ZeroTime:
     def test_zero_time_analytics(self):
-        cfg = SweepConfig(
-            n_reservoir=5,
-            time_grid=(1.0,),
-            n_realizations=1,
-            n_train=50,
-            n_test=50,
-            shot_model=ShotModel("exact"),
-            master_seed=ACCEPT_SEED,
-        )
         ok = True
         details = []
         for topo, scheme, seed in (("C", "SL", 11), ("R", "ML", 12), ("FC", "ML", 13)):
-            ham = sample_hamiltonian(HamiltonianSpec(5, topo, scheme, seed=seed))
-            record = run_single(ham, 0.0, cfg)
+            cfg = SweepConfig(
+                n_reservoir=5,
+                topologies=(topo,),
+                schemes=(scheme,),
+                time_grid=(0.0,),
+                n_realizations=1,
+                n_train=50,
+                n_test=50,
+                shot_model=ShotModel("exact"),
+                master_seed=ACCEPT_SEED,
+            )
+            record = run_time_sweep(cfg).records[0]
+            ham = sample_hamiltonian(HamiltonianSpec(5, topo, scheme, cfg.j_range, cfg.delta_range, seed=record.seed))
             u0 = la.evolve_unitary(la.herm_eig(ham.h_total), 0.0)
             rng = np.random.default_rng(seed)
             states = [la.random_pure_qubit_state(rng) for _ in range(10)]

@@ -13,14 +13,13 @@ from qelmsim.harness import (
     aggregate_stats,
     derive_rng,
     run_haar_baseline,
-    run_single,
     run_time_sweep,
 )
 from qelmsim.qelm import ShotModel
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
 from qelmsim.scrambling import averaged_otoc, local_holevo_profile
 
-from _oracles import full_space_z_features
+from _oracles import full_space_z_features, swap_unitary
 
 
 def small_config(**overrides):
@@ -165,38 +164,13 @@ class TestAggregateStats:
             aggregate_stats([])
 
 
-class TestRunSingle:
+class TestSweeps:
     def test_zero_time_analytics(self):
-        cfg = small_config()
-        seed = harness._derived_seed(cfg.master_seed, 0, 3, 0, 0, 0)
-        ham = sample_hamiltonian(HamiltonianSpec(3, "C", "SL", seed=seed))
-        record = run_single(ham, 0.0, cfg)
+        record = run_time_sweep(small_config(time_grid=(0.0,), n_realizations=1)).records[0]
         assert abs(record.otoc_avg) <= 1e-12
         assert abs(record.holevo_avg) <= 1e-10
         assert record.mse > 0.1
 
-    def test_failure_tagged_with_key(self):
-        cfg = small_config(rcond=None)
-        ham = sample_hamiltonian(HamiltonianSpec(3, "C", "SL", seed=7))
-        bad = dataclasses.replace(ham, h_total=ham.h_total + 1e-3 * 1j * np.eye(16))
-        with pytest.raises(RuntimeError, match="record key"):
-            run_single(bad, 1.0, cfg)
-
-    @pytest.mark.parametrize("t", [0.5, 5.0])
-    def test_matches_the_sweep_record(self, t):
-        # run_single goes through the sweep's loop with BLAS on one thread, so
-        # at N=7 it reproduces the sweep's record bit for bit
-        cfg = SweepConfig(
-            n_reservoir=7, topologies=("FC",), schemes=("ML",), time_grid=(t,), n_realizations=2, master_seed=4
-        )
-        swept = run_time_sweep(cfg).records[1]
-        ham = sample_hamiltonian(HamiltonianSpec(7, "FC", "ML", cfg.j_range, cfg.delta_range, seed=swept.seed))
-        single = run_single(ham, t, cfg, realization_index=1)
-        for field in dataclasses.fields(swept):
-            assert np.array_equal(getattr(single, field.name), getattr(swept, field.name)), field.name
-
-
-class TestSweeps:
     def test_record_count(self):
         out = run_time_sweep(small_config())
         assert len(out.records) == 2 * 1 * 3  # realizations x combos x times
@@ -336,8 +310,17 @@ class TestFastPathKernels:
         else:
             spec = HamiltonianSpec(n, "FC", "ML", seed=51 + n)
             u = la.evolve_unitary(la.herm_eig(sample_hamiltonian(spec).h_total), t)
-        per = harness._otoc_per_pair_from_unitary(u, n)
-        assert np.max(np.abs(per - averaged_otoc(u, n).per_pair)) <= 1e-13
+        mean = harness._otoc_per_pair_from_unitary(u, n)
+        assert abs(mean - averaged_otoc(u, n).averaged) <= 1e-13
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_mean_otoc_exact_values(self, n):
+        # no scrambling gives 0; swapping the input with site i gives OTOC 2
+        # for (i, x) and (i, y) and 0 for the other 3N - 2 pairs
+        assert abs(harness._otoc_per_pair_from_unitary(np.eye(2 ** (n + 1), dtype=complex), n)) <= 1e-15
+        for site in range(n):
+            mean = harness._otoc_per_pair_from_unitary(swap_unitary(n + 1, site, n), n)
+            assert abs(mean - 4 / (3 * n)) <= 1e-15
 
     def test_mid_grid_failure_keeps_other_records(self, monkeypatch):
         cfg = small_config()

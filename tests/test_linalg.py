@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qelmsim import linalg as la
+from qelmsim import linalg as la, qelm
 from qelmsim.scrambling import local_channel
 from qelmsim.reservoir import edge_set, injection_sites
 
@@ -291,6 +291,13 @@ class TestPseudoinverse:
     def test_negative_rcond_rejected(self):
         with pytest.raises(ValueError, match="rcond"):
             la.svd_pseudoinverse(np.eye(2), rcond=-1.0)[0]
+        # nan used to act as a cutoff of 0, inf as a cutoff above every
+        # singular value, True as 1; a string raised TypeError
+        for rcond in (np.nan, np.inf, True, "abc"):
+            with pytest.raises(ValueError, match="rcond"):
+                la.svd_pseudoinverse(np.eye(2), rcond=rcond)
+            with pytest.raises(ValueError, match="rcond"):
+                qelm.train_readout(np.eye(2), np.eye(3, 2), rcond)
 
 
 class TestSingleBlasThread:

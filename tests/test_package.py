@@ -40,7 +40,6 @@ PUBLIC_NAMES = (
     "random_pure_qubit_state",
     "reservoir",
     "run_haar_baseline",
-    "run_single",
     "run_time_sweep",
     "sample_features",
     "sample_hamiltonian",

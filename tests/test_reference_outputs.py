@@ -70,17 +70,15 @@ def column_moves(got: list, want: list, close) -> dict:
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_reproduces_the_reference(tmp_path, threads):
-    if environment() == REFERENCE_ENVIRONMENT:
-        def close(a, b):
-            return False
-    else:
+    same_build = environment() == REFERENCE_ENVIRONMENT
+    if not same_build:
         warnings.warn(
             f"{environment()} is not the reference build ({REFERENCE_ENVIRONMENT}); "
             f"values are compared at rtol {FOREIGN_RTOL} and atol {FOREIGN_ATOL}"
         )
 
-        def close(a, b):
-            return math.isclose(a, b, rel_tol=FOREIGN_RTOL, abs_tol=FOREIGN_ATOL)
+    def close(a, b):
+        return not same_build and math.isclose(a, b, rel_tol=FOREIGN_RTOL, abs_tol=FOREIGN_ATOL)
 
     argv = ["sweep-time", "--config", str(REFERENCE / "config.json"), "--out", str(tmp_path), "--threads", str(threads)]
     assert cli.main(argv) == cli.EXIT_OK
