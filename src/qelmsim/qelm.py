@@ -89,11 +89,20 @@ def _reservoir_basis_probs(v01: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """Diagonal of the reservoir marginal of ``v01 @ rho @ v01^dag`` per state.
 
     ``rhos`` is one (2, 2) state or a (k, 2, 2) stack; the result has shape
-    (2^N,) or (k, 2^N).
+    (2^N,) or (k, 2^N). The map is affine in rho: with the input columns a
+    and b of ``v01`` and a Hermitian rho, row r of ``v01 @ rho @ v01^dag``
+    has diagonal rho00 |a_r|^2 + rho11 |b_r|^2 + 2 Re(rho01 a_r conj(b_r)).
+    So the probabilities are one real product of [rho00, rho11, 2 Re rho01,
+    2 Im rho01] per state with C = [|a|^2, |b|^2, Re(a conj b), -Im(a conj b)],
+    whose rows are summed over the input bit; mixed states included.
     """
-    a = v01 @ rhos
-    row = np.einsum("...rc,rc->...r", a, v01.conj()).real
-    return row.reshape(row.shape[:-1] + (row.shape[-1] // 2, 2)).sum(axis=-1)
+    a, b = v01[:, 0], v01[:, 1]
+    ab = a * b.conj()
+    c = np.stack([a.real**2 + a.imag**2, b.real**2 + b.imag**2, ab.real, -ab.imag])
+    c = c.reshape(4, -1, 2).sum(axis=-1)
+    rho01 = rhos[..., 0, 1]
+    coords = np.stack([rhos[..., 0, 0].real, rhos[..., 1, 1].real, 2.0 * rho01.real, 2.0 * rho01.imag], axis=-1)
+    return coords @ c
 
 
 def _qubit_states(states) -> np.ndarray:

@@ -6,12 +6,17 @@ graph; the input qubit couples either to reservoir qubit 0 only (single link)
 or to all reservoir qubits (multi link). Every two-site term carries an
 independent 3x3 block of Pauli-Pauli couplings, every reservoir site an
 independent local field; the input qubit carries no local field.
+
+Each Pauli string is a signed permutation, so the strings of one (topology,
+scheme, N) are cached once as an int8 sign plan (``_sign_plan``); a realization
+adds its coefficients, drawn in the order ``sample_hamiltonian`` documents, along it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,33 +143,38 @@ class ReservoirHamiltonian:
     local_fields: np.ndarray
 
 
-def _add_pauli_string(h: np.ndarray, coeff: float, factors, n_total: int) -> None:
-    """``h += coeff * P`` for the Pauli string ``P`` given as ``(site, axis)`` factors.
+@lru_cache(maxsize=None)
+def _sign_plan(topology: Topology, scheme: CouplingScheme, n: int) -> tuple:
+    """``(flips, imag, signs)`` of every Pauli string of the model, in draw order.
 
-    A Pauli string is a signed permutation: X and Y flip the site's bit, and
-    Y and Z give each row a phase that depends on the bit. Every entry of
-    ``coeff * P`` is exactly ``+-coeff`` or ``+-1j * coeff``.
+    A Pauli string is a signed permutation: X and Y flip the site's bit, Y and
+    Z give each row a sign from the bit, and each Y a factor -i. So string s
+    puts ``coeff * signs[s, r]`` at (r, r ^ flips[s]), in the imaginary part
+    where ``imag[s]`` (one Y) and in the real part otherwise. The strings are
+    the (a, b) blocks of ``edge_set``, the (k, a) fields, then the (a, b)
+    blocks of ``injection_sites``; ``signs`` is int8, a byte per row.
     """
-    rows = np.arange(h.shape[0])
-    flip = 0
-    phase = np.full(h.shape[0], coeff, dtype=complex)
-    for site, axis in factors:
-        shift = n_total - 1 - site
-        sign = 1 - 2 * ((rows >> shift) & 1)
-        if axis != "z":
-            flip |= 1 << shift
-        if axis == "y":
-            phase *= -1j * sign
-        elif axis == "z":
-            phase *= sign
-    h[rows, rows ^ flip] += phase
-
-
-def _add_coupling_block(h: np.ndarray, jmat: np.ndarray, site_a: int, site_b: int, n_total: int) -> None:
-    """``h += sum_ab J[a, b] sigma_a(site_a) sigma_b(site_b)``, in row-major (a, b) order."""
-    for a, axis_a in enumerate(la.PAULI_AXES):
-        for b, axis_b in enumerate(la.PAULI_AXES):
-            _add_pauli_string(h, jmat[a, b], ((site_a, axis_a), (site_b, axis_b)), n_total)
+    rows, axes = np.arange(2 ** (n + 1)), la.PAULI_AXES
+    blocks = [((k, a), (j, b)) for k, j in edge_set(topology, n) for a in axes for b in axes]
+    blocks += [((k, a),) for k in range(n) for a in axes]
+    blocks += [((k, a), (n, b)) for k in injection_sites(scheme, n) for a in axes for b in axes]
+    flips, imag, signs = [], [], []
+    for factors in blocks:
+        flip, sign, n_y = 0, np.ones_like(rows), 0
+        for site, axis in factors:
+            shift = n - site
+            if axis != "z":
+                flip |= 1 << shift
+            if axis != "x":
+                sign *= 1 - 2 * ((rows >> shift) & 1)
+            n_y += axis == "y"
+        flips.append(flip)
+        imag.append(n_y == 1)
+        signs.append(-sign if n_y else sign)  # (-i)**1 = -i, (-i)**2 = -1
+    plan = (np.array(flips), np.array(imag), np.array(signs, dtype=np.int8))
+    for part in plan:
+        part.setflags(write=False)
+    return plan
 
 
 def sample_hamiltonian(spec: HamiltonianSpec) -> ReservoirHamiltonian:
@@ -172,34 +182,35 @@ def sample_hamiltonian(spec: HamiltonianSpec) -> ReservoirHamiltonian:
 
     A fresh generator seeded from ``spec.seed`` draws, in this fixed order,
     the per-edge 3x3 couplings in ``edge_set`` order, then the (N, 3) local
-    fields, then the per-link input couplings in ascending site order.
+    fields, then the per-link input couplings in ascending site order: one
+    call per block, which takes the stream as one call per edge or link would.
+    ``h_total`` is one ``bincount`` per part over the cached ``_sign_plan``.
+    ``bincount`` adds in input order, so each entry sums its strings in draw
+    order, as adding one string at a time would (the zero that a string adds
+    to its other part changes no sum).
     """
     rng = np.random.default_rng(spec.seed)
-    n = spec.n_reservoir
-    n_tot = spec.n_total
-    h = np.zeros((spec.dim, spec.dim), dtype=complex)
-
-    couplings_res: dict[tuple[int, int], np.ndarray] = {}
-    for k, j in edge_set(spec.topology, n):
-        jmat = rng.uniform(spec.j_range[0], spec.j_range[1], size=(3, 3))
-        couplings_res[(k, j)] = jmat
-        _add_coupling_block(h, jmat, k, j, n_tot)
-
+    n, dim = spec.n_reservoir, spec.dim
+    edges = edge_set(spec.topology, n)
+    links = injection_sites(spec.scheme, n)
+    j_edges = rng.uniform(spec.j_range[0], spec.j_range[1], size=(len(edges), 3, 3))
     local_fields = rng.uniform(spec.delta_range[0], spec.delta_range[1], size=(n, 3))
-    for k in range(n):
-        for a, axis in enumerate(la.PAULI_AXES):
-            _add_pauli_string(h, local_fields[k, a], ((k, axis),), n_tot)
+    j_links = rng.uniform(spec.j_range[0], spec.j_range[1], size=(len(links), 3, 3))
 
-    couplings_inj: dict[int, np.ndarray] = {}
-    for k in injection_sites(spec.scheme, n):
-        jmat = rng.uniform(spec.j_range[0], spec.j_range[1], size=(3, 3))
-        couplings_inj[k] = jmat
-        _add_coupling_block(h, jmat, k, spec.input_site, n_tot)
+    flips, imag, signs = _sign_plan(spec.topology, spec.scheme, n)
+    coeffs = np.concatenate([j_edges.ravel(), local_fields.ravel(), j_links.ravel()])
+    rows = np.arange(dim)
+    h = np.empty((dim, dim), dtype=complex)
+    for part, strings in ((h.real, ~imag), (h.imag, imag)):
+        flat = rows ^ flips[strings, None]
+        flat += rows * dim
+        weights = coeffs[strings, None] * signs[strings]
+        part[...] = np.bincount(flat.ravel(), weights.ravel(), minlength=dim * dim).reshape(h.shape)
 
     return ReservoirHamiltonian(
         spec=spec,
         h_total=h,
-        couplings_res=couplings_res,
-        couplings_inj=couplings_inj,
+        couplings_res=dict(zip(edges, j_edges)),
+        couplings_inj=dict(zip(links, j_links)),
         local_fields=local_fields,
     )

@@ -97,3 +97,11 @@ def full_space_z_features(u: np.ndarray, states, n_reservoir: int) -> np.ndarray
             z_j = np.kron(np.kron(np.eye(2**j), z), np.eye(2 ** (n_reservoir - j)))
             feats[j, k] = np.trace(z_j @ out).real
     return feats
+
+
+def reservoir_probabilities(v01: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Reservoir outcome probabilities of one input state ``rho``: the
+    diagonal of ``v01 rho v01^dag`` (input qubit last), summed over the input
+    bit by an explicit loop."""
+    diag = np.diag(v01 @ rho @ v01.conj().T).real
+    return np.array([diag[2 * m] + diag[2 * m + 1] for m in range(diag.size // 2)])

@@ -262,6 +262,36 @@ class TestSweeps:
             assert record.holevo_avg == pytest.approx(profile.averaged, abs=1e-10)
             assert np.allclose(record.holevo_per_node, profile.per_node, atol=1e-10)
 
+    def test_stage_call_counts_per_record_and_unit(self, monkeypatch):
+        """Two feature calls per record and one Hamiltonian build per unit.
+
+        ``bench/bench_trace.py`` times stages by wrapping these two names and
+        reports ``qelm.features.ms_p90`` only from 100 calls up. The traced
+        ensemble-n7 run makes 112 feature calls, 2 per record; a change that
+        merged the train and test calls left 56, the key dropped out of the
+        result and the run's last line was no longer a result.
+        """
+        calls = {"features": 0, "hamiltonian": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(qelm, "_features_from_columns", counting("features", qelm._features_from_columns))
+        monkeypatch.setattr(harness, "sample_hamiltonian", counting("hamiltonian", harness.sample_hamiltonian))
+        cfg = small_config(
+            n_reservoir=2, topologies=("C", "FC"), schemes=("SL", "ML"), time_grid=(0.0, 1.5),
+            shot_model=ShotModel("joint_bitstrings", 100), include_haar_baseline=True,
+        )
+        assert cfg.metrics == harness.ALL_METRICS
+        out = run_time_sweep(cfg)
+        assert not out.failures
+        assert len(out.records) == 4 * 2 * 2 + 2  # pairs x realizations x times, plus Haar
+        assert calls == {"features": 2 * len(out.records), "hamiltonian": 4 * 2}
+
     def test_multi_link_scrambles_earlier(self):
         # with more injection links the averaged correlator passes 0.9 sooner
         cfg = SweepConfig(

@@ -15,7 +15,14 @@ from qelmsim.qelm import (
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
 from qelmsim.scrambling import local_holevo_profile
 
-from _oracles import bloch_density, full_space_z_features, random_density, random_unitary, swap_unitary
+from _oracles import (
+    bloch_density,
+    full_space_z_features,
+    random_density,
+    random_unitary,
+    reservoir_probabilities,
+    swap_unitary,
+)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET_PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -234,6 +241,29 @@ class TestSampleFeatures:
         assert ShotModel("joint_bitstrings", 1e6).shots == 10**6
         assert ShotModel("joint").mode is ShotMode.JOINT_BITSTRINGS
         assert ShotModel("exact").shots == 10**6
+
+
+class TestReservoirProbabilities:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_affine_map_matches_dense_oracle(self, n):
+        # the (k, 4) @ (4, 2^N) product against the diagonal of v01 rho v01^dag
+        # summed over the input bit, for pure states, a mixed state, one (2, 2)
+        # state and a (k, 2, 2) stack
+        from qelmsim.qelm import _reservoir_basis_probs
+
+        rng = np.random.default_rng(50 + n)
+        v01 = random_unitary(rng, 2 ** (n + 1))[:, :2]
+        kets = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+        states = [np.outer(ket, ket.conj()) for ket in kets] + [random_density(rng, 2), bloch_density(0.2, -0.5, 0.1)]
+        stack = _reservoir_basis_probs(v01, np.array(states))
+        assert stack.shape == (len(states), 2**n)
+        for k, rho in enumerate(states):
+            ref = reservoir_probabilities(v01, rho)
+            single = _reservoir_basis_probs(v01, rho)
+            assert single.shape == (2**n,)
+            assert np.max(np.abs(single - ref)) <= 1e-15
+            assert np.max(np.abs(stack[k] - ref)) <= 1e-15
 
 
 class TestPauliTargets:

@@ -152,9 +152,36 @@ class TestSampleHamiltonian:
     def test_rebuild_matches_all_variants(self):
         cases = [(3, topo, scheme, 7) for topo in ("C", "R", "FC") for scheme in ("SL", "ML")]
         cases += [(7, topo, scheme, seed) for topo, scheme in (("C", "SL"), ("FC", "ML")) for seed in (0, 99)]
+        cases += [
+            (n, topo, scheme, seed)
+            for n in (1, 2, 3, 4, 5)
+            for topo in ("C", "R", "FC")
+            if topo != "R" or n >= 3
+            for scheme in ("SL", "ML")
+            for seed in (0, 1, 99, 12345)
+        ]
         for n, topo, scheme, seed in cases:
             ham = sample_hamiltonian(HamiltonianSpec(n, topo, scheme, seed=seed))
             assert np.array_equal(ham.h_total, rebuild_from_coefficients(ham))
+
+    @pytest.mark.parametrize("n, topo, scheme", [(1, "C", "ML"), (3, "R", "SL"), (4, "FC", "ML"), (7, "C", "ML")])
+    def test_draw_order(self, n, topo, scheme):
+        # one uniform call per edge block, then the fields, then one per link
+        # block, from a fresh generator on the spec's seed
+        spec = HamiltonianSpec(n, topo, scheme, seed=2024)
+        ham = sample_hamiltonian(spec)
+        rng = np.random.default_rng(2024)
+        edges = edge_set(topo, n)
+        links = injection_sites(scheme, n)
+        expected_res = {edge: rng.uniform(-1.0, 1.0, size=(3, 3)) for edge in edges}
+        expected_fields = rng.uniform(-0.1, 0.1, size=(n, 3))
+        expected_inj = {k: rng.uniform(-1.0, 1.0, size=(3, 3)) for k in links}
+        assert list(ham.couplings_res) == edges and list(ham.couplings_inj) == links
+        for edge in edges:
+            assert np.array_equal(ham.couplings_res[edge], expected_res[edge])
+        assert np.array_equal(ham.local_fields, expected_fields)
+        for k in links:
+            assert np.array_equal(ham.couplings_inj[k], expected_inj[k])
 
     def test_determinism(self):
         spec = HamiltonianSpec(3, "R", "ML", seed=123)
