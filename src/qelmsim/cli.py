@@ -1,5 +1,7 @@
 """Command line front end: parse a config, run sweeps, emit plot-ready tables.
 
+Two commands, ``sweep-time`` and ``baseline-haar``, each run the experiment
+its config file describes; ``--seed`` is the one override of a config key.
 Exit codes: 0 success, 2 usage error, 3 config error, 4 runtime failure,
 5 partial failure (some work units failed; their keys are in failures.csv).
 Records are sorted deterministically and floats are serialized with 17
@@ -26,7 +28,6 @@ from pathlib import Path
 from . import __version__, harness
 from . import linalg as la
 from .harness import (
-    ALL_METRICS,
     AggregateRow,
     ConfigError,
     ExperimentRecord,
@@ -85,7 +86,10 @@ def parse_config(path=None) -> SweepConfig:
     """
     raw: dict = {}
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: cannot read config: {exc}") from exc
         if text.strip():
             try:
                 raw = json.loads(text)
@@ -163,7 +167,9 @@ def emit_records(
     """Write records, aggregate tables, per-node Holevo tables, and a manifest.
 
     The tables are computed from the records and written as CSV; the manifest
-    is JSON.
+    is JSON. Each file replaces the one of an earlier run into ``out_dir``,
+    and ``holevo_nodes.csv`` or ``failures.csv`` is removed when this run has
+    no rows for it, so no table outlives the run that wrote it.
     """
     records = list(records)
     failures = list(failures)
@@ -177,10 +183,14 @@ def emit_records(
     try:
         _write_csv(out / "records.csv", *_records_table(records))
         _write_csv(out / "aggregates.csv", *_stats_table(AggregateRow, agg_rows))
-        if node_rows:
-            _write_csv(out / "holevo_nodes.csv", *_stats_table(HolevoNodeRow, node_rows))
-        if failures:
-            _write_csv(out / "failures.csv", _FAILURE_COLUMNS, map(dataclasses.astuple, failures))
+        for name, header, rows in (
+            ("holevo_nodes.csv", *_stats_table(HolevoNodeRow, node_rows)),
+            ("failures.csv", _FAILURE_COLUMNS, [dataclasses.astuple(f) for f in failures]),
+        ):
+            if rows:
+                _write_csv(out / name, header, rows)
+            else:
+                (out / name).unlink(missing_ok=True)
         now = datetime.now(timezone.utc).isoformat()
         manifest = RunManifest(
             config_digest=config_digest(config) if config is not None else None,
@@ -211,47 +221,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON config file (defaults apply when omitted)")
-    parser.add_argument("--out", metavar="DIR", default=None, help=f"output directory (default ${ENV_OUT_DIR} or ./{_DEFAULT_OUT_DIR})")
-    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--threads", type=_positive_int, default=1, help="worker processes, each on one core (results are schedule-independent)")
-    parser.add_argument("--metrics", default=None, help=f"comma-separated subset of {','.join(ALL_METRICS)}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qelmsim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qelmsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_time = sub.add_parser("sweep-time", help="metrics over the configured sizes and time grid")
-    p_haar = sub.add_parser("baseline-haar", help="Haar-random global unitary baseline")
-    for p in (p_time, p_haar):
-        _add_common_arguments(p)
-
-    p_one = sub.add_parser("single-run", help="one realization at one time, record printed to stdout")
-    p_one.add_argument("--topology", required=True, help="C, R, or FC")
-    p_one.add_argument("--scheme", required=True, help="SL or ML")
-    p_one.add_argument("--n-reservoir", type=int, default=7)
-    p_one.add_argument("--time", type=float, default=5.0)
-    p_one.add_argument("--seed", type=int, default=0, help="master seed for this record")
-    p_one.add_argument("--shots", type=int, default=10**6)
-    p_one.add_argument("--shot-mode", default="joint_bitstrings", help="exact, joint_bitstrings, or independent_binomial")
-    p_one.add_argument("--metrics", default=None, help=f"comma-separated subset of {','.join(ALL_METRICS)}")
+    for name, text in (
+        ("sweep-time", "metrics over the configured sizes and time grid"),
+        ("baseline-haar", "Haar-random global unitary baseline"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", metavar="PATH", help="JSON config file (defaults apply when omitted)")
+        p.add_argument("--out", metavar="DIR", default=None, help=f"output directory (default ${ENV_OUT_DIR} or ./{_DEFAULT_OUT_DIR})")
+        p.add_argument("--seed", type=int, default=None, help="override the master seed")
+        p.add_argument("--threads", type=_positive_int, default=1, help="worker processes, each on one core (results are schedule-independent)")
     return parser
 
 
-def _parse_metrics(text: str) -> tuple:
-    return tuple(m.strip() for m in text.split(",") if m.strip())
-
-
 def _cmd_sweep(args) -> int:
-    replacements = {}
+    cfg = parse_config(args.config)
     if args.seed is not None:
-        replacements["master_seed"] = args.seed
-    if args.metrics is not None:
-        replacements["metrics"] = _parse_metrics(args.metrics)
-    cfg = dataclasses.replace(parse_config(args.config), **replacements)
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     out_dir = args.out or os.environ.get(ENV_OUT_DIR) or _DEFAULT_OUT_DIR
     started = datetime.now(timezone.utc).isoformat()
     runner = {"sweep-time": harness.run_time_sweep, "baseline-haar": harness.run_haar_baseline}[args.command]
@@ -271,31 +260,9 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_single_run(args) -> int:
-    metrics = _parse_metrics(args.metrics) if args.metrics is not None else ALL_METRICS
-    cfg = SweepConfig(
-        n_reservoir=args.n_reservoir,
-        topologies=(args.topology,),
-        schemes=(args.scheme,),
-        time_grid=(args.time,),
-        n_realizations=1,
-        shot_model={"mode": args.shot_mode, "shots": args.shots},
-        master_seed=args.seed,
-        metrics=metrics,
-    )
-    outcome = harness.run_time_sweep(cfg)
-    if outcome.failures:
-        raise RuntimeError(f"single run failed: {outcome.failures[0].error}")
-    record = outcome.records[0]
-    print(json.dumps(dataclasses.asdict(record), indent=1, sort_keys=True))
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "single-run":
-            return _cmd_single_run(args)
         return _cmd_sweep(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -163,6 +163,9 @@ class TestParseConfig:
             ({"shot_model": {"mode": "binomial", "shots": 2**63}}, "shots"),
             ({"shot_model": {"shots": float("inf")}}, "shots"),
             ({"shot_model": {"shots": [5]}}, "shots"),
+            ({"shot_model": {"shots": 10**20}}, "shots"),
+            ({"n_reservoir": 2, "topologies": ["R"]}, "topologies"),
+            ({"metrics": []}, "metrics"),
         ],
     )
     def test_booleans_and_fractional_counts_rejected(self, tmp_path, payload, field):
@@ -170,6 +173,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=field):
             parse_config(path)
         assert main(["sweep-time", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"master_seed": 1} \xff\xfe')
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            parse_config(path)
+        out_dir = tmp_path / "out"
+        assert main(["sweep-time", "--config", str(path), "--out", str(out_dir)]) == EXIT_CONFIG
+        assert not out_dir.exists()
 
     def test_integral_float_shots_and_points_accepted(self, tmp_path):
         payload = {"shot_model": {"shots": 1e6}, "time_grid": {"start": 0, "stop": 5, "points": 41.0}}
@@ -244,28 +260,22 @@ class TestEmitRecords:
 
 
 class TestCommands:
-    def test_single_run_zero_time(self, capsys):
-        code = main(
-            [
-                "single-run",
-                "--topology",
-                "C",
-                "--scheme",
-                "SL",
-                "--n-reservoir",
-                "2",
-                "--time",
-                "0",
-                "--seed",
-                "3",
-                "--shot-mode",
-                "exact",
-            ]
-        )
-        assert code == EXIT_OK
-        record = json.loads(capsys.readouterr().out)
-        assert abs(record["otoc_avg"]) <= 1e-12
-        assert record["mse"] > 0.1
+    def test_one_point_exact_sweep_at_zero_time(self, tmp_path):
+        # one realization at one time is a one-point config
+        payload = {
+            "n_reservoir": 2,
+            "topologies": ["C"],
+            "schemes": ["SL"],
+            "time_grid": [0.0],
+            "n_realizations": 1,
+            "shot_model": "exact",
+            "master_seed": 3,
+        }
+        out_dir = tmp_path / "out"
+        assert main(["sweep-time", "--config", write_config(tmp_path, payload), "--out", str(out_dir)]) == EXIT_OK
+        [record] = read_records_csv(out_dir / "records.csv")
+        assert abs(record.otoc_avg) <= 1e-12
+        assert record.mse > 0.1
 
     def test_sweep_time_writes_outputs(self, tmp_path):
         config_path = write_config(tmp_path, TINY_CONFIG)
@@ -337,34 +347,29 @@ class TestCommands:
         # header + (2 realizations x 2 grid times) of the failed n=2 units
         assert len(failures) == 1 + 4
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--topology", "C", "--shots", str(10**20)],
-            ["--topology", "R"],
-            ["--topology", "C", "--metrics", ""],
-        ],
-        ids=["shots-overflow", "ring-below-three", "empty-metrics"],
-    )
-    def test_single_run_config_error_exit_code(self, argv, capsys):
-        assert main(["single-run", "--scheme", "SL", "--n-reservoir", "2", *argv]) == EXIT_CONFIG
-        assert capsys.readouterr().out == ""
+    def test_rerun_removes_stale_optional_tables(self, tmp_path, monkeypatch):
+        original = harness.sample_hamiltonian
+
+        def failing_at_two(spec):
+            if spec.n_reservoir == 2:
+                raise RuntimeError("injected")
+            return original(spec)
+
+        out_dir = tmp_path / "out"
+        payload = dict(TINY_CONFIG, n_reservoir=[2, 3])
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "sample_hamiltonian", failing_at_two)
+            assert main(["sweep-time", "--config", write_config(tmp_path, payload), "--out", str(out_dir)]) == EXIT_PARTIAL
+        assert (out_dir / "failures.csv").exists() and (out_dir / "holevo_nodes.csv").exists()
+        clean = write_config(tmp_path, dict(TINY_CONFIG, metrics=["mse"]), name="clean.json")
+        assert main(["sweep-time", "--config", clean, "--out", str(out_dir)]) == EXIT_OK
+        assert sorted(p.name for p in out_dir.iterdir()) == ["aggregates.csv", "manifest.json", "records.csv"]
+        assert json.loads((out_dir / "manifest.json").read_text())["failure_count"] == 0
 
     def test_baseline_haar_and_metric_restriction(self, tmp_path):
-        config_path = write_config(tmp_path, TINY_CONFIG)
+        config_path = write_config(tmp_path, dict(TINY_CONFIG, metrics=["mse", "otoc"]))
         out_dir = tmp_path / "out"
-        code = main(
-            [
-                "baseline-haar",
-                "--config",
-                config_path,
-                "--out",
-                str(out_dir),
-                "--metrics",
-                "mse,otoc",
-            ]
-        )
-        assert code == EXIT_OK
+        assert main(["baseline-haar", "--config", config_path, "--out", str(out_dir)]) == EXIT_OK
         records = read_records_csv(out_dir / "records.csv")
         assert len(records) == 2
         for r in records:
@@ -389,12 +394,20 @@ class TestCommands:
         assert main(["sweep-time", "--config", config_path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
     def test_usage_error_exit_code(self, tmp_path):
-        # A value a flag rejects, and the removed table-format and lax-key flags.
+        # A value a flag rejects, the removed table-format, lax-key and metrics
+        # flags, and the removed single-run command.
         base = ["sweep-time", "--config", write_config(tmp_path, TINY_CONFIG), "--out", str(tmp_path / "o")]
-        for extra in (["--seed", "abc"], ["--format", "csv"], ["--lax"]):
+        for argv in (
+            base + ["--seed", "abc"],
+            base + ["--format", "csv"],
+            base + ["--lax"],
+            base + ["--metrics", "mse"],
+            ["single-run"],
+            ["single-run", "--topology", "FC", "--scheme", "ML"],
+        ):
             with pytest.raises(SystemExit) as excinfo:
-                main(base + extra)
-            assert excinfo.value.code == EXIT_USAGE, extra
+                main(argv)
+            assert excinfo.value.code == EXIT_USAGE, argv
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "envout"))
@@ -524,7 +537,7 @@ class TestReadme:
                 in_bash = line == "```bash"
             elif in_bash and line.startswith("qelmsim "):
                 argvs.append(shlex.split(line, comments=True)[1:])
-        assert {argv[0] for argv in argvs} == {"single-run", "sweep-time", "baseline-haar"}
+        assert {argv[0] for argv in argvs} == {"sweep-time", "baseline-haar"}
         for argv in argvs:
             args = cli._build_parser().parse_args(argv)
             config = getattr(args, "config", None)
@@ -539,10 +552,10 @@ class TestReadme:
         assert [name for name in names if not hasattr(qelmsim, name)] == []
 
     def test_common_flags_are_sweep_time_options(self):
-        # every --flag in the README's "Common flags" paragraph is a sweep-time option
+        # the README's "Common flags" paragraph documents exactly the sweep-time options
         text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         paragraph = re.search(r"^Common flags:(.*?)\n\n", text, re.S | re.M).group(1)
         flags = set(re.findall(r"--[a-z][a-z-]*", paragraph))
         sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        assert len(flags) >= 5
-        assert sorted(flags - set(sub.choices["sweep-time"]._option_string_actions)) == []
+        options = {o for o in sub.choices["sweep-time"]._option_string_actions if o.startswith("--")}
+        assert flags == options - {"--help"}
