@@ -74,13 +74,23 @@ class RunManifest:
     blas_threads: int | None
 
 
+def _unique_keys(pairs) -> dict:
+    """One JSON object from its ``(key, value)`` pairs; a repeated key is a ConfigError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_config(path=None) -> SweepConfig:
     """Read a JSON config file and materialize every default.
 
     An empty or missing file yields the full defaults (7 reservoir qubits,
     C/R/FC topologies, both coupling schemes, 41 times on [0, 5], 500
     realizations, 50/50 train/test states, 10^6 joint-bitstring shots).
-    Unknown keys are rejected.
+    Unknown keys, and a key repeated within one object, are rejected.
     The values go to ``SweepConfig`` as the file gives them; it resolves
     every field and raises ConfigError naming a malformed one.
     """
@@ -92,7 +102,7 @@ def parse_config(path=None) -> SweepConfig:
             raise ConfigError(f"{path}: cannot read config: {exc}") from exc
         if text.strip():
             try:
-                raw = json.loads(text)
+                raw = json.loads(text, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
         if not isinstance(raw, dict):

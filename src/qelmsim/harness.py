@@ -299,12 +299,10 @@ def _derived_seed(master_seed: int, *key) -> int:
 
 def _draw_inputs(cfg: SweepConfig, n: int, topo_i: int, scheme_i: int, realization: int) -> tuple:
     """``(train, test, y_train, y_test)`` drawn from the realization's state
-    stream; the Bloch targets are None unless ``mse`` is requested."""
+    stream, with the Bloch targets of both sets; the targets draw nothing."""
     rng = derive_rng(cfg.master_seed, _KIND_STATES, n, topo_i, scheme_i, realization)
     states = la._random_pure_qubit_states(rng, cfg.n_train + cfg.n_test)
     train, test = states[: cfg.n_train], states[cfg.n_train :]
-    if "mse" not in cfg.metrics:
-        return train, test, None, None
     return train, test, qelm.pauli_targets(train), qelm.pauli_targets(test)
 
 
@@ -361,7 +359,8 @@ def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, 
 
     Features and Holevo information see only the input columns of ``u``
     (``la._input_columns``); the mean OTOC needs all of ``u`` and comes from
-    ``otoc_mean(u, n)``.
+    ``otoc_mean(u, n)``. One SVD of the training features gives both the
+    readout and the condition number.
     """
     want = set(cfg.metrics)
     train, test, y_train, y_test = inputs
@@ -369,11 +368,11 @@ def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, 
     fields = {}
     if {"mse", "condition_number"} & want:
         p_train = qelm._features_from_columns(v01, train, n, cfg.shot_model, shot_rng, cfg.bias_row)
+        trained = qelm.train_readout(p_train, y_train, cfg.rcond)
         if "condition_number" in want:
-            fields["condition_number"] = qelm.condition_number(p_train)
+            fields["condition_number"] = qelm._condition_from_singular_values(trained.singular_values)
         if "mse" in want:
             p_test = qelm._features_from_columns(v01, test, n, cfg.shot_model, shot_rng, cfg.bias_row)
-            trained = qelm.train_readout(p_train, y_train, cfg.rcond)
             fields["mse"] = qelm.mse(y_test, qelm.predict(trained, p_test))
     if "otoc" in want:
         fields["otoc_avg"] = otoc_mean(u, n)

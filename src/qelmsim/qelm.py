@@ -241,9 +241,14 @@ def mse(y_test: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 def condition_number(p: np.ndarray) -> float:
-    """Ratio of extreme singular values; +inf when the smallest underflows."""
-    p = np.asarray(p, dtype=float)
-    s = np.linalg.svd(p, compute_uv=False)
+    """Ratio of extreme singular values, from the SVD ``train_readout`` takes,
+    as sweep records read it; +inf when the smallest underflows."""
+    _, s = la.svd_pseudoinverse(np.asarray(p, dtype=float))
+    return _condition_from_singular_values(s)
+
+
+def _condition_from_singular_values(s: np.ndarray) -> float:
+    """s_max / s_min of the descending singular values ``s``."""
     if s.size == 0 or s[0] == 0.0:
         raise ValueError("condition number of an all-zero matrix is undefined")
     if s[-1] < 1e-300:

@@ -94,6 +94,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_qubits"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"n_reservoir": 2, "n_realizations": 1, "n_reservoir": 3}', "n_reservoir"),
+            ('{"n_reservoir": 3, "shot_model": {"mode": "exact", "shots": 10, "shots": 20}}', "shots"),
+        ],
+        ids=["top_level", "nested"],
+    )
+    def test_repeated_key_rejected_before_any_output(self, tmp_path, text, key):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"repeated key '{key}'"):
+            parse_config(str(path))
+        out = tmp_path / "o"
+        assert main(["sweep-time", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_time_grid_object_form(self, tmp_path):
         path = write_config(tmp_path, {"time_grid": {"start": 0.0, "stop": 2.0, "points": 5}})
         cfg = parse_config(path)

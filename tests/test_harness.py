@@ -263,15 +263,20 @@ class TestSweeps:
             assert np.allclose(record.holevo_per_node, profile.per_node, atol=1e-10)
 
     def test_stage_call_counts_per_record_and_unit(self, monkeypatch):
-        """Two feature calls per record and one Hamiltonian build per unit.
+        """Per record: two feature calls, one SVD and three readout calls; per
+        unit: one Hamiltonian build.
 
-        ``bench/bench_trace.py`` times stages by wrapping these two names and
-        reports ``qelm.features.ms_p90`` only from 100 calls up. The traced
-        ensemble-n7 run makes 112 feature calls, 2 per record; a change that
-        merged the train and test calls left 56, the key dropped out of the
-        result and the run's last line was no longer a result.
+        ``bench/bench_trace.py`` times stages by wrapping the feature kernel,
+        the Hamiltonian build and the readout names (``train_readout``,
+        ``predict``, ``mse``, ``condition_number``), and reports a stage's
+        ``ms_p90`` only from 100 calls up. The traced ensemble-n7 run has 56
+        records: 112 feature calls and 168 readout calls. A change that merged
+        the train and test feature calls left 56, the key dropped out of the
+        result and the run's last line was no longer a result. The training
+        SVD gives both the readout and the condition number, so a record
+        takes one SVD and never calls ``condition_number``.
         """
-        calls = {"features": 0, "hamiltonian": 0}
+        calls = {"features": 0, "hamiltonian": 0, "svd": 0, "readout": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -282,6 +287,9 @@ class TestSweeps:
 
         monkeypatch.setattr(qelm, "_features_from_columns", counting("features", qelm._features_from_columns))
         monkeypatch.setattr(harness, "sample_hamiltonian", counting("hamiltonian", harness.sample_hamiltonian))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        for name in ("train_readout", "predict", "mse", "condition_number"):
+            monkeypatch.setattr(qelm, name, counting("readout", getattr(qelm, name)))
         cfg = small_config(
             n_reservoir=2, topologies=("C", "FC"), schemes=("SL", "ML"), time_grid=(0.0, 1.5),
             shot_model=ShotModel("joint_bitstrings", 100), include_haar_baseline=True,
@@ -289,8 +297,32 @@ class TestSweeps:
         assert cfg.metrics == harness.ALL_METRICS
         out = run_time_sweep(cfg)
         assert not out.failures
-        assert len(out.records) == 4 * 2 * 2 + 2  # pairs x realizations x times, plus Haar
-        assert calls == {"features": 2 * len(out.records), "hamiltonian": 4 * 2}
+        records = len(out.records)
+        assert records == 4 * 2 * 2 + 2  # pairs x realizations x times, plus Haar
+        assert calls == {"features": 2 * records, "hamiltonian": 4 * 2, "svd": records, "readout": 3 * records}
+
+    def test_condition_number_independent_of_metrics(self):
+        """The record's condition number has the same bytes whatever else is
+        requested, and equals ``qelm.condition_number`` of the training
+        features rebuilt from the record's own streams."""
+        cfg = small_config(
+            topologies=("C", "FC"), time_grid=(0.0, 0.7, 5.0), shot_model=ShotModel("joint_bitstrings", 300)
+        )
+        full = run_time_sweep(cfg).records
+        alone = run_time_sweep(dataclasses.replace(cfg, metrics=("condition_number",))).records
+        assert [r.condition_number for r in alone] == [r.condition_number for r in full]
+        assert all(r.mse is None and r.otoc_avg is None for r in alone)
+
+        n = cfg.n_reservoir
+        for record in full:
+            spec = HamiltonianSpec(n, record.topology, record.scheme, cfg.j_range, cfg.delta_range, record.seed)
+            key = (n, harness._TOPOLOGY_INDEX[spec.topology], harness._SCHEME_INDEX[spec.scheme], record.realization_index)
+            u = la.evolve_unitary(la.herm_eig(sample_hamiltonian(spec).h_total), record.time)
+            state_rng = derive_rng(cfg.master_seed, harness._KIND_STATES, *key)
+            states = la._random_pure_qubit_states(state_rng, cfg.n_train + cfg.n_test)
+            shot_rng = derive_rng(cfg.master_seed, harness._KIND_SHOTS, *key, cfg.time_grid.index(record.time))
+            p_train = qelm.sample_features(u, states[: cfg.n_train], n, cfg.shot_model, shot_rng)
+            assert qelm.condition_number(p_train) == record.condition_number
 
     def test_multi_link_scrambles_earlier(self):
         # with more injection links the averaged correlator passes 0.9 sooner
