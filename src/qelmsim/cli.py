@@ -186,11 +186,9 @@ def emit_records(
     if not records and not failures:
         raise ValueError("nothing to emit: no records and no failure report")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     agg_rows, node_rows = harness.aggregate_records(records)
-
     try:
+        out.mkdir(parents=True, exist_ok=True)
         _write_csv(out / "records.csv", *_records_table(records))
         _write_csv(out / "aggregates.csv", *_stats_table(AggregateRow, agg_rows))
         for name, header, rows in (
@@ -252,6 +250,10 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
     out_dir = args.out or os.environ.get(ENV_OUT_DIR) or _DEFAULT_OUT_DIR
+    try:  # an unusable --out fails before any unit runs
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot create output directory {out_dir}: {exc}") from exc
     started = datetime.now(timezone.utc).isoformat()
     runner = {"sweep-time": harness.run_time_sweep, "baseline-haar": harness.run_haar_baseline}[args.command]
     outcome: SweepResult = runner(cfg, threads=args.threads)

@@ -74,17 +74,13 @@ class ConfigError(ValueError):
 
 # Config values: one resolver per kind of value maps a field's file form, or
 # its resolved value, to the resolved value or raises ValueError. The rules for
-# numbers, counts, intervals, the register size and ``rcond`` live in
-# ``linalg``; ``reservoir.HamiltonianSpec`` and ``linalg.svd_pseudoinverse``
-# resolve their inputs with them too.
+# numbers, counts, intervals and the register size live in ``linalg``;
+# ``reservoir.HamiltonianSpec`` resolves its inputs with them too.
 
 
-def _list_of(value, parse, bare=(), dedupe: bool = False) -> tuple:
-    """Nonempty list of ``parse``d entries; repeats are dropped under ``dedupe``
-    and rejected otherwise."""
+def _list_of(value, parse, bare=()) -> tuple:
+    """Nonempty list of ``parse``d entries without repeats."""
     items = tuple(parse(x) for x in _entries(value, bare))
-    if dedupe:
-        items = tuple(dict.fromkeys(items))
     if not items or len(set(items)) != len(items):
         raise ValueError(f"must be a nonempty list without repeats, got {value!r}")
     return items
@@ -147,11 +143,13 @@ class SweepConfig:
 
     Every field takes the form a JSON config file gives it, or its resolved
     value: ``time_grid`` a list of times or a ``{start, stop, points}`` object;
-    ``shot_model`` a ``ShotModel``, a mode string, or a ``{mode, shots}``
-    object; ``n_reservoir`` one size or a list; ``topologies`` and ``schemes``
-    one name or a list. Numbers must be numbers, not strings. A malformed or
-    out-of-range value raises ConfigError naming its field; a ring topology
-    listed with a size below 3 raises one naming ``topologies``.
+    ``shot_model`` a ``ShotModel``, a mode (``exact`` or ``joint_bitstrings``),
+    or a ``{mode, shots}`` object; ``n_reservoir`` one size or a list;
+    ``topologies`` (C, R, FC) and ``schemes`` (SL, ML) one code or a list.
+    Numbers must be numbers, not strings; a list of sizes, codes or metrics
+    names no entry twice. A malformed or out-of-range value raises ConfigError
+    naming its field; a ring topology listed with a size below 3 raises one
+    naming ``topologies``.
     """
 
     n_reservoir: object = 7
@@ -163,13 +161,11 @@ class SweepConfig:
     n_test: int = 50
     shot_model: ShotModel = ShotModel(ShotMode.JOINT_BITSTRINGS, 10**6)
     master_seed: int = 0
-    rcond: float | None = None
     log_base: object = 2
     include_haar_baseline: bool = False
     metrics: tuple = ALL_METRICS
     j_range: tuple = DEFAULT_J_RANGE
     delta_range: tuple = DEFAULT_DELTA_RANGE
-    bias_row: bool = False
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
@@ -206,13 +202,11 @@ _RESOLVERS = {
     "n_test": _count,
     "shot_model": _shot_model,
     "master_seed": lambda v: _count(v, minimum=0),
-    "rcond": la._rcond,
     "log_base": la._log_base,
     "include_haar_baseline": _flag,
-    "metrics": lambda v: _list_of(v, _metric, dedupe=True),
+    "metrics": lambda v: _list_of(v, _metric),
     "j_range": _interval,
     "delta_range": _interval,
-    "bias_row": _flag,
 }
 
 
@@ -367,12 +361,12 @@ def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, 
     v01 = la._input_columns(u, n)
     fields = {}
     if {"mse", "condition_number"} & want:
-        p_train = qelm._features_from_columns(v01, train, n, cfg.shot_model, shot_rng, cfg.bias_row)
-        trained = qelm.train_readout(p_train, y_train, cfg.rcond)
+        p_train = qelm._features_from_columns(v01, train, n, cfg.shot_model, shot_rng)
+        trained = qelm.train_readout(p_train, y_train)
         if "condition_number" in want:
             fields["condition_number"] = qelm._condition_from_singular_values(trained.singular_values)
         if "mse" in want:
-            p_test = qelm._features_from_columns(v01, test, n, cfg.shot_model, shot_rng, cfg.bias_row)
+            p_test = qelm._features_from_columns(v01, test, n, cfg.shot_model, shot_rng)
             fields["mse"] = qelm.mse(y_test, qelm.predict(trained, p_test))
     if "otoc" in want:
         fields["otoc_avg"] = otoc_mean(u, n)
@@ -491,15 +485,19 @@ def _map_units(units, threads: int):
     ``threads`` processes.
 
     BLAS runs one thread throughout, so the worker count is the only source
-    of parallelism and every unit's bytes are the same on either path.
+    of parallelism and every unit's bytes are the same on either path. The
+    pool takes the largest sizes first, in chunks of at most 16 units, so no
+    worker ends the run alone on a long chunk of the costliest units; the
+    sort is stable, so Haar units follow the Hamiltonian units of their size.
     """
     with la.single_blas_thread():
         if threads <= 1 or len(units) <= 1:
             return [_run_unit(unit) for unit in units]
         workers = min(threads, len(units))
-        chunk = max(1, len(units) // (workers * 4))
+        chunk = min(16, max(1, len(units) // (workers * 4)))
+        ordered = sorted(units, key=lambda unit: unit[1][1], reverse=True)  # args (config, n, ...)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker_blas) as pool:
-            return list(pool.map(_run_unit, units, chunksize=chunk))
+            return list(pool.map(_run_unit, ordered, chunksize=chunk))
 
 
 def _time_key(t):

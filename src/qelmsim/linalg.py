@@ -68,9 +68,8 @@ del _m
 
 
 # Input rules, shared by ``reservoir.HamiltonianSpec``, ``qelm.ShotModel``,
-# ``harness.SweepConfig`` and the functions here that take a qubit count, an
-# index or a cutoff: each resolver maps a value to its resolved form or raises
-# ValueError.
+# ``harness.SweepConfig`` and the functions here that take a qubit count or an
+# index: each resolver maps a value to its resolved form or raises ValueError.
 
 
 def _is_integer(value) -> bool:
@@ -132,13 +131,6 @@ def _interval(value) -> tuple:
     return pair
 
 
-def _rcond(value):
-    """The pseudoinverse cutoff: None for the default, or a finite real >= 0."""
-    if value is not None and _finite(value, "rcond") < 0:
-        raise ValueError(f"rcond must be >= 0 or None, got {value!r}")
-    return value if value is None else float(value)
-
-
 def _register_dim(n_qubits, name: str, extra: int = 0) -> int:
     """``2 ** (n_qubits + extra)``, once the count is an integer >= 1 and the
     register fits ``MAX_DIM``: the one rule for a qubit count.
@@ -153,21 +145,13 @@ def _register_dim(n_qubits, name: str, extra: int = 0) -> int:
     return 2**n_total
 
 
-def _parse_member(cls, value, kind: str, aliases=()):
-    """The member of the enum ``cls`` that ``value`` names.
-
-    A member stands for itself; text names one by its value or its name, in
-    any case, with "-" and spaces read as "_", or by an ``aliases`` key
-    (upper case).
-    """
-    if isinstance(value, cls):
-        return value
-    names = {**{str(m.value).upper(): m for m in cls}, **{m.name: m for m in cls}, **dict(aliases)}
-    member = names.get(str(value).strip().upper().replace("-", "_").replace(" ", "_"))
-    if member is None:
-        expected = ", ".join(str(m.value) for m in cls)
-        raise ValueError(f"unknown {kind} {value!r} (expected one of {expected})")
-    return member
+def _parse_member(cls, value, kind: str):
+    """The member of the enum ``cls`` that ``value`` is, or whose exact value it is."""
+    try:
+        return cls(value)
+    except ValueError:
+        expected = ", ".join(m.value for m in cls)
+        raise ValueError(f"unknown {kind} {value!r} (expected one of {expected})") from None
 
 
 def require_hermitian(a: np.ndarray, name: str = "operator") -> None:
@@ -338,20 +322,17 @@ def random_pure_qubit_state(rng: np.random.Generator) -> np.ndarray:
     return _random_pure_qubit_states(rng, 1)[0]
 
 
-def svd_pseudoinverse(m: np.ndarray, rcond: float | None = None):
+def svd_pseudoinverse(m: np.ndarray):
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below ``rcond * sigma_max`` are zeroed; ``rcond`` defaults
-    to the near-machine ``1e-12 * max(m.shape)``. Returns the pair
-    ``(pinv, singular_values)`` with singular values sorted descending.
+    Singular values below ``1e-12 * max(m.shape) * sigma_max`` are zeroed.
+    Returns the pair ``(pinv, singular_values)`` with singular values sorted
+    descending.
     """
     m = np.asarray(m)
-    rcond = _rcond(rcond)
-    if rcond is None:
-        rcond = 1e-12 * max(m.shape)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     smax = s[0] if s.size else 0.0
-    cutoff = rcond * smax
+    cutoff = 1e-12 * max(m.shape) * smax
     inv = np.zeros_like(s)
     keep = s >= cutoff if cutoff > 0 else s > 0
     inv[keep] = 1.0 / s[keep]

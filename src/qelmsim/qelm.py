@@ -44,12 +44,10 @@ _MAX_SHOTS = 2**63 - 1
 class ShotMode(enum.Enum):
     EXACT = "exact"
     JOINT_BITSTRINGS = "joint_bitstrings"
-    INDEPENDENT_BINOMIAL = "independent_binomial"
 
     @classmethod
     def parse(cls, value) -> "ShotMode":
-        aliases = {"JOINT": cls.JOINT_BITSTRINGS, "BINOMIAL": cls.INDEPENDENT_BINOMIAL}
-        return la._parse_member(cls, value, "shot mode", aliases)
+        return la._parse_member(cls, value, "shot mode")
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,6 @@ def _features_from_columns(
     n_reservoir: int,
     model: ShotModel,
     rng: np.random.Generator | None,
-    bias_row: bool = False,
 ) -> np.ndarray:
     """sigma_z feature columns computed from the input-subspace isometry.
 
@@ -153,26 +150,15 @@ def _features_from_columns(
             f"reservoir probability {qmin:.3e} below {_NEGATIVE_PROB_TOL:.0e}: "
             "upstream numerical corruption"
         )
-    feats = np.empty((n_reservoir + (1 if bias_row else 0), q.shape[0]))
-    if model.mode is not ShotMode.EXACT:
-        q = np.clip(q, 0.0, None)
-        q /= q.sum(axis=1, keepdims=True)
-    # Draws broadcast over states take the stream state by state, as one draw
-    # per state would.
-    if model.mode is ShotMode.JOINT_BITSTRINGS:
-        feats[:n_reservoir] = (signs @ rng.multinomial(model.shots, q).T) / model.shots
-    else:
+    if model.mode is ShotMode.EXACT:
         # A stack of matrix-vector products rounds each state's sums as
         # ``signs @ q[k]`` alone does; one matrix product would not.
-        z_means = (signs @ q[:, :, None])[:, :, 0]
-        if model.mode is ShotMode.EXACT:
-            feats[:n_reservoir] = z_means.T
-        else:
-            counts = rng.binomial(model.shots, np.clip((1.0 + z_means) / 2.0, 0.0, 1.0))
-            feats[:n_reservoir] = (2.0 * counts / model.shots - 1.0).T
-    if bias_row:
-        feats[n_reservoir] = 1.0
-    return feats
+        return np.ascontiguousarray((signs @ q[:, :, None])[:, :, 0].T)
+    q = np.clip(q, 0.0, None)
+    q /= q.sum(axis=1, keepdims=True)
+    # Draws broadcast over states take the stream state by state, as one draw
+    # per state would.
+    return (signs @ rng.multinomial(model.shots, q).T) / model.shots
 
 
 def sample_features(
@@ -181,20 +167,18 @@ def sample_features(
     n_reservoir: int,
     model: ShotModel,
     rng: np.random.Generator | None = None,
-    bias_row: bool = False,
 ) -> np.ndarray:
     """Finite-shot estimates of the per-site sigma_z features.
 
     ``joint_bitstrings`` samples whole computational-basis outcomes of the
-    reservoir (all sigma_z values from one shot), ``independent_binomial``
-    draws each observable from its own binomial, and ``exact`` returns the
+    reservoir (all sigma_z values from one shot), and ``exact`` returns the
     expectation values themselves.
     """
     if model.mode is not ShotMode.EXACT and rng is None:
         raise ValueError("sampled shot modes need an explicit random generator")
     rhos = _qubit_states(states)
     v01 = la._input_columns(u, n_reservoir)
-    return _features_from_columns(v01, rhos, n_reservoir, model, rng, bias_row)
+    return _features_from_columns(v01, rhos, n_reservoir, model, rng)
 
 
 def pauli_targets(states) -> np.ndarray:
@@ -204,7 +188,7 @@ def pauli_targets(states) -> np.ndarray:
     return np.einsum("aij,kji->ak", paulis, rhos).real
 
 
-def train_readout(p_train: np.ndarray, y_train: np.ndarray, rcond: float | None = None) -> TrainedReadout:
+def train_readout(p_train: np.ndarray, y_train: np.ndarray) -> TrainedReadout:
     """Least-squares readout ``W = Y @ pinv(P)`` via truncated-SVD pseudoinverse."""
     p_train = np.asarray(p_train, dtype=float)
     y_train = np.asarray(y_train, dtype=float)
@@ -216,7 +200,7 @@ def train_readout(p_train: np.ndarray, y_train: np.ndarray, rcond: float | None 
         )
     if p_train.shape[1] < 1:
         raise ValueError("training requires at least one state")
-    pinv, singvals = la.svd_pseudoinverse(p_train, rcond)
+    pinv, singvals = la.svd_pseudoinverse(p_train)
     return TrainedReadout(w=y_train @ pinv, singular_values=singvals)
 
 

@@ -217,7 +217,7 @@ class TestCriterion6ConditionNumber:
             srng = derive_rng(cfg.master_seed, 1, 7, topo_i, scheme_i, rec.realization_index)
             train = [la.random_pure_qubit_state(srng) for _ in range(cfg.n_train)]
             shot = derive_rng(cfg.master_seed, 2, 7, topo_i, scheme_i, rec.realization_index, 0)
-            p = qelm._features_from_columns(v01, train, 7, cfg.shot_model, shot, False)
+            p = qelm._features_from_columns(v01, train, 7, cfg.shot_model, shot)
             s = np.linalg.svd(p, compute_uv=False)
             sig_ratio[rec.scheme].append(s[0] / s[3])
         sig_medians = {s: float(np.median(v)) for s, v in sig_ratio.items()}

@@ -16,6 +16,7 @@ from qelmsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
+    EXIT_RUNTIME,
     EXIT_USAGE,
     config_digest,
     emit_records,
@@ -177,12 +178,20 @@ class TestParseConfig:
             ({"delta_range": [0, 0.1, 0.2]}, "delta_range"),
             ({"n_reservoir": 10**30}, "cap"),
             ({"shot_model": {"shots": 1e20}}, "shots"),
-            ({"shot_model": {"mode": "binomial", "shots": 2**63}}, "shots"),
+            ({"shot_model": {"mode": "joint_bitstrings", "shots": 2**63}}, "shots"),
             ({"shot_model": {"shots": float("inf")}}, "shots"),
             ({"shot_model": {"shots": [5]}}, "shots"),
             ({"shot_model": {"shots": 10**20}}, "shots"),
             ({"n_reservoir": 2, "topologies": ["R"]}, "topologies"),
             ({"metrics": []}, "metrics"),
+            # keys the config does not have, and spellings it does not take
+            ({"rcond": 1e-10}, "rcond"),
+            ({"bias_row": False}, "bias_row"),
+            ({"shot_model": "independent_binomial"}, "shot_model"),
+            ({"shot_model": "joint"}, "shot_model"),
+            ({"topologies": ["chain"]}, "topologies"),
+            ({"schemes": ["sl"]}, "schemes"),
+            ({"metrics": ["mse", "mse"]}, "metrics"),
         ],
     )
     def test_booleans_and_fractional_counts_rejected(self, tmp_path, payload, field):
@@ -190,6 +199,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=field):
             parse_config(path)
         assert main(["sweep-time", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_is_a_config_error(self, tmp_path, kind):
@@ -203,6 +213,19 @@ class TestParseConfig:
         out_dir = tmp_path / "out"
         assert main(["sweep-time", "--config", str(path), "--out", str(out_dir)]) == EXIT_CONFIG
         assert not out_dir.exists()
+
+    def test_out_naming_a_file_fails_before_any_unit_runs(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        unit = harness._hamiltonian_unit
+        monkeypatch.setattr(harness, "_hamiltonian_unit", lambda args: calls.append(args) or unit(args))
+        out = tmp_path / "taken"
+        out.write_text("")
+        argv = ["sweep-time", "--config", write_config(tmp_path, TINY_CONFIG), "--out", str(out)]
+        assert main(argv) == EXIT_RUNTIME
+        assert calls == []
+        assert f"cannot create output directory {out}" in capsys.readouterr().err
+        assert main([*argv[:-1], str(tmp_path / "free")]) == EXIT_OK
+        assert len(calls) == 2
 
     def test_integral_float_shots_and_points_accepted(self, tmp_path):
         payload = {"shot_model": {"shots": 1e6}, "time_grid": {"start": 0, "stop": 5, "points": 41.0}}
@@ -529,18 +552,18 @@ class TestConfigDigestPinned:
 
     def test_default_and_shipped_configs(self):
         root = Path(__file__).resolve().parent.parent / "configs"
-        assert config_digest(SweepConfig()) == "f1fa94d5a994e58ef0a2a0a7bd580a2a54721d42991b5b6b6ff263ac096a8925"
+        assert config_digest(SweepConfig()) == "15e58e1c5ffaabca36e0691f188d24301cef4d32398d19c7a20acf25e42e1247"
         assert (
             config_digest(parse_config(root / "quick.json"))
-            == "9f99be7cf87c5d862a1915cd0027846119cc80c86e6f40e3590f5a27524e473f"
+            == "83c838f94e0cf5cf77e7d416ae550fa01f7011dca3d0a4cd120c4a9c6a48d8f6"
         )
         assert (
             config_digest(parse_config(root / "full-scale.json"))
-            == "ff76b8554822c1e73ee2873f06f8905f024c2c76a4bc0d5983112548af2fb884"
+            == "ed95bc782ea4efaf759928fd3ec56426a30f5e4eedc7da7f06c0a3f93d8eed7c"
         )
         assert (
             config_digest(parse_config(root / "size-sweep.json"))
-            == "bd895d07c52a7d7956a1eaf6da74c7d6eb7054fd9581c68f55a79202016b39df"
+            == "8860198d3f26ffef286acb49b81cb56fe2083d9f96a9cc6977713a69c347e720"
         )
 
 

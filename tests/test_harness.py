@@ -15,7 +15,7 @@ from qelmsim.harness import (
     run_haar_baseline,
     run_time_sweep,
 )
-from qelmsim.qelm import ShotModel
+from qelmsim.qelm import ShotMode, ShotModel
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
 from qelmsim.scrambling import averaged_otoc, local_holevo_profile
 
@@ -99,9 +99,9 @@ class TestSweepConfig:
     def test_file_forms_accepted(self):
         cfg = small_config(n_reservoir=[2, 4], include_haar_baseline=True)
         assert SweepConfig(**cfg.as_dict()) == cfg
-        cfg = small_config(time_grid={"start": 0, "stop": 2, "points": 5}, shot_model="binomial")
+        cfg = small_config(time_grid={"start": 0, "stop": 2, "points": 5}, shot_model="exact")
         assert cfg.time_grid == (0.0, 0.5, 1.0, 1.5, 2.0)
-        assert cfg.shot_model == ShotModel("independent_binomial")
+        assert cfg.shot_model == ShotModel(ShotMode.EXACT)
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SweepConfig)])
     def test_every_field_resolves_or_names_itself(self, field):
@@ -209,16 +209,30 @@ class TestSweeps:
                 return False
 
             def map(self, fn, iterable, chunksize):
-                return map(fn, iterable)
+                units = list(iterable)
+                seen.append(([(unit[0].__name__, unit[1][1]) for unit in units], chunksize))
+                return map(fn, units)
 
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = small_config()  # 2 units: 2 realizations of one topology and scheme
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
-        assert seen == [(2, harness._pin_worker_blas)]
+        ham, haar = "_hamiltonian_unit", "_haar_unit"
+        assert seen == [(2, harness._pin_worker_blas), ([(ham, 3)] * 2, 1)]
         seen.clear()
         cfg = small_config(include_haar_baseline=True)  # plus 2 Haar units, in the same pool
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
-        assert seen == [(4, harness._pin_worker_blas)]
+        assert seen == [(4, harness._pin_worker_blas), ([(ham, 3)] * 2 + [(haar, 3)] * 2, 1)]
+        seen.clear()
+        # largest size first, Haar units after the Hamiltonian units of their size
+        cfg = small_config(n_reservoir=[2, 3], include_haar_baseline=True)
+        assert run_time_sweep(cfg, threads=2) == run_time_sweep(cfg, threads=1)
+        order = [(ham, 3)] * 2 + [(haar, 3)] * 2 + [(ham, 2)] * 2 + [(haar, 2)] * 2
+        assert seen == [(2, harness._pin_worker_blas), (order, 1)]
+        seen.clear()
+        # the chunk size is capped at 16 units
+        cfg = small_config(n_realizations=200, time_grid=(1.0,), metrics=["otoc"])
+        assert run_time_sweep(cfg, threads=2) == run_time_sweep(cfg, threads=1)
+        assert seen == [(2, harness._pin_worker_blas), ([(ham, 3)] * 200, 16)]
 
     def test_rerun_bit_identical(self):
         cfg = small_config(shot_model=ShotModel("joint_bitstrings", 500))
@@ -253,7 +267,7 @@ class TestSweeps:
             u = la.evolve_unitary(decomp, t)
             p_train = full_space_z_features(u, train, 3)
             p_test = full_space_z_features(u, test, 3)
-            trained = qelm.train_readout(p_train, qelm.pauli_targets(train), cfg.rcond)
+            trained = qelm.train_readout(p_train, qelm.pauli_targets(train))
             ref_mse = qelm.mse(qelm.pauli_targets(test), qelm.predict(trained, p_test))
             assert record.mse == pytest.approx(ref_mse, abs=1e-10)
             assert record.condition_number == pytest.approx(qelm.condition_number(p_train), abs=1e-8)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qelmsim import linalg as la, qelm
+from qelmsim import linalg as la
 from qelmsim.scrambling import local_channel
 from qelmsim.reservoir import edge_set, injection_sites
 
@@ -282,22 +282,14 @@ class TestPseudoinverse:
         assert np.max(np.abs((p @ m).conj().T - p @ m)) <= 1e-10
 
     def test_rcond_truncates(self):
-        m = np.diag([1.0, 1e-6])
-        full = la.svd_pseudoinverse(m, rcond=1e-8)[0]
-        assert full[1, 1] == pytest.approx(1e6)
-        truncated = la.svd_pseudoinverse(m, rcond=1e-3)[0]
-        assert truncated[1, 1] == 0.0
-
-    def test_negative_rcond_rejected(self):
-        with pytest.raises(ValueError, match="rcond"):
-            la.svd_pseudoinverse(np.eye(2), rcond=-1.0)[0]
-        # nan used to act as a cutoff of 0, inf as a cutoff above every
-        # singular value, True as 1; a string raised TypeError
-        for rcond in (np.nan, np.inf, True, "abc"):
-            with pytest.raises(ValueError, match="rcond"):
-                la.svd_pseudoinverse(np.eye(2), rcond=rcond)
-            with pytest.raises(ValueError, match="rcond"):
-                qelm.train_readout(np.eye(2), np.eye(3, 2), rcond)
+        # the fixed relative cutoff 1e-12 * max(shape) * sigma_max
+        kept = la.svd_pseudoinverse(np.diag([1.0, 3e-12]))[0]
+        assert kept[1, 1] == pytest.approx(1.0 / 3e-12)
+        assert la.svd_pseudoinverse(np.diag([1.0, 1e-12]))[0][1, 1] == 0.0
+        assert la.svd_pseudoinverse(np.diag([1e6, 1e-6]))[0][1, 1] == 0.0
+        wide = np.zeros((2, 50))
+        wide[0, 0], wide[1, 1] = 1.0, 3e-11
+        assert la.svd_pseudoinverse(wide)[0][1, 1] == 0.0
 
 
 class TestSingleBlasThread:

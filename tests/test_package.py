@@ -65,9 +65,29 @@ def test_benchmark_trace_targets_exist():
     reported as untraced instead of failing, and a traced run must report 0
     untraced stages (ROADMAP item 1), so only this test sees such a removal.
     """
-    path = Path(__file__).resolve().parent.parent / "bench" / "bench_trace.py"
-    spec = importlib.util.spec_from_file_location("_bench_trace_targets", path)
-    bench_trace = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_trace)
+    bench_trace = _bench_module("bench_trace")
     with bench_trace.installed(bench_trace.Tracer()) as missing:
         assert missing == {}
+
+
+def test_benchmark_workloads_parse(tmp_path):
+    """Every ``bench/run.py`` workload, inline or a config file, resolves
+    through ``cli.parse_config`` with its record count; a config rule that
+    rejected one would fail every benchmark run of it."""
+    from qelmsim import cli, harness
+
+    run = _bench_module("run")
+    counts = {
+        name: harness.expected_record_count(cli.parse_config(run.config_path(name, tmp_path)), "sweep-time")
+        for name in run.WORKLOADS
+    }
+    assert counts == {"grid-n7": 164, "ensemble-n7": 56, "quick-1t": 900}
+
+
+def _bench_module(name: str):
+    """``bench/<name>.py`` loaded by path, under a private module name."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -79,11 +79,6 @@ class TestExactFeatures:
         feats_perm = sample_features(u, [states[p] for p in perm], 2, EXACT)
         assert np.max(np.abs(feats_perm - feats[:, perm])) <= 1e-14
 
-    def test_bias_row(self):
-        feats = sample_features(np.eye(4, dtype=complex), [KET0], 1, EXACT, bias_row=True)
-        assert feats.shape == (2, 1)
-        assert feats[1, 0] == 1.0
-
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(4)
         u = random_unitary(rng, 16)
@@ -132,18 +127,6 @@ class TestSampleFeatures:
             draws[i] = sample_features(u, [state], 1, model, srng)[0, 0]
         expected_var = (1.0 - v**2) / shots
         assert abs(draws.var() - expected_var) <= 0.2 * expected_var
-
-    def test_independent_binomial_consistency(self):
-        rng = np.random.default_rng(11)
-        u = random_unitary(rng, 8)
-        states = [bloch_density(0.2, -0.4, 0.5)]
-        exact = full_space_z_features(u, states, 2)
-        shots = 10**7
-        sampled = sample_features(
-            u, states, 2, ShotModel("independent_binomial", shots), np.random.default_rng(12)
-        )
-        se = np.sqrt((1.0 - exact**2).clip(min=1e-12) / shots)
-        assert np.all(np.abs(sampled - exact) <= 5 * se + 1e-12)
 
     def test_sampled_entries_within_unit_interval(self):
         rng = np.random.default_rng(13)
@@ -200,10 +183,9 @@ class TestSampleFeatures:
         ratio = ours.var(axis=0) / explicit.var(axis=0)
         assert np.all((0.7 <= ratio) & (ratio <= 1.4))
 
-    @pytest.mark.parametrize("mode", ["exact", "joint_bitstrings", "independent_binomial"])
+    @pytest.mark.parametrize("mode", ["exact", "joint_bitstrings"])
     @pytest.mark.parametrize("n", [2, 5])
-    @pytest.mark.parametrize("bias_row", [False, True])
-    def test_batched_features_match_per_state_loop(self, mode, n, bias_row):
+    def test_batched_features_match_per_state_loop(self, mode, n):
         # the batched kernel against one probability vector and one draw per
         # state, taking the generator stream in the same order
         from qelmsim.qelm import _features_from_columns, _reservoir_basis_probs, _z_sign_matrix
@@ -212,23 +194,19 @@ class TestSampleFeatures:
         v01 = random_unitary(rng, 2 ** (n + 1))[:, :2]
         states = [la.random_pure_qubit_state(rng) for _ in range(20)] + [random_density(rng, 2)]
         model = ShotModel(mode, 1000)
-        got = _features_from_columns(v01, states, n, model, np.random.default_rng(41), bias_row)
+        got = _features_from_columns(v01, states, n, model, np.random.default_rng(41))
 
         signs = _z_sign_matrix(n)
         ref_rng = np.random.default_rng(41)
-        ref = np.ones((n + (1 if bias_row else 0), len(states)))
+        ref = np.empty((n, len(states)))
         for k, rho in enumerate(states):
             q = _reservoir_basis_probs(v01, rho)
             if model.mode is ShotMode.EXACT:
-                ref[:n, k] = signs @ q
+                ref[:, k] = signs @ q
                 continue
             q = np.clip(q, 0.0, None)
             q /= q.sum()
-            if model.mode is ShotMode.JOINT_BITSTRINGS:
-                ref[:n, k] = (signs @ ref_rng.multinomial(model.shots, q)) / model.shots
-            else:
-                p = np.clip((1.0 + signs @ q) / 2.0, 0.0, 1.0)
-                ref[:n, k] = 2.0 * ref_rng.binomial(model.shots, p) / model.shots - 1.0
+            ref[:, k] = (signs @ ref_rng.multinomial(model.shots, q)) / model.shots
         if model.mode is ShotMode.EXACT:
             assert np.max(np.abs(got - ref)) <= 1e-15
         else:
@@ -239,7 +217,10 @@ class TestSampleFeatures:
             with pytest.raises(ValueError, match="^shots must be an integer"):
                 ShotModel("joint_bitstrings", shots)
         assert ShotModel("joint_bitstrings", 1e6).shots == 10**6
-        assert ShotModel("joint").mode is ShotMode.JOINT_BITSTRINGS
+        assert ShotModel(ShotMode.JOINT_BITSTRINGS).mode is ShotMode.JOINT_BITSTRINGS
+        for mode in ("joint", "independent_binomial", "EXACT"):
+            with pytest.raises(ValueError, match="^unknown shot mode"):
+                ShotModel(mode)
         assert ShotModel("exact").shots == 10**6
 
 
