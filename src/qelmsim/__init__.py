@@ -32,7 +32,7 @@ from .linalg import (
     haar_unitary,
     herm_eig,
     partial_trace,
-    random_pure_qubit_state,
+    random_pure_qubit_states,
     von_neumann_entropy,
 )
 from .qelm import (

@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -43,7 +42,6 @@ __all__ = [
     "EXIT_CONFIG",
     "EXIT_RUNTIME",
     "EXIT_PARTIAL",
-    "ENV_OUT_DIR",
     "RunManifest",
     "parse_config",
     "config_digest",
@@ -56,9 +54,6 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_RUNTIME = 4
 EXIT_PARTIAL = 5
-
-ENV_OUT_DIR = "QELMSIM_OUT_DIR"
-_DEFAULT_OUT_DIR = "qelmsim-out"
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(SweepConfig)}
 
@@ -239,9 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", metavar="PATH", help="JSON config file (defaults apply when omitted)")
-        p.add_argument("--out", metavar="DIR", default=None, help=f"output directory (default ${ENV_OUT_DIR} or ./{_DEFAULT_OUT_DIR})")
+        p.add_argument("--out", metavar="DIR", default="qelmsim-out", help="output directory (default ./qelmsim-out)")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--threads", type=_positive_int, default=1, help="worker processes, each on one core (results are schedule-independent)")
+        p.add_argument("--threads", type=_positive_int, default=1, help="worker processes, each on one core, at most one per usable CPU (results are schedule-independent)")
     return parser
 
 
@@ -249,25 +244,24 @@ def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    out_dir = args.out or os.environ.get(ENV_OUT_DIR) or _DEFAULT_OUT_DIR
     try:  # an unusable --out fails before any unit runs
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise RuntimeError(f"cannot create output directory {out_dir}: {exc}") from exc
+        raise RuntimeError(f"cannot create output directory {args.out}: {exc}") from exc
     started = datetime.now(timezone.utc).isoformat()
     runner = {"sweep-time": harness.run_time_sweep, "baseline-haar": harness.run_haar_baseline}[args.command]
     outcome: SweepResult = runner(cfg, threads=args.threads)
     finished = datetime.now(timezone.utc).isoformat()
     emit_records(
         outcome.records,
-        out_dir,
+        args.out,
         failures=outcome.failures,
         config=cfg,
         started=started,
         finished=finished,
     )
     if outcome.failures:
-        print(f"{len(outcome.failures)} work unit(s) failed; see failures.csv under {out_dir}", file=sys.stderr)
+        print(f"{len(outcome.failures)} work unit(s) failed; see failures.csv under {args.out}", file=sys.stderr)
         return EXIT_PARTIAL
     return EXIT_OK
 

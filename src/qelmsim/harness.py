@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +93,12 @@ def _metric(name) -> str:
     return name
 
 
-def _sizes(value):
-    """One size as an int, several as a tuple."""
+def _sizes(value) -> tuple:
+    """One size or a list of sizes, as a tuple."""
     sizes = _list_of(value, _count, bare=(int, np.integer))
     for n in sizes:
         la._register_dim(n, "n_reservoir", extra=1)
-    return sizes if len(sizes) > 1 else sizes[0]
+    return sizes
 
 
 def _time_grid(value) -> tuple:
@@ -107,7 +108,7 @@ def _time_grid(value) -> tuple:
         if set(value) != {"start", "stop", "points"}:
             keys = sorted(value, key=str)
             raise ValueError(f"an object needs exactly the keys start, stop and points, got {keys}")
-        points = la._integral_count(value["points"], name="points")
+        points = _count(value["points"], name="points")
         start, stop = (_finite(value[key], key) for key in ("start", "stop"))
         value = np.linspace(start, stop, points).tolist()
     times = tuple(_finite(t) for t in _entries(value))
@@ -121,14 +122,12 @@ def _time_grid(value) -> tuple:
 def _shot_model(value) -> ShotModel:
     if isinstance(value, ShotModel):
         return value
-    if isinstance(value, str):
-        return ShotModel(mode=value)
-    if isinstance(value, dict):
-        unknown = set(value) - {"mode", "shots"}
-        if unknown:
-            raise ValueError(f"unknown keys {sorted(unknown, key=str)}")
-        return ShotModel(**value)
-    raise ValueError(f"must be a mode string or a {{mode, shots}} object, got {value!r}")
+    if not isinstance(value, dict):
+        raise ValueError(f"must be a {{mode, shots}} object, got {value!r}")
+    unknown = set(value) - {"mode", "shots"}
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown, key=str)}")
+    return ShotModel(**value)
 
 
 def _flag(value) -> bool:
@@ -143,16 +142,16 @@ class SweepConfig:
 
     Every field takes the form a JSON config file gives it, or its resolved
     value: ``time_grid`` a list of times or a ``{start, stop, points}`` object;
-    ``shot_model`` a ``ShotModel``, a mode (``exact`` or ``joint_bitstrings``),
-    or a ``{mode, shots}`` object; ``n_reservoir`` one size or a list;
-    ``topologies`` (C, R, FC) and ``schemes`` (SL, ML) one code or a list.
-    Numbers must be numbers, not strings; a list of sizes, codes or metrics
-    names no entry twice. A malformed or out-of-range value raises ConfigError
-    naming its field; a ring topology listed with a size below 3 raises one
-    naming ``topologies``.
+    ``shot_model`` a ``{mode, shots}`` object or a ``ShotModel``;
+    ``n_reservoir`` one size or a list, resolved to a tuple; ``topologies``
+    (C, R, FC) and ``schemes`` (SL, ML) a list of codes. Numbers must be
+    numbers, not strings, and counts integers; a list of sizes, codes or
+    metrics names no entry twice. A malformed or out-of-range value raises
+    ConfigError naming its field; a ring topology listed with a size below 3
+    raises one naming ``topologies``.
     """
 
-    n_reservoir: object = 7
+    n_reservoir: tuple = (7,)
     topologies: tuple = (Topology.CHAIN, Topology.RING, Topology.FULLY_CONNECTED)
     schemes: tuple = (CouplingScheme.SINGLE_LINK, CouplingScheme.MULTI_LINK)
     time_grid: tuple = DEFAULT_TIME_GRID
@@ -174,13 +173,9 @@ class SweepConfig:
             except ValueError as exc:
                 raise ConfigError(f"{field.name}: {exc}") from exc
             object.__setattr__(self, field.name, value)
-        small = [n for n in self.sizes if n < 3]
+        small = [n for n in self.n_reservoir if n < 3]
         if Topology.RING in self.topologies and small:
             raise ConfigError(f"topologies: the ring R needs sizes >= 3, got n_reservoir {small}")
-
-    @property
-    def sizes(self) -> tuple:
-        return self.n_reservoir if isinstance(self.n_reservoir, tuple) else (self.n_reservoir,)
 
     def as_dict(self) -> dict:
         """JSON-serializable canonical form (used for the config digest)."""
@@ -194,8 +189,8 @@ class SweepConfig:
 
 _RESOLVERS = {
     "n_reservoir": _sizes,
-    "topologies": lambda v: _list_of(v, Topology.parse, bare=(str, Topology)),
-    "schemes": lambda v: _list_of(v, CouplingScheme.parse, bare=(str, CouplingScheme)),
+    "topologies": lambda v: _list_of(v, Topology.parse),
+    "schemes": lambda v: _list_of(v, CouplingScheme.parse),
     "time_grid": _time_grid,
     "n_realizations": _count,
     "n_train": _count,
@@ -295,7 +290,7 @@ def _draw_inputs(cfg: SweepConfig, n: int, topo_i: int, scheme_i: int, realizati
     """``(train, test, y_train, y_test)`` drawn from the realization's state
     stream, with the Bloch targets of both sets; the targets draw nothing."""
     rng = derive_rng(cfg.master_seed, _KIND_STATES, n, topo_i, scheme_i, realization)
-    states = la._random_pure_qubit_states(rng, cfg.n_train + cfg.n_test)
+    states = la.random_pure_qubit_states(rng, cfg.n_train + cfg.n_test)
     train, test = states[: cfg.n_train], states[cfg.n_train :]
     return train, test, qelm.pauli_targets(train), qelm.pauli_targets(test)
 
@@ -456,13 +451,13 @@ def _units(config: SweepConfig, command: str) -> list:
     schemes = config.schemes if command == "sweep-time" else ()
     units = [
         (_hamiltonian_unit, (config, n, topology, scheme, realization))
-        for n in config.sizes
+        for n in config.n_reservoir
         for topology in config.topologies
         for scheme in schemes
         for realization in range(config.n_realizations)
     ]
     if command == "baseline-haar" or config.include_haar_baseline:
-        units += [(_haar_unit, (config, n, r)) for n in config.sizes for r in range(config.n_realizations)]
+        units += [(_haar_unit, (config, n, r)) for n in config.n_reservoir for r in range(config.n_realizations)]
     return units
 
 
@@ -480,9 +475,15 @@ def _run_unit(unit) -> tuple:
     return worker(args)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; all of them where affinity is unknown."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _map_units(units, threads: int):
     """Outcome of every ``(worker, args)`` unit, serially or on at most
-    ``threads`` processes.
+    ``threads`` processes, one per unit and per usable CPU.
 
     BLAS runs one thread throughout, so the worker count is the only source
     of parallelism and every unit's bytes are the same on either path. The
@@ -490,10 +491,10 @@ def _map_units(units, threads: int):
     worker ends the run alone on a long chunk of the costliest units; the
     sort is stable, so Haar units follow the Hamiltonian units of their size.
     """
+    workers = min(threads, len(units), _usable_cpus())
     with la.single_blas_thread():
-        if threads <= 1 or len(units) <= 1:
+        if workers <= 1:
             return [_run_unit(unit) for unit in units]
-        workers = min(threads, len(units))
         chunk = min(16, max(1, len(units) // (workers * 4)))
         ordered = sorted(units, key=lambda unit: unit[1][1], reverse=True)  # args (config, n, ...)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker_blas) as pool:

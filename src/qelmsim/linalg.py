@@ -42,7 +42,7 @@ __all__ = [
     "partial_trace",
     "von_neumann_entropy",
     "haar_unitary",
-    "random_pure_qubit_state",
+    "random_pure_qubit_states",
     "svd_pseudoinverse",
     "require_hermitian",
     "single_blas_thread",
@@ -87,25 +87,9 @@ def _is_real(value) -> bool:
 
 
 def _count(value, minimum: int = 1, name: str = "") -> int:
-    """``value`` as an int; the error starts with ``name`` when one is given."""
+    """``value`` as an int >= ``minimum``, not a boolean; the error starts with ``name``."""
     if not _is_integer(value) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}".lstrip())
-    return int(value)
-
-
-def _integral_count(value, name: str) -> int:
-    """``_count`` that also takes a finite integral real such as 1e6 or 41.0."""
-    if _is_real(value) and not _is_integer(value) and math.isfinite(value) and float(value).is_integer():
-        value = int(value)
-    return _count(value, name=name)
-
-
-def _index(value, name: str) -> int:
-    """``value`` as an int, once it is an integer and not a boolean: the rule
-    for a site or node index. Each caller then checks it against its register
-    with its own out-of-range text."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -172,8 +156,8 @@ def embed_pauli(axis: str, site: int, n_qubits: int) -> np.ndarray:
     if axis not in PAULIS:
         raise ValueError(f"axis must be one of {PAULI_AXES}, got {axis!r}")
     _register_dim(n_qubits, "n_qubits")
-    site = _index(site, "site")
-    if not 0 <= site < n_qubits:
+    site = _count(site, minimum=0, name="site")
+    if site >= n_qubits:
         raise ValueError(f"site {site} out of range for {n_qubits} qubits")
     op = PAULIS[axis]
     left = 2**site
@@ -244,10 +228,10 @@ def partial_trace(rho: np.ndarray, n_qubits: int, keep) -> np.ndarray:
     dim = _register_dim(n_qubits, "n_qubits")
     if rho.shape != (dim, dim):
         raise ValueError(f"rho has shape {rho.shape}, expected ({dim}, {dim})")
-    kept = sorted({_index(q, "keep entry") for q in keep})
+    kept = sorted({_count(q, minimum=0, name="keep entry") for q in keep})
     if not kept:
         raise ValueError("keep must be a nonempty set of qubit indices")
-    if kept[0] < 0 or kept[-1] >= n_qubits:
+    if kept[-1] >= n_qubits:
         raise ValueError(f"keep={kept} contains indices outside 0..{n_qubits - 1}")
     kept_set = set(kept)
     reshaped = rho.reshape((2,) * (2 * n_qubits))
@@ -302,24 +286,20 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def _random_pure_qubit_states(rng: np.random.Generator, k: int) -> np.ndarray:
-    """(k, 2, 2) stack of Haar-random pure qubit states.
+def random_pure_qubit_states(rng: np.random.Generator, k: int) -> np.ndarray:
+    """(k, 2, 2) stack of pure qubit states, Haar-uniform on the Bloch sphere.
 
     Each state takes four normals from ``rng``, the real pair before the
-    imaginary one. The squared norm is summed as two stacked dot products,
-    which rounds as ``np.linalg.norm`` of one vector does.
+    imaginary one, so one draw of k states equals k draws of one. The squared
+    norm is summed as two stacked dot products, which rounds as
+    ``np.linalg.norm`` of one vector does.
     """
-    g = rng.standard_normal((k, 2, 2))
+    g = rng.standard_normal((_count(k, name="k"), 2, 2))
     re, im = g[:, :1], g[:, 1:]
     norm = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
     v = g[:, 0] + 1j * g[:, 1]
     v /= norm
     return v[:, :, None] * v.conj()[:, None, :]
-
-
-def random_pure_qubit_state(rng: np.random.Generator) -> np.ndarray:
-    """Rank-1 single-qubit density matrix, Haar-uniform on the Bloch sphere."""
-    return _random_pure_qubit_states(rng, 1)[0]
 
 
 def svd_pseudoinverse(m: np.ndarray):

@@ -59,7 +59,7 @@ class ShotModel:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", ShotMode.parse(self.mode))
-        shots = la._integral_count(self.shots, name="shots")
+        shots = la._count(self.shots, name="shots")
         if shots > _MAX_SHOTS:
             raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {self.shots!r}")
         object.__setattr__(self, "shots", shots)

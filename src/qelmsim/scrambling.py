@@ -90,8 +90,8 @@ def averaged_otoc(u: np.ndarray, n_reservoir: int) -> OtocResult:
 def local_channel(u: np.ndarray, rho_in: np.ndarray, n_reservoir: int, node: int) -> np.ndarray:
     """Single-qubit state of reservoir ``node`` after evolving |0...0> x rho_in."""
     v01 = la._input_columns(u, n_reservoir)
-    node = la._index(node, "node")
-    if not 0 <= node < n_reservoir:
+    node = la._count(node, minimum=0, name="node")
+    if node >= n_reservoir:
         raise ValueError(f"node {node} out of range for {n_reservoir} reservoir qubits")
     rho_in = np.asarray(rho_in, dtype=complex)
     if rho_in.shape != (2, 2):

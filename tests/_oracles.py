@@ -105,3 +105,40 @@ def reservoir_probabilities(v01: np.ndarray, rho: np.ndarray) -> np.ndarray:
     bit by an explicit loop."""
     diag = np.diag(v01 @ rho @ v01.conj().T).real
     return np.array([diag[2 * m] + diag[2 * m + 1] for m in range(diag.size // 2)])
+
+
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def dense_hamiltonian(ham) -> np.ndarray:
+    """The register Hamiltonian reassembled from ``ham``'s stored coefficients.
+
+    Every term is a coefficient times a product of Paulis that ``np.kron``
+    embeds one site at a time (qubit 0 leftmost), instead of the package's
+    bitmask construction: the reservoir couplings, then the local fields,
+    then the input links. Each term adds the same exact values in the same
+    order as the package does, so the two agree bit for bit.
+    """
+    spec = ham.spec
+    n_tot = spec.n_total
+    single = [
+        [np.kron(np.kron(np.eye(2**site), p), np.eye(2 ** (n_tot - site - 1))) for p in _PAULIS]
+        for site in range(n_tot)
+    ]
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for (k, j), jmat in ham.couplings_res.items():
+        for a in range(3):
+            for b in range(3):
+                h += jmat[a, b] * single[k][a] @ single[j][b]
+    for k in range(spec.n_reservoir):
+        for a in range(3):
+            h += ham.local_fields[k, a] * single[k][a]
+    for k, jmat in ham.couplings_inj.items():
+        for a in range(3):
+            for b in range(3):
+                h += jmat[a, b] * single[k][a] @ single[spec.input_site][b]
+    return h

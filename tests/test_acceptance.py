@@ -92,7 +92,7 @@ class TestCriterion1ZeroTime:
             ham = sample_hamiltonian(HamiltonianSpec(5, topo, scheme, cfg.j_range, cfg.delta_range, seed=record.seed))
             u0 = la.evolve_unitary(la.herm_eig(ham.h_total), 0.0)
             rng = np.random.default_rng(seed)
-            states = [la.random_pure_qubit_state(rng) for _ in range(10)]
+            states = la.random_pure_qubit_states(rng, 10)
             feats = qelm.sample_features(u0, states, 5, ShotModel("exact"))
             columns_identical = np.max(np.abs(feats - feats[:, :1])) <= 1e-12
             ok &= abs(record.otoc_avg) <= 1e-12
@@ -215,7 +215,7 @@ class TestCriterion6ConditionNumber:
             eig = la.herm_eig(ham.h_total)
             v01 = la.evolve_unitary(eig, 5.0)[:, :2]
             srng = derive_rng(cfg.master_seed, 1, 7, topo_i, scheme_i, rec.realization_index)
-            train = [la.random_pure_qubit_state(srng) for _ in range(cfg.n_train)]
+            train = la.random_pure_qubit_states(srng, cfg.n_train)
             shot = derive_rng(cfg.master_seed, 2, 7, topo_i, scheme_i, rec.realization_index, 0)
             p = qelm._features_from_columns(v01, train, 7, cfg.shot_model, shot)
             s = np.linalg.svd(p, compute_uv=False)
@@ -308,8 +308,8 @@ class TestCriterion9ShotNoiseScaling:
         ham = sample_hamiltonian(HamiltonianSpec(7, "FC", "ML", seed=ACCEPT_SEED))
         u = la.evolve_unitary(la.herm_eig(ham.h_total), 5.0)
         rng = np.random.default_rng(ACCEPT_SEED)
-        train = [la.random_pure_qubit_state(rng) for _ in range(50)]
-        test = [la.random_pure_qubit_state(rng) for _ in range(50)]
+        train = la.random_pure_qubit_states(rng, 50)
+        test = la.random_pure_qubit_states(rng, 50)
         y_train = qelm.pauli_targets(train)
         y_test = qelm.pauli_targets(test)
         shots_grid = (10**4, 4 * 10**4, 16 * 10**4)

@@ -78,7 +78,7 @@ class TestParseConfig:
         path.write_text("")
         cfg = parse_config(str(path))
         assert cfg == SweepConfig()
-        assert cfg.sizes == (7,)
+        assert cfg.n_reservoir == (7,)
         assert cfg.n_realizations == 500
         assert cfg.shot_model == ShotModel(ShotMode.JOINT_BITSTRINGS, 10**6)
 
@@ -118,8 +118,11 @@ class TestParseConfig:
         assert cfg.time_grid == (0.0, 0.5, 1.0, 1.5, 2.0)
 
     def test_shot_model_string_form(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, {"shot_model": "exact"}))
-        assert cfg.shot_model.mode is ShotMode.EXACT
+        # shot_model is a {mode, shots} object; a bare mode string is not one
+        with pytest.raises(ConfigError, match="^shot_model: must be a {mode, shots} object, got 'exact'$"):
+            parse_config(write_config(tmp_path, {"shot_model": "exact"}))
+        cfg = parse_config(write_config(tmp_path, {"shot_model": {"mode": "exact"}}))
+        assert cfg.shot_model == ShotModel(ShotMode.EXACT)
 
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -192,6 +195,13 @@ class TestParseConfig:
             ({"topologies": ["chain"]}, "topologies"),
             ({"schemes": ["sl"]}, "schemes"),
             ({"metrics": ["mse", "mse"]}, "metrics"),
+            # one file form per value: a list of codes, a {mode, shots}
+            # object, and integer counts
+            ({"topologies": "C"}, "topologies"),
+            ({"schemes": "SL"}, "schemes"),
+            ({"shot_model": "exact"}, "shot_model"),
+            ({"shot_model": {"shots": 1e6}}, "shots"),
+            ({"time_grid": {"start": 0, "stop": 5, "points": 41.0}}, "points"),
         ],
     )
     def test_booleans_and_fractional_counts_rejected(self, tmp_path, payload, field):
@@ -227,10 +237,6 @@ class TestParseConfig:
         assert main([*argv[:-1], str(tmp_path / "free")]) == EXIT_OK
         assert len(calls) == 2
 
-    def test_integral_float_shots_and_points_accepted(self, tmp_path):
-        payload = {"shot_model": {"shots": 1e6}, "time_grid": {"start": 0, "stop": 5, "points": 41.0}}
-        assert parse_config(write_config(tmp_path, payload)) == SweepConfig()
-
     def test_digest_stable_and_sensitive(self):
         a = SweepConfig(master_seed=1)
         b = SweepConfig(master_seed=1)
@@ -249,7 +255,7 @@ class TestParseConfig:
         quick = parse_config(root / "quick.json")
         assert quick.n_realizations == 20
         size = parse_config(root / "size-sweep.json")
-        assert size.sizes == (2, 3, 4, 5, 6, 7)
+        assert size.n_reservoir == (2, 3, 4, 5, 6, 7)
         assert size.schemes == (CouplingScheme.SINGLE_LINK,)
         assert size.time_grid == (0.25, 5.0)
 
@@ -308,7 +314,7 @@ class TestCommands:
             "schemes": ["SL"],
             "time_grid": [0.0],
             "n_realizations": 1,
-            "shot_model": "exact",
+            "shot_model": {"mode": "exact"},
             "master_seed": 3,
         }
         out_dir = tmp_path / "out"
@@ -449,11 +455,13 @@ class TestCommands:
                 main(argv)
             assert excinfo.value.code == EXIT_USAGE, argv
 
-    def test_env_var_output_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "envout"))
-        config_path = write_config(tmp_path, TINY_CONFIG)
-        assert main(["sweep-time", "--config", config_path]) == EXIT_OK
-        assert (tmp_path / "envout" / "records.csv").exists()
+    def test_default_output_dir(self, tmp_path, monkeypatch):
+        # --out is the one output-directory setting; without it, ./qelmsim-out
+        monkeypatch.setenv("QELMSIM_OUT_DIR", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep-time", "--config", write_config(tmp_path, TINY_CONFIG)]) == EXIT_OK
+        assert (tmp_path / "qelmsim-out" / "records.csv").exists()
+        assert not (tmp_path / "envout").exists()
 
     def test_seed_override_changes_digest(self, tmp_path):
         config_path = write_config(tmp_path, TINY_CONFIG)
@@ -548,18 +556,23 @@ class TestEmissionFormat:
 
 
 class TestConfigDigestPinned:
-    """The digest of the resolved config is part of every manifest; it must not drift."""
+    """The digest of the resolved config is part of every manifest; it must not drift.
+
+    ``n_reservoir`` resolves to a tuple, so a single-size config writes
+    ``[7]`` where it once wrote ``7``; writing the single size as an int again
+    reproduces the earlier pins of the default, quick and full-scale configs.
+    """
 
     def test_default_and_shipped_configs(self):
         root = Path(__file__).resolve().parent.parent / "configs"
-        assert config_digest(SweepConfig()) == "15e58e1c5ffaabca36e0691f188d24301cef4d32398d19c7a20acf25e42e1247"
+        assert config_digest(SweepConfig()) == "4d638685ef991bbb6fb1993260bd58ca640f3c7ccf92d50da150cfc48d9e5aa5"
         assert (
             config_digest(parse_config(root / "quick.json"))
-            == "83c838f94e0cf5cf77e7d416ae550fa01f7011dca3d0a4cd120c4a9c6a48d8f6"
+            == "db45e47034bdda5e639df6342667695a9935e293b4c5fee0cf9421b56448804d"
         )
         assert (
             config_digest(parse_config(root / "full-scale.json"))
-            == "ed95bc782ea4efaf759928fd3ec56426a30f5e4eedc7da7f06c0a3f93d8eed7c"
+            == "8e987927b6d30963c4169cd940f3c10d705d89e730475ddee8323b7d05b5a24c"
         )
         assert (
             config_digest(parse_config(root / "size-sweep.json"))
@@ -567,21 +580,37 @@ class TestConfigDigestPinned:
         )
 
 
+def readme_bash_lines() -> list:
+    """The lines of the README's ```bash blocks."""
+    lines, in_bash = [], False
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_bash = line == "```bash"
+        elif in_bash:
+            lines.append(line)
+    return lines
+
+
 class TestReadme:
     def test_command_lines_parse(self):
         # every `qelmsim ...` line of the README's bash blocks is a valid command
         root = Path(__file__).resolve().parent.parent
-        argvs, in_bash = [], False
-        for line in (root / "README.md").read_text().splitlines():
-            if line.startswith("```"):
-                in_bash = line == "```bash"
-            elif in_bash and line.startswith("qelmsim "):
-                argvs.append(shlex.split(line, comments=True)[1:])
+        argvs = [shlex.split(line, comments=True)[1:] for line in readme_bash_lines() if line.startswith("qelmsim ")]
         assert {argv[0] for argv in argvs} == {"sweep-time", "baseline-haar"}
         for argv in argvs:
             args = cli._build_parser().parse_args(argv)
             config = getattr(args, "config", None)
             assert config is None or not config.startswith("configs/") or (root / config).is_file(), argv
+
+    def test_example_configs_parse(self, tmp_path):
+        # every config the README's bash blocks write with `echo '<json>' > FILE` resolves
+        examples = [re.fullmatch(r"echo '(.*)' > (\S+)", line) for line in readme_bash_lines()]
+        examples = [m.groups() for m in examples if m]
+        assert examples
+        for text, name in examples:
+            path = tmp_path / name
+            path.write_text(text)
+            parse_config(path)
 
     def test_building_blocks_are_package_names(self):
         # every name in the "Library use" building-block list is real API

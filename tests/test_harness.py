@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def fail_set_up_at_two(monkeypatch):
 class TestSweepConfig:
     def test_defaults_match_headline_parameters(self):
         cfg = SweepConfig()
-        assert cfg.sizes == (7,)
+        assert cfg.n_reservoir == (7,)
         assert cfg.n_realizations == 500
         assert cfg.n_train == cfg.n_test == 50
         assert cfg.shot_model.shots == 10**6
@@ -79,16 +80,18 @@ class TestSweepConfig:
 
     def test_size_list_normalized(self):
         cfg = small_config(n_reservoir=[2, 3])
-        assert cfg.sizes == (2, 3)
+        assert cfg.n_reservoir == (2, 3)
+        assert small_config(n_reservoir=3).n_reservoir == (3,)
 
     def test_string_size_rejected(self):
         with pytest.raises(ConfigError, match="n_reservoir"):
             small_config(n_reservoir="12")
 
-    def test_bare_string_topology_and_scheme_accepted(self):
-        cfg = small_config(topologies="FC", schemes="ML")
-        assert [t.value for t in cfg.topologies] == ["FC"]
-        assert [s.value for s in cfg.schemes] == ["ML"]
+    def test_bare_string_topology_and_scheme_rejected(self):
+        # topologies and schemes take a list; a bare code is not one
+        for field, value in (("topologies", "FC"), ("schemes", "ML")):
+            with pytest.raises(ConfigError, match=f"^{field}: must be a list, got '{value}'$"):
+                small_config(**{field: value})
 
     def test_as_dict_round_trips(self):
         cfg = small_config(n_reservoir=[2, 4], include_haar_baseline=True)
@@ -99,7 +102,7 @@ class TestSweepConfig:
     def test_file_forms_accepted(self):
         cfg = small_config(n_reservoir=[2, 4], include_haar_baseline=True)
         assert SweepConfig(**cfg.as_dict()) == cfg
-        cfg = small_config(time_grid={"start": 0, "stop": 2, "points": 5}, shot_model="exact")
+        cfg = small_config(time_grid={"start": 0, "stop": 2, "points": 5}, shot_model={"mode": "exact"})
         assert cfg.time_grid == (0.0, 0.5, 1.0, 1.5, 2.0)
         assert cfg.shot_model == ShotModel(ShotMode.EXACT)
 
@@ -214,6 +217,8 @@ class TestSweeps:
                 return map(fn, units)
 
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert 1 <= harness._usable_cpus() <= (os.cpu_count() or 1)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
         cfg = small_config()  # 2 units: 2 realizations of one topology and scheme
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
         ham, haar = "_hamiltonian_unit", "_haar_unit"
@@ -233,6 +238,16 @@ class TestSweeps:
         cfg = small_config(n_realizations=200, time_grid=(1.0,), metrics=["otoc"])
         assert run_time_sweep(cfg, threads=2) == run_time_sweep(cfg, threads=1)
         assert seen == [(2, harness._pin_worker_blas), ([(ham, 3)] * 200, 16)]
+        seen.clear()
+        # never more workers than usable CPUs, and no pool on one CPU
+        cfg = small_config(include_haar_baseline=True)  # 4 units
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
+        assert seen == [(2, harness._pin_worker_blas), ([(ham, 3)] * 2 + [(haar, 3)] * 2, 1)]
+        seen.clear()
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
+        assert seen == []
 
     def test_rerun_bit_identical(self):
         cfg = small_config(shot_model=ShotModel("joint_bitstrings", 500))
@@ -243,7 +258,7 @@ class TestSweeps:
         prefixes = set()
         count = 0
         for kind in (0, 1, 2):
-            for n in cfg.sizes:
+            for n in cfg.n_reservoir:
                 for ti in range(len(cfg.topologies)):
                     for si in range(len(cfg.schemes)):
                         for r in range(cfg.n_realizations):
@@ -261,8 +276,8 @@ class TestSweeps:
         ham = sample_hamiltonian(HamiltonianSpec(3, "R", "ML", seed=seed))
         decomp = la.herm_eig(ham.h_total)
         state_rng = derive_rng(cfg.master_seed, 1, 3, 1, 1, 0)
-        train = [la.random_pure_qubit_state(state_rng) for _ in range(cfg.n_train)]
-        test = [la.random_pure_qubit_state(state_rng) for _ in range(cfg.n_test)]
+        train = la.random_pure_qubit_states(state_rng, cfg.n_train)
+        test = la.random_pure_qubit_states(state_rng, cfg.n_test)
         for record, t in zip(out.records, cfg.time_grid):
             u = la.evolve_unitary(decomp, t)
             p_train = full_space_z_features(u, train, 3)
@@ -327,13 +342,13 @@ class TestSweeps:
         assert [r.condition_number for r in alone] == [r.condition_number for r in full]
         assert all(r.mse is None and r.otoc_avg is None for r in alone)
 
-        n = cfg.n_reservoir
+        (n,) = cfg.n_reservoir
         for record in full:
             spec = HamiltonianSpec(n, record.topology, record.scheme, cfg.j_range, cfg.delta_range, record.seed)
             key = (n, harness._TOPOLOGY_INDEX[spec.topology], harness._SCHEME_INDEX[spec.scheme], record.realization_index)
             u = la.evolve_unitary(la.herm_eig(sample_hamiltonian(spec).h_total), record.time)
             state_rng = derive_rng(cfg.master_seed, harness._KIND_STATES, *key)
-            states = la._random_pure_qubit_states(state_rng, cfg.n_train + cfg.n_test)
+            states = la.random_pure_qubit_states(state_rng, cfg.n_train + cfg.n_test)
             shot_rng = derive_rng(cfg.master_seed, harness._KIND_SHOTS, *key, cfg.time_grid.index(record.time))
             p_train = qelm.sample_features(u, states[: cfg.n_train], n, cfg.shot_model, shot_rng)
             assert qelm.condition_number(p_train) == record.condition_number

@@ -18,27 +18,11 @@ from qelmsim.harness import SweepConfig, derive_rng, run_time_sweep
 from qelmsim.qelm import ShotModel
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
 
+from _oracles import dense_hamiltonian
+
 N = 3
 T = 1.3
 SEED = 424242
-
-
-def scratch_hamiltonian(ham):
-    n_tot = N + 1
-    single = [[la.embed_pauli(axis, site, n_tot) for axis in "xyz"] for site in range(n_tot)]
-    h = np.zeros((2**n_tot, 2**n_tot), dtype=complex)
-    for (k, j), jmat in ham.couplings_res.items():
-        for a in range(3):
-            for b in range(3):
-                h += jmat[a, b] * single[k][a] @ single[j][b]
-    for k in range(N):
-        for a in range(3):
-            h += ham.local_fields[k, a] * single[k][a]
-    for k, jmat in ham.couplings_inj.items():
-        for a in range(3):
-            for b in range(3):
-                h += jmat[a, b] * single[k][a] @ single[N][b]
-    return h
 
 
 def scratch_marginal(rho_full, keep_qubit):
@@ -72,12 +56,12 @@ def test_full_record_against_scratch_recomputation():
     record = run_time_sweep(cfg).records[0]
 
     ham = sample_hamiltonian(HamiltonianSpec(N, "C", "SL", seed=record.seed))
-    h = scratch_hamiltonian(ham)
+    h = dense_hamiltonian(ham)
     u = expm(-1j * h * T)
 
     state_rng = derive_rng(SEED, 1, N, 0, 0, 0)
-    train = [la.random_pure_qubit_state(state_rng) for _ in range(12)]
-    test = [la.random_pure_qubit_state(state_rng) for _ in range(12)]
+    train = la.random_pure_qubit_states(state_rng, 12)
+    test = la.random_pure_qubit_states(state_rng, 12)
 
     reservoir_zero = np.zeros((2**N, 2**N), dtype=complex)
     reservoir_zero[0, 0] = 1.0

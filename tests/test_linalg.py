@@ -35,7 +35,7 @@ class TestEmbedPauli:
     def test_site_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             la.embed_pauli("x", 2, 2)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="^site must be an integer >= 0, got -1$"):
             la.embed_pauli("x", -1, 2)
         with pytest.raises(ValueError, match="axis"):
             la.embed_pauli("w", 0, 2)
@@ -217,18 +217,15 @@ class TestHaarUnitary:
 
 class TestRandomPureQubit:
     def test_purity(self):
-        rho = la.random_pure_qubit_state(np.random.default_rng(3))
+        [rho] = la.random_pure_qubit_states(np.random.default_rng(3), 1)
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
         assert abs(np.trace(rho) - 1.0) <= 1e-12
 
     def test_bloch_moments(self):
         rng = np.random.default_rng(4)
         n = 10**5
-        bloch = np.empty((n, 3))
-        paulis = [la.PAULI_X, la.PAULI_Y, la.PAULI_Z]
-        for i in range(n):
-            rho = la.random_pure_qubit_state(rng)
-            bloch[i] = [np.trace(p @ rho).real for p in paulis]
+        paulis = np.stack([la.PAULI_X, la.PAULI_Y, la.PAULI_Z])
+        bloch = np.einsum("aij,kji->ka", paulis, la.random_pure_qubit_states(rng, n)).real
         # mean Bloch vector -> 0 within 3 sigma; component variance is 1/3
         sigma_mean = np.sqrt(1.0 / 3.0 / n)
         assert np.all(np.abs(bloch.mean(axis=0)) <= 3 * sigma_mean)
@@ -239,9 +236,9 @@ class TestRandomPureQubit:
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
     @pytest.mark.parametrize("k", [1, 2, 5, 100])
     def test_batch_draw_equals_single_draws(self, seed, k):
-        batch = la._random_pure_qubit_states(np.random.default_rng(seed), k)
+        batch = la.random_pure_qubit_states(np.random.default_rng(seed), k)
         rng = np.random.default_rng(seed)
-        singles = np.array([la.random_pure_qubit_state(rng) for _ in range(k)])
+        singles = np.array([la.random_pure_qubit_states(rng, 1)[0] for _ in range(k)])
         assert batch.shape == (k, 2, 2)
         assert np.array_equal(batch, singles)
 
@@ -255,7 +252,7 @@ class TestRandomPureQubit:
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             v /= np.linalg.norm(v)
             expected.append(np.outer(v, v.conj()))
-        assert np.array_equal(la._random_pure_qubit_states(np.random.default_rng(seed), 50), expected)
+        assert np.array_equal(la.random_pure_qubit_states(np.random.default_rng(seed), 50), expected)
 
 
 class TestPseudoinverse:
@@ -347,8 +344,12 @@ class TestRegisterCap:
             (lambda n: la.embed_pauli("z", 0, n), "n_qubits"),
             (lambda n: la.partial_trace(np.eye(2), n, [0]), "n_qubits"),
             (lambda n: la.haar_unitary(n, np.random.default_rng(0)), "dim"),
+            (lambda n: la.random_pure_qubit_states(np.random.default_rng(0), n), "k"),
         ],
-        ids=["edge_set", "injection_sites-ML", "injection_sites-SL", "embed_pauli", "partial_trace", "haar_unitary"],
+        ids=[
+            "edge_set", "injection_sites-ML", "injection_sites-SL", "embed_pauli", "partial_trace", "haar_unitary",
+            "random_pure_qubit_states",
+        ],
     )
     def test_non_count_raises_naming_the_parameter(self, call, name, count):
         # one rule for every count: an integer >= 1, and a boolean is not one
@@ -362,12 +363,13 @@ class TestIndexRule:
         "call, name",
         [
             (lambda i: la.embed_pauli("z", i, 3), "site"),
-            (lambda i: la.partial_trace(np.eye(4) / 4, 2, [i]), "keep"),
+            (lambda i: la.partial_trace(np.eye(4) / 4, 2, [i]), "keep entry"),
             (lambda i: local_channel(np.eye(8, dtype=complex), np.eye(2) / 2, 2, i), "node"),
         ],
         ids=["embed_pauli", "partial_trace", "local_channel"],
     )
     def test_non_index_raises_naming_the_parameter(self, call, name, index):
-        # an index is an integer (a boolean is not one) inside the register
-        with pytest.raises(ValueError, match=f"^{name}"):
+        # an index follows the count rule with minimum 0 (a boolean is not an
+        # integer); each caller then checks it against its register
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got {re.escape(repr(index))}$"):
             call(index)

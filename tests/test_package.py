@@ -40,7 +40,7 @@ PUBLIC_NAMES = (
     "pauli_targets",
     "predict",
     "qelm",
-    "random_pure_qubit_state",
+    "random_pure_qubit_states",
     "reservoir",
     "run_haar_baseline",
     "run_time_sweep",

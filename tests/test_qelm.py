@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -192,7 +194,7 @@ class TestSampleFeatures:
 
         rng = np.random.default_rng(40 + n)
         v01 = random_unitary(rng, 2 ** (n + 1))[:, :2]
-        states = [la.random_pure_qubit_state(rng) for _ in range(20)] + [random_density(rng, 2)]
+        states = [*la.random_pure_qubit_states(rng, 20), random_density(rng, 2)]
         model = ShotModel(mode, 1000)
         got = _features_from_columns(v01, states, n, model, np.random.default_rng(41))
 
@@ -216,7 +218,9 @@ class TestSampleFeatures:
         for shots in (0, None, [5], float("inf"), 2.5, True):
             with pytest.raises(ValueError, match="^shots must be an integer"):
                 ShotModel("joint_bitstrings", shots)
-        assert ShotModel("joint_bitstrings", 1e6).shots == 10**6
+        for shots in (1e6, 1000.0, np.float64(5)):  # an integral float is not an integer
+            with pytest.raises(ValueError, match=f"^shots must be an integer >= 1, got {re.escape(repr(shots))}$"):
+                ShotModel("joint_bitstrings", shots)
         assert ShotModel(ShotMode.JOINT_BITSTRINGS).mode is ShotMode.JOINT_BITSTRINGS
         for mode in ("joint", "independent_binomial", "EXACT"):
             with pytest.raises(ValueError, match="^unknown shot mode"):
@@ -256,7 +260,7 @@ class TestPauliTargets:
 
     def test_column_norms(self):
         rng = np.random.default_rng(16)
-        pure = [la.random_pure_qubit_state(rng) for _ in range(5)]
+        pure = la.random_pure_qubit_states(rng, 5)
         targets = pauli_targets(pure)
         norms = np.linalg.norm(targets, axis=0)
         assert np.all(norms <= 1.0 + 1e-9)
@@ -272,7 +276,7 @@ class TestPauliTargets:
 
     def test_matches_per_state_traces(self):
         rng = np.random.default_rng(17)
-        states = [la.random_pure_qubit_state(rng) for _ in range(50)]
+        states = la.random_pure_qubit_states(rng, 50)
         ref = np.array(
             [[np.einsum("ij,ji->", la.PAULIS[axis], rho).real for rho in states] for axis in la.PAULI_AXES]
         )
@@ -298,7 +302,7 @@ class TestTrainPredictMse:
         ham = sample_hamiltonian(HamiltonianSpec(7, "FC", "ML", seed=40))
         u = la.evolve_unitary(la.herm_eig(ham.h_total), 5.0)
         rng = np.random.default_rng(18)
-        train = [la.random_pure_qubit_state(rng) for _ in range(50)]
+        train = la.random_pure_qubit_states(rng, 50)
         feats = sample_features(u, train, 7, ShotModel("exact"))
         y = pauli_targets(train)
         trained = train_readout(feats, y)
@@ -394,8 +398,8 @@ class TestConditionNumber:
 class TestZeroTimeBehaviour:
     def test_constant_features_train_to_mean_predictor(self):
         rng = np.random.default_rng(25)
-        train = [la.random_pure_qubit_state(rng) for _ in range(30)]
-        test = [la.random_pure_qubit_state(rng) for _ in range(30)]
+        train = la.random_pure_qubit_states(rng, 30)
+        test = la.random_pure_qubit_states(rng, 30)
         u = np.eye(32, dtype=complex)
         feats_train = sample_features(u, train, 4, ShotModel("exact"))
         feats_test = sample_features(u, test, 4, ShotModel("exact"))
@@ -420,8 +424,8 @@ class TestShotNoiseScaling:
         ham = sample_hamiltonian(HamiltonianSpec(5, "FC", "ML", seed=40))
         u = la.evolve_unitary(la.herm_eig(ham.h_total), 5.0)
         rng = np.random.default_rng(26)
-        train = [la.random_pure_qubit_state(rng) for _ in range(30)]
-        test = [la.random_pure_qubit_state(rng) for _ in range(30)]
+        train = la.random_pure_qubit_states(rng, 30)
+        test = la.random_pure_qubit_states(rng, 30)
         y_train, y_test = pauli_targets(train), pauli_targets(test)
         srng = np.random.default_rng(27)
         medians = []

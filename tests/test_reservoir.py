@@ -13,32 +13,9 @@ from qelmsim.reservoir import (
     sample_hamiltonian,
 )
 
+from _oracles import dense_hamiltonian
+
 PAULI = (la.PAULI_X, la.PAULI_Y, la.PAULI_Z)
-
-
-def rebuild_from_coefficients(ham):
-    """Independent reassembly of the Hamiltonian from its stored coefficients.
-
-    Uses matrix products of singly-embedded Paulis rather than the package's
-    bitmask construction. Each term adds the same exact values in the same
-    order, so the two agree bit for bit.
-    """
-    spec = ham.spec
-    n_tot = spec.n_total
-    single = [[la.embed_pauli(axis, site, n_tot) for axis in "xyz"] for site in range(n_tot)]
-    h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for (k, j), jmat in ham.couplings_res.items():
-        for a in range(3):
-            for b in range(3):
-                h += jmat[a, b] * single[k][a] @ single[j][b]
-    for k in range(spec.n_reservoir):
-        for a in range(3):
-            h += ham.local_fields[k, a] * single[k][a]
-    for k, jmat in ham.couplings_inj.items():
-        for a in range(3):
-            for b in range(3):
-                h += jmat[a, b] * single[k][a] @ single[spec.input_site][b]
-    return h
 
 
 class TestEdgeSet:
@@ -146,7 +123,7 @@ class TestSampleHamiltonian:
     def test_rebuild_matches_small(self):
         ham = sample_hamiltonian(HamiltonianSpec(2, "C", "SL", seed=6))
         assert ham.h_total.shape == (8, 8)
-        assert np.array_equal(ham.h_total, rebuild_from_coefficients(ham))
+        assert np.array_equal(ham.h_total, dense_hamiltonian(ham))
 
     def test_rebuild_matches_all_variants(self):
         cases = [(3, topo, scheme, 7) for topo in ("C", "R", "FC") for scheme in ("SL", "ML")]
@@ -161,7 +138,7 @@ class TestSampleHamiltonian:
         ]
         for n, topo, scheme, seed in cases:
             ham = sample_hamiltonian(HamiltonianSpec(n, topo, scheme, seed=seed))
-            assert np.array_equal(ham.h_total, rebuild_from_coefficients(ham))
+            assert np.array_equal(ham.h_total, dense_hamiltonian(ham))
 
     @pytest.mark.parametrize("n, topo, scheme", [(1, "C", "ML"), (3, "R", "SL"), (4, "FC", "ML"), (7, "C", "ML")])
     def test_draw_order(self, n, topo, scheme):

@@ -223,8 +223,8 @@ class TestHolevoKernel:
     def test_closed_form_entropies(self, log_base):
         rng = np.random.default_rng(21)
         mixed = [random_density(rng, 2) for _ in range(20)]
-        pure = [la.random_pure_qubit_state(rng) for _ in range(20)]
-        rhos = np.array(mixed + pure + [np.eye(2, dtype=complex) / 2, np.diag([1.0, 0.0]).astype(complex)])
+        pure = la.random_pure_qubit_states(rng, 20)
+        rhos = np.array(mixed + list(pure) + [np.eye(2, dtype=complex) / 2, np.diag([1.0, 0.0]).astype(complex)])
         ref = np.array([la.von_neumann_entropy(rho, log_base) for rho in rhos])
         got = _qubit_entropies(rhos.reshape(2, -1, 2, 2), log_base).reshape(-1)
         assert np.max(np.abs(got - ref)) <= 1e-13
