@@ -14,7 +14,6 @@ topologies, coupling schemes, reservoir sizes, and evolution times.
 __version__ = "0.1.0"
 
 from .harness import (
-    ALL_METRICS,
     ConfigError,
     EnsembleStats,
     ExperimentRecord,

@@ -140,11 +140,11 @@ _RECORD_COLUMNS = tuple(f.name for f in dataclasses.fields(ExperimentRecord) if 
 
 
 def _records_table(records) -> tuple:
-    max_nodes = max((len(r.holevo_per_node) for r in records if r.holevo_per_node), default=0)
+    max_nodes = max((r.n_reservoir for r in records), default=0)
     header = _RECORD_COLUMNS + tuple(f"chi_node_{i}" for i in range(max_nodes))
     rows = []
     for r in records:
-        nodes = list(r.holevo_per_node or ())
+        nodes = list(r.holevo_per_node)
         rows.append([getattr(r, c) for c in _RECORD_COLUMNS] + nodes + [None] * (max_nodes - len(nodes)))
     return header, rows
 

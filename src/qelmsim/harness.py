@@ -15,6 +15,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .reservoir import (
 )
 
 __all__ = [
-    "ALL_METRICS",
     "HAAR_LABEL",
     "ConfigError",
     "SweepConfig",
@@ -51,7 +51,6 @@ __all__ = [
     "expected_record_count",
 ]
 
-ALL_METRICS = ("mse", "condition_number", "otoc", "holevo", "holevo_per_node")
 HAAR_LABEL = "RU"
 
 DEFAULT_TIME_GRID = tuple(float(t) for t in np.linspace(0.0, 5.0, 41))
@@ -85,12 +84,6 @@ def _list_of(value, parse, bare=()) -> tuple:
     if not items or len(set(items)) != len(items):
         raise ValueError(f"must be a nonempty list without repeats, got {value!r}")
     return items
-
-
-def _metric(name) -> str:
-    if name not in ALL_METRICS:
-        raise ValueError(f"unknown metric {name!r} (expected one of {', '.join(ALL_METRICS)})")
-    return name
 
 
 def _sizes(value) -> tuple:
@@ -145,8 +138,8 @@ class SweepConfig:
     ``shot_model`` a ``{mode, shots}`` object or a ``ShotModel``;
     ``n_reservoir`` one size or a list, resolved to a tuple; ``topologies``
     (C, R, FC) and ``schemes`` (SL, ML) a list of codes. Numbers must be
-    numbers, not strings, and counts integers; a list of sizes, codes or
-    metrics names no entry twice. A malformed or out-of-range value raises
+    numbers, not strings, and counts integers; a list of sizes or codes names
+    no entry twice. A malformed or out-of-range value raises
     ConfigError naming its field; a ring topology listed with a size below 3
     raises one naming ``topologies``.
     """
@@ -162,9 +155,10 @@ class SweepConfig:
     master_seed: int = 0
     log_base: object = 2
     include_haar_baseline: bool = False
-    metrics: tuple = ALL_METRICS
     j_range: tuple = DEFAULT_J_RANGE
     delta_range: tuple = DEFAULT_DELTA_RANGE
+    # Not a field: every record carries every metric; bench/bench_checks.py reads this.
+    metrics: ClassVar[tuple] = ("mse", "condition_number", "otoc", "holevo", "holevo_per_node")
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
@@ -199,7 +193,6 @@ _RESOLVERS = {
     "master_seed": lambda v: _count(v, minimum=0),
     "log_base": la._log_base,
     "include_haar_baseline": _flag,
-    "metrics": lambda v: _list_of(v, _metric),
     "j_range": _interval,
     "delta_range": _interval,
 }
@@ -219,9 +212,9 @@ class EnsembleStats:
 class ExperimentRecord:
     """Metrics of one realization at one grid point.
 
-    ``time`` is None for the time-independent Haar baseline; metrics that were
-    not requested stay None. ``seed`` reproduces the realization (Hamiltonian
-    coefficients, or the Haar draw) on its own.
+    ``time`` is None for the time-independent Haar baseline. ``seed``
+    reproduces the realization (Hamiltonian coefficients, or the Haar draw) on
+    its own.
     """
 
     realization_index: int
@@ -230,11 +223,11 @@ class ExperimentRecord:
     n_reservoir: int
     time: float | None
     seed: int
-    mse: float | None = None
-    condition_number: float | None = None
-    otoc_avg: float | None = None
-    holevo_avg: float | None = None
-    holevo_per_node: tuple | None = None
+    mse: float
+    condition_number: float
+    otoc_avg: float
+    holevo_avg: float
+    holevo_per_node: tuple
 
 
 @dataclass(frozen=True)
@@ -344,34 +337,28 @@ def _propagator_columns(eig: la.SpectralDecomposition, t: float) -> np.ndarray:
 
 
 def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, otoc_mean) -> dict:
-    """Requested metric fields of one record under the propagator ``u``.
+    """Metric fields of one record under the propagator ``u``.
 
     Features and Holevo information see only the input columns of ``u``
     (``la._input_columns``); the mean OTOC needs all of ``u`` and comes from
-    ``otoc_mean(u, n)``. One SVD of the training features gives both the
-    readout and the condition number.
+    ``otoc_mean(u, n)``. One SVD of the training features gives the readout
+    and the condition number; the test features are drawn after them.
     """
-    want = set(cfg.metrics)
     train, test, y_train, y_test = inputs
     v01 = la._input_columns(u, n)
-    fields = {}
-    if {"mse", "condition_number"} & want:
-        p_train = qelm._features_from_columns(v01, train, n, cfg.shot_model, shot_rng)
-        trained = qelm.train_readout(p_train, y_train)
-        if "condition_number" in want:
-            fields["condition_number"] = qelm._condition_from_singular_values(trained.singular_values)
-        if "mse" in want:
-            p_test = qelm._features_from_columns(v01, test, n, cfg.shot_model, shot_rng)
-            fields["mse"] = qelm.mse(y_test, qelm.predict(trained, p_test))
-    if "otoc" in want:
-        fields["otoc_avg"] = otoc_mean(u, n)
-    if {"holevo", "holevo_per_node"} & want:
-        profile = scrambling._holevo_from_columns(v01, n, cfg.log_base)
-        if "holevo" in want:
-            fields["holevo_avg"] = profile.averaged
-        if "holevo_per_node" in want:
-            fields["holevo_per_node"] = tuple(float(x) for x in profile.per_node)
-    return fields
+    p_train = qelm._features_from_columns(v01, train, n, cfg.shot_model, shot_rng)
+    trained = qelm.train_readout(p_train, y_train)
+    p_test = qelm._features_from_columns(v01, test, n, cfg.shot_model, shot_rng)
+    mse = qelm.mse(y_test, qelm.predict(trained, p_test))
+    otoc = otoc_mean(u, n)
+    profile = scrambling._holevo_from_columns(v01, n, cfg.log_base)
+    return {
+        "mse": mse,
+        "condition_number": qelm._condition_from_singular_values(trained.singular_values),
+        "otoc_avg": otoc,
+        "holevo_avg": profile.averaged,
+        "holevo_per_node": tuple(float(x) for x in profile.per_node),
+    }
 
 
 def _unit_outcomes(
@@ -583,8 +570,7 @@ _METRIC_FIELDS = ("mse", "condition_number", "otoc_avg", "holevo_avg")
 def aggregate_records(records) -> tuple:
     """Median/quartile tables keyed by (topology, scheme, size, time).
 
-    Returns ``(metric_rows, holevo_node_rows)``; only metrics actually present
-    on the records appear.
+    Returns ``(metric_rows, holevo_node_rows)``.
     """
     groups: dict = {}
     for rec in records:
@@ -595,12 +581,9 @@ def aggregate_records(records) -> tuple:
         topology, scheme, n, t = key
         bucket = groups[key]
         for field in _METRIC_FIELDS:
-            values = [getattr(r, field) for r in bucket if getattr(r, field) is not None]
-            if values:
-                metric_rows.append(AggregateRow(topology, scheme, n, t, field, aggregate_stats(values)))
-        per_node = [r.holevo_per_node for r in bucket if r.holevo_per_node is not None]
-        if per_node:
-            for node in range(len(per_node[0])):
-                values = [nodes[node] for nodes in per_node]
-                node_rows.append(HolevoNodeRow(topology, scheme, n, t, node, aggregate_stats(values)))
+            stats = aggregate_stats(getattr(r, field) for r in bucket)
+            metric_rows.append(AggregateRow(topology, scheme, n, t, field, stats))
+        for node in range(n):
+            stats = aggregate_stats(r.holevo_per_node[node] for r in bucket)
+            node_rows.append(HolevoNodeRow(topology, scheme, n, t, node, stats))
     return tuple(metric_rows), tuple(node_rows)

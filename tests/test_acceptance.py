@@ -113,7 +113,6 @@ class TestCriterion2NoiselessReconstruction:
             time_grid=(5.0,),
             n_realizations=20,
             shot_model=ShotModel("exact"),
-            metrics=("mse",),
             master_seed=ACCEPT_SEED,
         )
         out = run_time_sweep(cfg, threads=THREADS)
@@ -268,7 +267,6 @@ class TestCriterion8SizeSweep:
             schemes=("SL",),
             time_grid=(5.0,),
             n_realizations=50,
-            metrics=("mse",),
             master_seed=ACCEPT_SEED,
         )
         small = run_time_sweep(small_cfg, threads=THREADS)
@@ -283,7 +281,6 @@ class TestCriterion8SizeSweep:
             schemes=("SL",),
             time_grid=(0.25,),
             n_realizations=50,
-            metrics=("mse",),
             master_seed=ACCEPT_SEED,
         )
         short = run_time_sweep(short_cfg, threads=THREADS)

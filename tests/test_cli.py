@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -62,7 +63,7 @@ def read_records_csv(path) -> list:
     for row in rows:
         nodes = tuple(float(v) for k, v in row.items() if k.startswith("chi_node_") and v != "")
         fields = {k: _cell(k, v) for k, v in row.items() if not k.startswith("chi_node_")}
-        records.append(ExperimentRecord(**fields, holevo_per_node=nodes or None))
+        records.append(ExperimentRecord(**fields, holevo_per_node=nodes))
     return records
 
 
@@ -165,7 +166,7 @@ class TestParseConfig:
             ({"time_grid": ["a"]}, "time_grid"),
             ({"j_range": ["a", 1]}, "j_range"),
             ({"topologies": 5}, "topologies"),
-            ({"metrics": 5}, "metrics"),
+            ({"metrics": ["mse"]}, "metrics"),  # not a key: every record carries every metric
             ({"metrics": "mse"}, "metrics"),
             ({"shot_model": "bogus"}, "shot_model"),
             ({"j_range": {}}, "j_range"),
@@ -394,34 +395,32 @@ class TestCommands:
         assert len(failures) == 1 + 4
 
     def test_rerun_removes_stale_optional_tables(self, tmp_path, monkeypatch):
-        original = harness.sample_hamiltonian
-
-        def failing_at_two(spec):
-            if spec.n_reservoir == 2:
-                raise RuntimeError("injected")
-            return original(spec)
+        def failing(spec):
+            raise RuntimeError("injected")
 
         out_dir = tmp_path / "out"
-        payload = dict(TINY_CONFIG, n_reservoir=[2, 3])
-        with monkeypatch.context() as patch:
-            patch.setattr(harness, "sample_hamiltonian", failing_at_two)
-            assert main(["sweep-time", "--config", write_config(tmp_path, payload), "--out", str(out_dir)]) == EXIT_PARTIAL
-        assert (out_dir / "failures.csv").exists() and (out_dir / "holevo_nodes.csv").exists()
-        clean = write_config(tmp_path, dict(TINY_CONFIG, metrics=["mse"]), name="clean.json")
-        assert main(["sweep-time", "--config", clean, "--out", str(out_dir)]) == EXIT_OK
-        assert sorted(p.name for p in out_dir.iterdir()) == ["aggregates.csv", "manifest.json", "records.csv"]
+        argv = ["sweep-time", "--config", write_config(tmp_path, TINY_CONFIG), "--out", str(out_dir)]
+        tables = ["aggregates.csv", "manifest.json", "records.csv"]
+        assert main(argv) == EXIT_OK
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(tables + ["holevo_nodes.csv"])
+        with monkeypatch.context() as patch:  # every unit fails: no records, so no per-node rows
+            patch.setattr(harness, "sample_hamiltonian", failing)
+            assert main(argv) == EXIT_PARTIAL
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(tables + ["failures.csv"])
+        assert main(argv) == EXIT_OK
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(tables + ["holevo_nodes.csv"])
         assert json.loads((out_dir / "manifest.json").read_text())["failure_count"] == 0
 
-    def test_baseline_haar_and_metric_restriction(self, tmp_path):
-        config_path = write_config(tmp_path, dict(TINY_CONFIG, metrics=["mse", "otoc"]))
+    def test_baseline_haar(self, tmp_path):
+        config_path = write_config(tmp_path, TINY_CONFIG)
         out_dir = tmp_path / "out"
         assert main(["baseline-haar", "--config", config_path, "--out", str(out_dir)]) == EXIT_OK
         records = read_records_csv(out_dir / "records.csv")
         assert len(records) == 2
         for r in records:
             assert r.topology == "RU" and r.time is None
-            assert r.mse is not None and r.otoc_avg is not None
-            assert r.holevo_avg is None and r.condition_number is None
+            assert None not in (r.mse, r.condition_number, r.otoc_avg, r.holevo_avg)
+            assert len(r.holevo_per_node) == r.n_reservoir
 
     def test_include_haar_baseline_merges(self, tmp_path):
         payload = dict(TINY_CONFIG)
@@ -488,8 +487,8 @@ class TestEmissionFormat:
     RECORDS = [
         harness.ExperimentRecord(0, "C", "SL", 2, 0.0, 11, 0.1, 2.5, 0.0, 0.25, (0.5, 0.0)),
         harness.ExperimentRecord(1, "C", "SL", 2, 0.0, 12, 0.3, 4.0, 0.125, 0.5, (0.75, 0.25)),
-        harness.ExperimentRecord(0, "FC", "ML", 3, 1.5, 13, None, float("inf"), 0.5, 1 / 3, (0.1, 0.2, 0.3)),
-        harness.ExperimentRecord(0, "RU", "RU", 2, None, 14, 0.2, 3.0, 0.75, None, None),
+        harness.ExperimentRecord(0, "FC", "ML", 3, 1.5, 13, 0.0625, float("inf"), 0.5, 1 / 3, (0.1, 0.2, 0.3)),
+        harness.ExperimentRecord(0, "RU", "RU", 2, None, 14, 0.2, 3.0, 0.75, 0.125, (0.25, 0.0)),
     ]
     FAILURES = [
         harness.UnitFailure(1, "R", "SL", 2, 1.5, "ValueError: ring needs at least 3 sites"),
@@ -501,9 +500,9 @@ class TestEmissionFormat:
         "holevo_avg,chi_node_0,chi_node_1,chi_node_2\n"
         "0,C,SL,2,0,11,0.10000000000000001,2.5,0,0.25,0.5,0,\n"
         "1,C,SL,2,0,12,0.29999999999999999,4,0.125,0.5,0.75,0.25,\n"
-        "0,FC,ML,3,1.5,13,,inf,0.5,0.33333333333333331,"
+        "0,FC,ML,3,1.5,13,0.0625,inf,0.5,0.33333333333333331,"
         "0.10000000000000001,0.20000000000000001,0.29999999999999999\n"
-        "0,RU,RU,2,,14,0.20000000000000001,3,0.75,,,,\n"
+        "0,RU,RU,2,,14,0.20000000000000001,3,0.75,0.125,0.25,0,\n"
     )
     AGGREGATES_CSV = (
         "topology,scheme,n_reservoir,time,metric,n,median,q1,q3\n"
@@ -511,12 +510,14 @@ class TestEmissionFormat:
         "C,SL,2,0,condition_number,2,3.25,2.875,3.625\n"
         "C,SL,2,0,otoc_avg,2,0.0625,0.03125,0.09375\n"
         "C,SL,2,0,holevo_avg,2,0.375,0.3125,0.4375\n"
+        "FC,ML,3,1.5,mse,1,0.0625,0.0625,0.0625\n"
         "FC,ML,3,1.5,condition_number,1,inf,inf,inf\n"
         "FC,ML,3,1.5,otoc_avg,1,0.5,0.5,0.5\n"
         "FC,ML,3,1.5,holevo_avg,1,0.33333333333333331,0.33333333333333331,0.33333333333333331\n"
         "RU,RU,2,,mse,1,0.20000000000000001,0.20000000000000001,0.20000000000000001\n"
         "RU,RU,2,,condition_number,1,3,3,3\n"
         "RU,RU,2,,otoc_avg,1,0.75,0.75,0.75\n"
+        "RU,RU,2,,holevo_avg,1,0.125,0.125,0.125\n"
     )
     HOLEVO_NODES_CSV = (
         "topology,scheme,n_reservoir,time,node,n,median,q1,q3\n"
@@ -525,6 +526,8 @@ class TestEmissionFormat:
         "FC,ML,3,1.5,0,1,0.10000000000000001,0.10000000000000001,0.10000000000000001\n"
         "FC,ML,3,1.5,1,1,0.20000000000000001,0.20000000000000001,0.20000000000000001\n"
         "FC,ML,3,1.5,2,1,0.29999999999999999,0.29999999999999999,0.29999999999999999\n"
+        "RU,RU,2,,0,1,0.25,0.25,0.25\n"
+        "RU,RU,2,,1,1,0,0,0\n"
     )
     FAILURES_CSV = (
         "realization_index,topology,scheme,n_reservoir,time,error\n"
@@ -558,25 +561,25 @@ class TestEmissionFormat:
 class TestConfigDigestPinned:
     """The digest of the resolved config is part of every manifest; it must not drift.
 
-    ``n_reservoir`` resolves to a tuple, so a single-size config writes
-    ``[7]`` where it once wrote ``7``; writing the single size as an int again
-    reproduces the earlier pins of the default, quick and full-scale configs.
+    ``metrics`` is no longer a key, so the canonical form lost its list of
+    the five metric names; adding that list back reproduces the earlier pins
+    of all four configs.
     """
 
     def test_default_and_shipped_configs(self):
         root = Path(__file__).resolve().parent.parent / "configs"
-        assert config_digest(SweepConfig()) == "4d638685ef991bbb6fb1993260bd58ca640f3c7ccf92d50da150cfc48d9e5aa5"
+        assert config_digest(SweepConfig()) == "278fdf0a2402efc44e6eb4b31e2d962816c6e4a14d3155be42d892e1432f37b8"
         assert (
             config_digest(parse_config(root / "quick.json"))
-            == "db45e47034bdda5e639df6342667695a9935e293b4c5fee0cf9421b56448804d"
+            == "67584183622a07518740de2c7c0548fa63ee316096be8d6ce6e748054c5fe30c"
         )
         assert (
             config_digest(parse_config(root / "full-scale.json"))
-            == "8e987927b6d30963c4169cd940f3c10d705d89e730475ddee8323b7d05b5a24c"
+            == "7e126e11fb8fc73362b92430299618d6b47f09e83fe604eeb34fa58b636045ad"
         )
         assert (
             config_digest(parse_config(root / "size-sweep.json"))
-            == "8860198d3f26ffef286acb49b81cb56fe2083d9f96a9cc6977713a69c347e720"
+            == "3d4bfd88b8a25e746b6f993cde02bb44681858a4568809b1aebeaf02282a612c"
         )
 
 
@@ -611,6 +614,13 @@ class TestReadme:
             path = tmp_path / name
             path.write_text(text)
             parse_config(path)
+
+    def test_config_block_names_every_field(self):
+        # the jsonc block under "Config file" documents exactly the SweepConfig fields
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"^## Config file\n.*?^```jsonc\n(.*?)^```", text, re.S | re.M).group(1)
+        keys = re.findall(r'^  "(\w+)":', block, re.M)
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(SweepConfig))
 
     def test_building_blocks_are_package_names(self):
         # every name in the "Library use" building-block list is real API

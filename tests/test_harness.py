@@ -66,10 +66,6 @@ class TestSweepConfig:
         with pytest.raises(ConfigError, match="time_grid"):
             small_config(time_grid=(0.0, 1.0, 1.0))
 
-    def test_rejects_unknown_metric(self):
-        with pytest.raises(ConfigError, match="metrics"):
-            small_config(metrics=("mse", "fidelity"))
-
     def test_rejects_bad_counts(self):
         with pytest.raises(ConfigError, match="n_realizations"):
             small_config(n_realizations=0)
@@ -181,13 +177,6 @@ class TestSweeps:
         keys = {(r.realization_index, r.topology, r.scheme, r.n_reservoir, r.time) for r in out.records}
         assert len(keys) == len(out.records)
 
-    def test_metrics_subset(self):
-        out = run_time_sweep(small_config(metrics=("mse", "otoc")))
-        for r in out.records:
-            assert r.mse is not None and r.otoc_avg is not None
-            assert r.condition_number is None
-            assert r.holevo_avg is None and r.holevo_per_node is None
-
     def test_determinism_across_worker_counts(self):
         cfg = small_config(n_realizations=3, shot_model=ShotModel("joint_bitstrings", 200))
         serial = run_time_sweep(cfg, threads=1)
@@ -235,7 +224,7 @@ class TestSweeps:
         assert seen == [(2, harness._pin_worker_blas), (order, 1)]
         seen.clear()
         # the chunk size is capped at 16 units
-        cfg = small_config(n_realizations=200, time_grid=(1.0,), metrics=["otoc"])
+        cfg = small_config(n_realizations=200, time_grid=(1.0,))
         assert run_time_sweep(cfg, threads=2) == run_time_sweep(cfg, threads=1)
         assert seen == [(2, harness._pin_worker_blas), ([(ham, 3)] * 200, 16)]
         seen.clear()
@@ -323,27 +312,23 @@ class TestSweeps:
             n_reservoir=2, topologies=("C", "FC"), schemes=("SL", "ML"), time_grid=(0.0, 1.5),
             shot_model=ShotModel("joint_bitstrings", 100), include_haar_baseline=True,
         )
-        assert cfg.metrics == harness.ALL_METRICS
         out = run_time_sweep(cfg)
         assert not out.failures
         records = len(out.records)
         assert records == 4 * 2 * 2 + 2  # pairs x realizations x times, plus Haar
         assert calls == {"features": 2 * records, "hamiltonian": 4 * 2, "svd": records, "readout": 3 * records}
 
-    def test_condition_number_independent_of_metrics(self):
-        """The record's condition number has the same bytes whatever else is
-        requested, and equals ``qelm.condition_number`` of the training
-        features rebuilt from the record's own streams."""
+    def test_condition_number_matches_training_features(self):
+        """The record's condition number equals ``qelm.condition_number`` of
+        the training features rebuilt from the record's own streams."""
         cfg = small_config(
             topologies=("C", "FC"), time_grid=(0.0, 0.7, 5.0), shot_model=ShotModel("joint_bitstrings", 300)
         )
-        full = run_time_sweep(cfg).records
-        alone = run_time_sweep(dataclasses.replace(cfg, metrics=("condition_number",))).records
-        assert [r.condition_number for r in alone] == [r.condition_number for r in full]
-        assert all(r.mse is None and r.otoc_avg is None for r in alone)
+        records = run_time_sweep(cfg).records
+        assert len(records) == 2 * 2 * 3  # realizations x topologies x times
 
         (n,) = cfg.n_reservoir
-        for record in full:
+        for record in records:
             spec = HamiltonianSpec(n, record.topology, record.scheme, cfg.j_range, cfg.delta_range, record.seed)
             key = (n, harness._TOPOLOGY_INDEX[spec.topology], harness._SCHEME_INDEX[spec.scheme], record.realization_index)
             u = la.evolve_unitary(la.herm_eig(sample_hamiltonian(spec).h_total), record.time)
@@ -364,7 +349,6 @@ class TestSweeps:
             n_train=5,
             n_test=5,
             shot_model=ShotModel("exact"),
-            metrics=("otoc",),
             master_seed=77,
         )
         out = run_time_sweep(cfg)

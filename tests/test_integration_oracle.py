@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-import qelmsim.harness as harness
 from qelmsim import linalg as la
 from qelmsim.harness import SweepConfig, derive_rng, run_time_sweep
 from qelmsim.qelm import ShotModel

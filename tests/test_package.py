@@ -6,7 +6,6 @@ import qelmsim
 # The package-root names. Adding or removing one is an API change: edit this
 # tuple and list the change in the README's "Library use".
 PUBLIC_NAMES = (
-    "ALL_METRICS",
     "ConfigError",
     "CouplingScheme",
     "EnsembleStats",

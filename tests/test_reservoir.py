@@ -15,9 +15,6 @@ from qelmsim.reservoir import (
 
 from _oracles import dense_hamiltonian
 
-PAULI = (la.PAULI_X, la.PAULI_Y, la.PAULI_Z)
-
-
 class TestEdgeSet:
     def test_chain(self):
         assert edge_set("C", 3) == [(0, 1), (1, 2)]
