@@ -217,11 +217,14 @@ def emit_records(
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer >= ``minimum`` (``linalg._count``); argparse names the flag in its error."""
+    def parse(text: str) -> int:
+        try:
+            return la._count(int(text), minimum=minimum)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -235,8 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", metavar="PATH", help="JSON config file (defaults apply when omitted)")
         p.add_argument("--out", metavar="DIR", default="qelmsim-out", help="output directory (default ./qelmsim-out)")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--threads", type=_positive_int, default=1, help="worker processes, each on one core, at most one per usable CPU (results are schedule-independent)")
+        p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the master seed")
+        p.add_argument("--threads", type=_int_at_least(1), default=1, help="worker processes, each on one core, at most one per usable CPU (results are schedule-independent)")
     return parser
 
 

@@ -21,11 +21,9 @@ import numpy as np
 
 from . import linalg as la
 from . import qelm, scrambling
-from .linalg import _count, _entries, _finite, _interval, _is_bool
+from .linalg import _count, _entries, _finite, _is_bool
 from .qelm import ShotMode, ShotModel
 from .reservoir import (
-    DEFAULT_DELTA_RANGE,
-    DEFAULT_J_RANGE,
     CouplingScheme,
     HamiltonianSpec,
     Topology,
@@ -74,8 +72,8 @@ class ConfigError(ValueError):
 
 # Config values: one resolver per kind of value maps a field's file form, or
 # its resolved value, to the resolved value or raises ValueError. The rules for
-# numbers, counts, intervals and the register size live in ``linalg``;
-# ``reservoir.HamiltonianSpec`` resolves its inputs with them too.
+# numbers, counts and the register size live in ``linalg``;
+# ``reservoir.HamiltonianSpec`` resolves its inputs with them and its ranges too.
 
 
 def _list_of(value, parse, bare=()) -> tuple:
@@ -153,12 +151,12 @@ class SweepConfig:
     n_test: int = 50
     shot_model: ShotModel = ShotModel(ShotMode.JOINT_BITSTRINGS, 10**6)
     master_seed: int = 0
-    log_base: object = 2
     include_haar_baseline: bool = False
-    j_range: tuple = DEFAULT_J_RANGE
-    delta_range: tuple = DEFAULT_DELTA_RANGE
-    # Not a field: every record carries every metric; bench/bench_checks.py reads this.
+    # Not fields: every record carries every metric of the one model; bench/bench_checks.py reads these.
     metrics: ClassVar[tuple] = ("mse", "condition_number", "otoc", "holevo", "holevo_per_node")
+    j_range: ClassVar[tuple] = HamiltonianSpec.j_range  # the spec's defaults, which sweeps build with
+    delta_range: ClassVar[tuple] = HamiltonianSpec.delta_range
+    log_base: ClassVar[int] = 2
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
@@ -191,10 +189,7 @@ _RESOLVERS = {
     "n_test": _count,
     "shot_model": _shot_model,
     "master_seed": lambda v: _count(v, minimum=0),
-    "log_base": la._log_base,
     "include_haar_baseline": _flag,
-    "j_range": _interval,
-    "delta_range": _interval,
 }
 
 
@@ -351,7 +346,7 @@ def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, 
     p_test = qelm._features_from_columns(v01, test, n, cfg.shot_model, shot_rng)
     mse = qelm.mse(y_test, qelm.predict(trained, p_test))
     otoc = otoc_mean(u, n)
-    profile = scrambling._holevo_from_columns(v01, n, cfg.log_base)
+    profile = scrambling._holevo_from_columns(v01, n)
     return {
         "mse": mse,
         "condition_number": qelm._condition_from_singular_values(trained.singular_values),
@@ -401,7 +396,7 @@ def _hamiltonian_unit(args) -> tuple:
 
     def prepare():
         seed = _derived_seed(cfg.master_seed, _KIND_HAMILTONIAN, n, topo_i, scheme_i, realization)
-        spec = HamiltonianSpec(n, topology, scheme, cfg.j_range, cfg.delta_range, seed)
+        spec = HamiltonianSpec(n, topology, scheme, seed=seed)
         return seed, la.herm_eig(sample_hamiltonian(spec).h_total)
 
     return _unit_outcomes(

@@ -89,7 +89,7 @@ class TestCriterion1ZeroTime:
                 master_seed=ACCEPT_SEED,
             )
             record = run_time_sweep(cfg).records[0]
-            ham = sample_hamiltonian(HamiltonianSpec(5, topo, scheme, cfg.j_range, cfg.delta_range, seed=record.seed))
+            ham = sample_hamiltonian(HamiltonianSpec(5, topo, scheme, seed=record.seed))
             u0 = la.evolve_unitary(la.herm_eig(ham.h_total), 0.0)
             rng = np.random.default_rng(seed)
             states = la.random_pure_qubit_states(rng, 10)

@@ -154,7 +154,7 @@ class TestParseConfig:
             ({"time_grid": {"start": False, "stop": 1, "points": 2}}, "time_grid"),
             ({"time_grid": [False, True]}, "time_grid"),
             ({"rcond": True}, "rcond"),
-            ({"j_range": [False, True]}, "j_range"),
+            ({"j_range": [False, True]}, "j_range"),  # not a key: the model fixes both ranges
             ({"delta_range": [0, True]}, "delta_range"),
             ({"include_haar_baseline": "false"}, "include_haar_baseline"),
             ({"include_haar_baseline": 0.5}, "include_haar_baseline"),
@@ -203,6 +203,8 @@ class TestParseConfig:
             ({"shot_model": "exact"}, "shot_model"),
             ({"shot_model": {"shots": 1e6}}, "shots"),
             ({"time_grid": {"start": 0, "stop": 5, "points": 41.0}}, "points"),
+            # a key the config does not have: sweeps report Holevo information in bits
+            ({"log_base": 2}, "log_base"),
         ],
     )
     def test_booleans_and_fractional_counts_rejected(self, tmp_path, payload, field):
@@ -244,7 +246,8 @@ class TestParseConfig:
         c = SweepConfig(master_seed=2)
         assert config_digest(a) == config_digest(b)
         assert config_digest(a) != config_digest(c)
-        assert config_digest(SweepConfig(master_seed=1, log_base=2.0)) == config_digest(a)
+        same = SweepConfig(master_seed=1, n_reservoir=7, time_grid={"start": 0, "stop": 5.0, "points": 41})
+        assert config_digest(same) == config_digest(a)
 
     def test_shipped_configs_parse(self):
         root = Path(__file__).resolve().parent.parent / "configs"
@@ -438,12 +441,13 @@ class TestCommands:
         config_path = write_config(tmp_path, {"time_grid": [1.0, 1.0]})
         assert main(["sweep-time", "--config", config_path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
-    def test_usage_error_exit_code(self, tmp_path):
+    def test_usage_error_exit_code(self, tmp_path, capsys):
         # A value a flag rejects, the removed table-format, lax-key and metrics
         # flags, and the removed single-run command.
         base = ["sweep-time", "--config", write_config(tmp_path, TINY_CONFIG), "--out", str(tmp_path / "o")]
         for argv in (
             base + ["--seed", "abc"],
+            base + ["--seed", "-1"],
             base + ["--format", "csv"],
             base + ["--lax"],
             base + ["--metrics", "mse"],
@@ -453,6 +457,9 @@ class TestCommands:
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == EXIT_USAGE, argv
+        # argparse names the flag the user wrote, not the config key it overrides
+        assert "argument --seed: must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_default_output_dir(self, tmp_path, monkeypatch):
         # --out is the one output-directory setting; without it, ./qelmsim-out
@@ -561,25 +568,26 @@ class TestEmissionFormat:
 class TestConfigDigestPinned:
     """The digest of the resolved config is part of every manifest; it must not drift.
 
-    ``metrics`` is no longer a key, so the canonical form lost its list of
-    the five metric names; adding that list back reproduces the earlier pins
-    of all four configs.
+    ``j_range``, ``delta_range`` and ``log_base`` are no longer keys, so the
+    canonical form lost ``"j_range": [-1.0, 1.0]``, ``"delta_range": [-0.1,
+    0.1]`` and ``"log_base": 2``; adding those three back reproduces the
+    earlier pins of all four configs.
     """
 
     def test_default_and_shipped_configs(self):
         root = Path(__file__).resolve().parent.parent / "configs"
-        assert config_digest(SweepConfig()) == "278fdf0a2402efc44e6eb4b31e2d962816c6e4a14d3155be42d892e1432f37b8"
+        assert config_digest(SweepConfig()) == "03bbbc41d98c28e5a02ee188779eb09ac1e52262b36cefc56cb8b3bb0da4259c"
         assert (
             config_digest(parse_config(root / "quick.json"))
-            == "67584183622a07518740de2c7c0548fa63ee316096be8d6ce6e748054c5fe30c"
+            == "873020fec1d58339806600cc7710ff8c3ae1412dac3540618f514d13b44ca1b0"
         )
         assert (
             config_digest(parse_config(root / "full-scale.json"))
-            == "7e126e11fb8fc73362b92430299618d6b47f09e83fe604eeb34fa58b636045ad"
+            == "ee9b750359c08a980e3afa20563688e81c8eaf3a69594a180a459d3085d9a67d"
         )
         assert (
             config_digest(parse_config(root / "size-sweep.json"))
-            == "3d4bfd88b8a25e746b6f993cde02bb44681858a4568809b1aebeaf02282a612c"
+            == "8cb533e4f705ce9c44d1a4303e08c92102288a21b2c9ded7424c023d0be56446"
         )
 
 

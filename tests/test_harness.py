@@ -276,7 +276,7 @@ class TestSweeps:
             assert record.mse == pytest.approx(ref_mse, abs=1e-10)
             assert record.condition_number == pytest.approx(qelm.condition_number(p_train), abs=1e-8)
             assert record.otoc_avg == pytest.approx(averaged_otoc(u, 3).averaged, abs=1e-10)
-            profile = local_holevo_profile(u, 3, cfg.log_base)
+            profile = local_holevo_profile(u, 3)
             assert record.holevo_avg == pytest.approx(profile.averaged, abs=1e-10)
             assert np.allclose(record.holevo_per_node, profile.per_node, atol=1e-10)
 
@@ -329,7 +329,7 @@ class TestSweeps:
 
         (n,) = cfg.n_reservoir
         for record in records:
-            spec = HamiltonianSpec(n, record.topology, record.scheme, cfg.j_range, cfg.delta_range, record.seed)
+            spec = HamiltonianSpec(n, record.topology, record.scheme, seed=record.seed)
             key = (n, harness._TOPOLOGY_INDEX[spec.topology], harness._SCHEME_INDEX[spec.scheme], record.realization_index)
             u = la.evolve_unitary(la.herm_eig(sample_hamiltonian(spec).h_total), record.time)
             state_rng = derive_rng(cfg.master_seed, harness._KIND_STATES, *key)

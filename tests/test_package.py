@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import qelmsim
@@ -70,17 +71,31 @@ def test_benchmark_trace_targets_exist():
 
 
 def test_benchmark_workloads_parse(tmp_path):
-    """Every ``bench/run.py`` workload, inline or a config file, resolves
-    through ``cli.parse_config`` with its record count; a config rule that
-    rejected one would fail every benchmark run of it."""
+    """Every ``bench/run.py`` workload and every ``configs/*.json`` file
+    resolves through ``cli.parse_config`` with its record count, and carries
+    every ``config.<name>`` that ``bench/bench_checks.py`` reads. A change
+    that drops a key a workload sets, or a name the checks read, fails here
+    and not only in a benchmark run."""
     from qelmsim import cli, harness
 
     run = _bench_module("run")
-    counts = {
-        name: harness.expected_record_count(cli.parse_config(run.config_path(name, tmp_path)), "sweep-time")
-        for name in run.WORKLOADS
+    read = sorted(set(re.findall(r"\bconfig\.(\w+)", Path(run.__file__).with_name("bench_checks.py").read_text())))
+    assert read
+    paths = {name: run.config_path(name, tmp_path) for name in run.WORKLOADS}
+    paths.update({f"configs/{p.name}": p for p in (run.ROOT / "configs").glob("*.json")})
+    counts = {}
+    for name, path in paths.items():
+        config = cli.parse_config(path)
+        counts[name] = harness.expected_record_count(config, "sweep-time")
+        assert [attr for attr in read if not hasattr(config, attr)] == [], name
+    assert counts == {
+        "grid-n7": 164,
+        "ensemble-n7": 56,
+        "quick-1t": 900,
+        "configs/quick.json": 900,
+        "configs/size-sweep.json": 12000,
+        "configs/full-scale.json": 123500,
     }
-    assert counts == {"grid-n7": 164, "ensemble-n7": 56, "quick-1t": 900}
 
 
 def _bench_module(name: str):

@@ -1,15 +1,22 @@
 """Committed sweep outputs, re-run and compared cell by cell.
 
-``tests/data/reference/`` holds a small config -- N=3, chain and fully
-connected, both coupling schemes, 2 realizations on 5 times, 10^4 shots,
-every metric and the Haar baseline -- and the ``records.csv``,
-``aggregates.csv`` and ``holevo_nodes.csv`` it produced. In the numpy and
-BLAS build named by ``REFERENCE_ENVIRONMENT`` every cell must match as text,
-at ``--threads`` 1 and 2. In any other build the numbers are compared at
-``FOREIGN_RTOL`` and ``FOREIGN_ATOL``, and a warning says so. A change that
-moves output on purpose regenerates the reference with
+Each directory under ``tests/data/`` named in ``REFERENCES`` holds a small
+config and the ``records.csv``, ``aggregates.csv`` and ``holevo_nodes.csv``
+it produced:
 
-    PYTHONPATH=src python -m qelmsim sweep-time --config tests/data/reference/config.json --out tests/data/reference
+* ``reference/`` -- N=3, chain and fully connected, both coupling schemes,
+  2 realizations on 5 times, 10^4 shots and the Haar baseline;
+* ``reference-ladder/`` -- every register size N=2..7, chain and fully
+  connected, both coupling schemes, 1 realization at t=0.25 and t=5, 10^4
+  shots and the Haar baseline, so a last-bit change that shows only in the
+  larger matrices of one size fails here.
+
+In the numpy and BLAS build named by ``REFERENCE_ENVIRONMENT`` every cell
+must match as text, at ``--threads`` 1 and 2. In any other build the numbers
+are compared at ``FOREIGN_RTOL`` and ``FOREIGN_ATOL``, and a warning says so.
+A change that moves output on purpose regenerates each reference with
+
+    PYTHONPATH=src python -m qelmsim sweep-time --config tests/data/<name>/config.json --out tests/data/<name>
 
 and, if it ran in another build, updates ``REFERENCE_ENVIRONMENT``.
 """
@@ -24,7 +31,8 @@ import pytest
 
 from qelmsim import cli
 
-REFERENCE = Path(__file__).parent / "data" / "reference"
+DATA = Path(__file__).parent / "data"
+REFERENCES = ("reference", "reference-ladder")
 TABLES = ("records.csv", "aggregates.csv", "holevo_nodes.csv")
 REFERENCE_ENVIRONMENT = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
 # Another numpy or BLAS may round products differently in the last bits.
@@ -69,7 +77,9 @@ def column_moves(got: list, want: list, close) -> dict:
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_sweep_reproduces_the_reference(tmp_path, threads):
+@pytest.mark.parametrize("name", REFERENCES)
+def test_sweep_reproduces_the_reference(tmp_path, name, threads):
+    reference = DATA / name
     same_build = environment() == REFERENCE_ENVIRONMENT
     if not same_build:
         warnings.warn(
@@ -80,11 +90,11 @@ def test_sweep_reproduces_the_reference(tmp_path, threads):
     def close(a, b):
         return not same_build and math.isclose(a, b, rel_tol=FOREIGN_RTOL, abs_tol=FOREIGN_ATOL)
 
-    argv = ["sweep-time", "--config", str(REFERENCE / "config.json"), "--out", str(tmp_path), "--threads", str(threads)]
+    argv = ["sweep-time", "--config", str(reference / "config.json"), "--out", str(tmp_path), "--threads", str(threads)]
     assert cli.main(argv) == cli.EXIT_OK
     problems = []
     for table in TABLES:
-        got, want = read_table(tmp_path / table), read_table(REFERENCE / table)
+        got, want = read_table(tmp_path / table), read_table(reference / table)
         if got[0] != want[0] or len(got) != len(want):
             problems.append(f"{table}: header {got[0]} and {len(got) - 1} rows, reference {want[0]} and {len(want) - 1}")
             continue

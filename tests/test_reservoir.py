@@ -100,11 +100,22 @@ class TestHamiltonianSpec:
             ("seed", True),
             ("seed", 1.5),
             ("seed", -1),
+            # a range is a [lo, hi] list of two real numbers, never a string or an object
+            ("j_range", [False, True]),
+            ("j_range", ["a", 1]),
+            ("j_range", {}),
+            ("delta_range", {"lo": 0, "hi": 1}),
+            ("delta_range", [0, 0.1, 0.2]),
+            ("j_range", "12"),
+            ("delta_range", "01"),
         ],
-        ids=["n-float", "n-bool", "j-strings", "j-triple", "delta-bool", "seed-bool", "seed-float", "seed-negative"],
+        ids=[
+            "n-float", "n-bool", "j-strings", "j-triple", "delta-bool", "seed-bool", "seed-float", "seed-negative",
+            "j-bool", "j-letter", "j-dict", "delta-dict", "delta-triple", "j-string", "delta-string",
+        ],
     )
     def test_rejects_what_a_sweep_config_rejects(self, field, value):
-        # the same value rules as SweepConfig, each error naming its field
+        # the count and seed rules of SweepConfig, and the range rule, each error naming its field
         spec = {"n_reservoir": 3, "topology": "C", "scheme": "SL", field: value}
         with pytest.raises(ValueError, match=f"^{field}: "):
             HamiltonianSpec(**spec)
