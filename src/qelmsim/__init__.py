@@ -21,7 +21,6 @@ from .harness import (
     SweepResult,
     aggregate_records,
     aggregate_stats,
-    run_haar_baseline,
     run_time_sweep,
 )
 from .linalg import (

@@ -1,7 +1,8 @@
 """Command line front end: parse a config, run sweeps, emit plot-ready tables.
 
-Two commands, ``sweep-time`` and ``baseline-haar``, each run the experiment
-its config file describes; ``--seed`` is the one override of a config key.
+One command, ``sweep-time``, runs the experiment its config file describes,
+with the Haar baseline when the config sets ``include_haar_baseline``;
+``--seed`` is the one override of a config key.
 Exit codes: 0 success, 2 usage error, 3 config error, 4 runtime failure,
 5 partial failure (some work units failed; their keys are in failures.csv).
 Records are sorted deterministically and floats are serialized with 17
@@ -231,15 +232,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qelmsim", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qelmsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("sweep-time", "metrics over the configured sizes and time grid"),
-        ("baseline-haar", "Haar-random global unitary baseline"),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--config", metavar="PATH", help="JSON config file (defaults apply when omitted)")
-        p.add_argument("--out", metavar="DIR", default="qelmsim-out", help="output directory (default ./qelmsim-out)")
-        p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the master seed")
-        p.add_argument("--threads", type=_int_at_least(1), default=1, help="worker processes, each on one core, at most one per usable CPU (results are schedule-independent)")
+    p = sub.add_parser("sweep-time", help="metrics over the configured sizes and time grid")
+    p.add_argument("--config", metavar="PATH", help="JSON config file (defaults apply when omitted)")
+    p.add_argument("--out", metavar="DIR", default="qelmsim-out", help="output directory (default ./qelmsim-out)")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the master seed")
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help="worker processes, each on one core, at most one per usable CPU (results are schedule-independent)")
     return parser
 
 
@@ -252,8 +249,7 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         raise RuntimeError(f"cannot create output directory {args.out}: {exc}") from exc
     started = datetime.now(timezone.utc).isoformat()
-    runner = {"sweep-time": harness.run_time_sweep, "baseline-haar": harness.run_haar_baseline}[args.command]
-    outcome: SweepResult = runner(cfg, threads=args.threads)
+    outcome: SweepResult = harness.run_time_sweep(cfg, threads=args.threads)
     finished = datetime.now(timezone.utc).isoformat()
     emit_records(
         outcome.records,

@@ -1,11 +1,12 @@
 """Seeded ensemble sweeps over (topology, scheme, size, time) grids.
 
-Each sweep command runs one list of work units -- a Hamiltonian realization
-across the time grid, or one Haar draw -- and every unit derives its own random
-streams from the master seed, so the record set is a pure function of the
-configuration however the units are scheduled. A realization's Hamiltonian is
-diagonalized once; each grid time builds its propagator from that factorization.
-Every record comes from one per-unit loop around one evaluator.
+A sweep runs one list of work units -- a Hamiltonian realization across the
+time grid, or, with the Haar baseline, one Haar draw -- and every unit derives
+its own random streams from the master seed, so the record set is a pure
+function of the configuration however the units are scheduled. A
+realization's Hamiltonian is diagonalized once; each grid time builds its
+propagator from that factorization. Every record comes from one per-unit loop
+around one evaluator.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "DEFAULT_TIME_GRID",
     "derive_rng",
     "run_time_sweep",
-    "run_haar_baseline",
     "aggregate_stats",
     "aggregate_records",
     "expected_record_count",
@@ -424,21 +424,18 @@ def _haar_unit(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _units(config: SweepConfig, command: str) -> list:
-    """``(worker, args)`` of every unit of one sweep command: ``sweep-time``
-    runs every configured (size, topology, scheme) realization, and Haar units
-    come last, for ``baseline-haar`` or with ``include_haar_baseline``."""
-    if command not in ("sweep-time", "baseline-haar"):
-        raise ValueError(f"unknown command {command!r}")
-    schemes = config.schemes if command == "sweep-time" else ()
+def _units(config: SweepConfig) -> list:
+    """``(worker, args)`` of every unit of a sweep: every configured (size,
+    topology, scheme) realization, then the Haar units when the config sets
+    ``include_haar_baseline``."""
     units = [
         (_hamiltonian_unit, (config, n, topology, scheme, realization))
         for n in config.n_reservoir
         for topology in config.topologies
-        for scheme in schemes
+        for scheme in config.schemes
         for realization in range(config.n_realizations)
     ]
-    if command == "baseline-haar" or config.include_haar_baseline:
+    if config.include_haar_baseline:
         units += [(_haar_unit, (config, n, r)) for n in config.n_reservoir for r in range(config.n_realizations)]
     return units
 
@@ -493,13 +490,6 @@ def _unit_order(r):
     return (r.topology == HAAR_LABEL, r.n_reservoir, r.topology, r.scheme, r.realization_index, _time_key(r.time))
 
 
-def _sweep(config: SweepConfig, command: str, threads: int) -> SweepResult:
-    outcomes = _map_units(_units(config, command), threads)
-    records = sorted((r for recs, _ in outcomes for r in recs), key=_unit_order)
-    failures = sorted((f for _, fails in outcomes for f in fails), key=_unit_order)
-    return SweepResult(records=tuple(records), failures=tuple(failures))
-
-
 def run_time_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     """One record per (realization, topology, scheme, size, grid time), and
     the Haar baseline's records last when the config includes it. A size
@@ -510,18 +500,19 @@ def run_time_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     silently; the record order (and every metric value) is independent of the
     worker count.
     """
-    return _sweep(config, "sweep-time", threads)
-
-
-def run_haar_baseline(config: SweepConfig, threads: int = 1) -> SweepResult:
-    """Replace the Hamiltonian propagator by a fresh Haar unitary per
-    realization (time-independent); downstream metrics are unchanged."""
-    return _sweep(config, "baseline-haar", threads)
+    outcomes = _map_units(_units(config), threads)
+    records = sorted((r for recs, _ in outcomes for r in recs), key=_unit_order)
+    failures = sorted((f for _, fails in outcomes for f in fails), key=_unit_order)
+    return SweepResult(records=tuple(records), failures=tuple(failures))
 
 
 def expected_record_count(config: SweepConfig, command: str) -> int:
-    """Records plus failures that one of the sweep commands reports for the config."""
-    return sum(1 if worker is _haar_unit else len(config.time_grid) for worker, _ in _units(config, command))
+    """Records plus failures that ``run_time_sweep`` reports for the config."""
+    # ``command`` stays only because bench/bench_checks.py passes "sweep-time";
+    # it leaves with ROADMAP item 1.
+    if command != "sweep-time":
+        raise ValueError(f"unknown command {command!r}")
+    return sum(1 if worker is _haar_unit else len(config.time_grid) for worker, _ in _units(config))
 
 
 # ---------------------------------------------------------------------------

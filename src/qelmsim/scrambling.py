@@ -100,14 +100,14 @@ def local_channel(u: np.ndarray, rho_in: np.ndarray, n_reservoir: int, node: int
     return la.partial_trace(out_full, n_reservoir + 1, keep={node})
 
 
-def _qubit_entropies(rhos: np.ndarray, log_base=2) -> np.ndarray:
-    """Von Neumann entropies of a (..., 2, 2) stack of qubit density matrices.
+def _qubit_entropies(rhos: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits of a (..., 2, 2) stack of qubit density
+    matrices.
 
     Same Hermiticity check, eigenvalue cutoff and clamp at 0 as
     ``la.von_neumann_entropy``, with the 2x2 spectrum in closed form:
     ``tr/2 +- sqrt(((a - d)/2)^2 + |rho_10|^2)``.
     """
-    log_base = la._log_base(log_base)
     la.require_hermitian(rhos, name="rho")
     a = rhos[..., 0, 0].real
     d = rhos[..., 1, 1].real
@@ -116,13 +116,12 @@ def _qubit_entropies(rhos: np.ndarray, log_base=2) -> np.ndarray:
     w = np.stack([half_tr - radius, half_tr + radius], axis=-1)
     keep = w > la.ENTROPY_EIGENVALUE_CUTOFF
     s = -np.where(keep, w * np.log(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
-    if log_base == 2:
-        s /= np.log(2.0)
+    s /= np.log(2.0)
     return np.maximum(s, 0.0)
 
 
-def _holevo_from_columns(v01: np.ndarray, n_reservoir: int, log_base=2) -> HolevoResult:
-    """Holevo profile from the (2^(N+1), 2) input-subspace isometry."""
+def _holevo_from_columns(v01: np.ndarray, n_reservoir: int) -> HolevoResult:
+    """Holevo profile in bits from the (2^(N+1), 2) input-subspace isometry."""
     phis = np.ascontiguousarray((v01 @ _EIGENKETS).T)
     # rhos[a, 0 | 1 | 2, node]: the marginals of the plus and minus kets of
     # axis a at that node, and their equal mixture.
@@ -131,7 +130,7 @@ def _holevo_from_columns(v01: np.ndarray, n_reservoir: int, log_base=2) -> Holev
         psi = phis.reshape(6, 2**node, 2, 2 ** (n_reservoir - node))
         rhos[:, :2, node] = np.einsum("kabc,kadc->kbd", psi, psi.conj()).reshape(3, 2, 2, 2)
     rhos[:, 2] = 0.5 * (rhos[:, 0] + rhos[:, 1])
-    s = _qubit_entropies(rhos, log_base)
+    s = _qubit_entropies(rhos)
     per = (s[:, 2] - 0.5 * (s[:, 0] + s[:, 1])).T
     per_node = per.mean(axis=1)
     return HolevoResult(
@@ -141,11 +140,12 @@ def _holevo_from_columns(v01: np.ndarray, n_reservoir: int, log_base=2) -> Holev
     )
 
 
-def local_holevo_profile(u: np.ndarray, n_reservoir: int, log_base=2) -> HolevoResult:
-    """Holevo information per reservoir node for the three Pauli input ensembles.
+def local_holevo_profile(u: np.ndarray, n_reservoir: int) -> HolevoResult:
+    """Holevo information in bits per reservoir node for the three Pauli input
+    ensembles.
 
     For each axis the input ensemble is the equiprobable pair of Pauli
     eigenstates; the channel evolves |0...0> x input by ``u`` and keeps a
-    single node. ``log_base`` 2 gives bits, "e" gives nats.
+    single node.
     """
-    return _holevo_from_columns(la._input_columns(u, n_reservoir), n_reservoir, log_base)
+    return _holevo_from_columns(la._input_columns(u, n_reservoir), n_reservoir)

@@ -415,24 +415,27 @@ class TestCommands:
         assert json.loads((out_dir / "manifest.json").read_text())["failure_count"] == 0
 
     def test_baseline_haar(self, tmp_path):
-        config_path = write_config(tmp_path, TINY_CONFIG)
+        # Haar rows come only from the config's include_haar_baseline: no time,
+        # every metric and one Holevo value per node
+        config_path = write_config(tmp_path, dict(TINY_CONFIG, include_haar_baseline=True))
         out_dir = tmp_path / "out"
-        assert main(["baseline-haar", "--config", config_path, "--out", str(out_dir)]) == EXIT_OK
-        records = read_records_csv(out_dir / "records.csv")
-        assert len(records) == 2
-        for r in records:
-            assert r.topology == "RU" and r.time is None
+        assert main(["sweep-time", "--config", config_path, "--out", str(out_dir)]) == EXIT_OK
+        haar = [r for r in read_records_csv(out_dir / "records.csv") if r.topology == "RU"]
+        assert len(haar) == 2
+        for r in haar:
+            assert r.scheme == "RU" and r.time is None
             assert None not in (r.mse, r.condition_number, r.otoc_avg, r.holevo_avg)
             assert len(r.holevo_per_node) == r.n_reservoir
 
     def test_include_haar_baseline_merges(self, tmp_path):
-        payload = dict(TINY_CONFIG)
-        payload["include_haar_baseline"] = True
+        # the Haar rows follow the Hamiltonian rows in the one sweep's output
+        payload = dict(TINY_CONFIG, include_haar_baseline=True)
         config_path = write_config(tmp_path, payload)
         out_dir = tmp_path / "out"
         assert main(["sweep-time", "--config", config_path, "--out", str(out_dir)]) == EXIT_OK
         records = read_records_csv(out_dir / "records.csv")
-        assert sum(1 for r in records if r.topology == "RU") == 2
+        haar = [r for r in records if r.topology == "RU"]
+        assert len(haar) == 2 and records[-2:] == haar
         assert len(records) == harness.expected_record_count(
             parse_config(config_path), "sweep-time"
         )
@@ -443,7 +446,7 @@ class TestCommands:
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         # A value a flag rejects, the removed table-format, lax-key and metrics
-        # flags, and the removed single-run command.
+        # flags, and the removed single-run and baseline-haar commands.
         base = ["sweep-time", "--config", write_config(tmp_path, TINY_CONFIG), "--out", str(tmp_path / "o")]
         for argv in (
             base + ["--seed", "abc"],
@@ -453,6 +456,7 @@ class TestCommands:
             base + ["--metrics", "mse"],
             ["single-run"],
             ["single-run", "--topology", "FC", "--scheme", "ML"],
+            ["baseline-haar", "--config", write_config(tmp_path, TINY_CONFIG)],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
@@ -607,7 +611,7 @@ class TestReadme:
         # every `qelmsim ...` line of the README's bash blocks is a valid command
         root = Path(__file__).resolve().parent.parent
         argvs = [shlex.split(line, comments=True)[1:] for line in readme_bash_lines() if line.startswith("qelmsim ")]
-        assert {argv[0] for argv in argvs} == {"sweep-time", "baseline-haar"}
+        assert {argv[0] for argv in argvs} == {"sweep-time"}
         for argv in argvs:
             args = cli._build_parser().parse_args(argv)
             config = getattr(args, "config", None)

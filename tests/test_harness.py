@@ -13,7 +13,6 @@ from qelmsim.harness import (
     aggregate_records,
     aggregate_stats,
     derive_rng,
-    run_haar_baseline,
     run_time_sweep,
 )
 from qelmsim.qelm import ShotMode, ShotModel
@@ -430,19 +429,24 @@ class TestSizeSweep:
 
 
 class TestHaarBaseline:
+    """The RU rows that ``run_time_sweep`` adds with ``include_haar_baseline``."""
+
     def test_exact_mode_reconstructs(self):
-        cfg = small_config(n_reservoir=4, n_realizations=3, n_train=30, n_test=30)
-        out = run_haar_baseline(cfg)
-        assert len(out.records) == 3
-        for r in out.records:
-            assert r.time is None
+        cfg = small_config(n_reservoir=4, n_realizations=3, n_train=30, n_test=30, include_haar_baseline=True)
+        out = run_time_sweep(cfg)
+        assert not out.failures
+        haar = [r for r in out.records if r.time is None]
+        assert len(haar) == 3
+        for r in haar:
             assert r.topology == r.scheme == "RU"
             assert r.mse <= 1e-10
             assert r.otoc_avg >= 0.9  # saturated scrambling for every draw
 
     def test_determinism(self):
-        cfg = small_config(n_reservoir=3, n_realizations=2, shot_model=ShotModel("joint_bitstrings", 300))
-        assert run_haar_baseline(cfg) == run_haar_baseline(cfg)
+        cfg = small_config(
+            n_reservoir=3, n_realizations=2, shot_model=ShotModel("joint_bitstrings", 300), include_haar_baseline=True
+        )
+        assert run_time_sweep(cfg) == run_time_sweep(cfg)
 
 
 class TestAggregateRecords:
@@ -470,24 +474,21 @@ class TestAggregateRecords:
     def test_expected_record_count_helper(self, monkeypatch):
         cfg = small_config(n_reservoir=[2, 3], n_realizations=2)
         assert harness.expected_record_count(cfg, "sweep-time") == 2 * 1 * 1 * 2 * 3
-        assert harness.expected_record_count(cfg, "baseline-haar") == 2 * 2
         out = run_time_sweep(cfg)
         assert len(out.records) + len(out.failures) == harness.expected_record_count(cfg, "sweep-time")
-        # with the Haar baseline on and failing n=2 Hamiltonian units, every
-        # runner reports exactly the counted records plus failures, RU rows last
+        # with the Haar baseline on and failing n=2 Hamiltonian units, the sweep
+        # reports exactly the counted records plus failures, RU rows last
         fail_set_up_at_two(monkeypatch)
         cfg = small_config(
             n_reservoir=[2, 3], topologies=("C", "FC"), schemes=("SL", "ML"), n_realizations=2, include_haar_baseline=True
         )
-        runners = {"sweep-time": run_time_sweep, "baseline-haar": run_haar_baseline}
-        counts = {"sweep-time": 2 * 2 * 2 * 2 * 3 + 2 * 2, "baseline-haar": 2 * 2}
-        for command, runner in runners.items():
-            out = runner(cfg)
-            assert harness.expected_record_count(cfg, command) == counts[command]
-            assert len(out.records) + len(out.failures) == counts[command]
-            assert sum(r.topology == "RU" for r in out.records) == 4
-            haar_last = [r.topology == "RU" for r in out.records]
-            assert haar_last == sorted(haar_last)
-        assert {f.n_reservoir for f in run_time_sweep(cfg).failures} == {2}
-        with pytest.raises(ValueError, match="unknown command"):
-            harness.expected_record_count(cfg, "sweep-all")
+        out = run_time_sweep(cfg)
+        assert harness.expected_record_count(cfg, "sweep-time") == 2 * 2 * 2 * 2 * 3 + 2 * 2
+        assert len(out.records) + len(out.failures) == 2 * 2 * 2 * 2 * 3 + 2 * 2
+        assert sum(r.topology == "RU" for r in out.records) == 4
+        haar_last = [r.topology == "RU" for r in out.records]
+        assert haar_last == sorted(haar_last)
+        assert {f.n_reservoir for f in out.failures} == {2}
+        for command in ("sweep-all", "baseline-haar"):
+            with pytest.raises(ValueError, match="unknown command"):
+                harness.expected_record_count(cfg, command)

@@ -42,7 +42,6 @@ PUBLIC_NAMES = (
     "qelm",
     "random_pure_qubit_states",
     "reservoir",
-    "run_haar_baseline",
     "run_time_sweep",
     "sample_features",
     "sample_hamiltonian",

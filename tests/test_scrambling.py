@@ -151,7 +151,7 @@ class TestLocalHolevoProfile:
 
     def test_swap_gives_one_bit_at_target_node(self):
         u = swap_unitary(4, 1, 3)
-        result = local_holevo_profile(u, 3, log_base=2)
+        result = local_holevo_profile(u, 3)
         # the swapped node receives the input perfectly: 1 bit on every axis
         assert np.allclose(result.per_node_per_axis[1], 1.0, atol=1e-10)
         assert result.per_node[1] == pytest.approx(1.0, abs=1e-10)
@@ -161,7 +161,7 @@ class TestLocalHolevoProfile:
     def test_bounds_random_unitaries(self):
         rng = np.random.default_rng(10)
         for _ in range(3):
-            result = local_holevo_profile(random_unitary(rng, 16), 3, log_base=2)
+            result = local_holevo_profile(random_unitary(rng, 16), 3)
             assert np.all(result.per_node_per_axis >= -1e-10)
             assert np.all(result.per_node_per_axis <= 1.0 + 1e-10)
 
@@ -179,14 +179,8 @@ class TestLocalHolevoProfile:
         s_mix = la.von_neumann_entropy(0.5 * (rho_p + rho_m), 2)
         chi_full = s_mix - 0.5 * (la.von_neumann_entropy(rho_p, 2) + la.von_neumann_entropy(rho_m, 2))
         assert chi_full == pytest.approx(1.0, abs=1e-10)
-        result = local_holevo_profile(u, 3, log_base=2)
+        result = local_holevo_profile(u, 3)
         assert np.all(result.per_node_per_axis[:, 2] <= chi_full + 1e-10)
-
-    def test_log_base_conversion(self):
-        u = random_unitary(np.random.default_rng(12), 16)
-        bits = local_holevo_profile(u, 3, log_base=2)
-        nats = local_holevo_profile(u, 3, log_base="e")
-        assert np.allclose(nats.per_node_per_axis, bits.per_node_per_axis * np.log(2.0), atol=1e-12)
 
     def test_pauli_eigenstates_are_eigenstates(self):
         for axis, pauli in zip("xyz", (la.PAULI_X, la.PAULI_Y, la.PAULI_Z)):
@@ -196,11 +190,10 @@ class TestLocalHolevoProfile:
 
 
 class TestHolevoKernel:
-    """The batched kernel against per-matrix ``la.von_neumann_entropy``."""
+    """The batched kernel against per-matrix ``la.von_neumann_entropy`` in bits."""
 
-    @pytest.mark.parametrize("log_base", [2, "e"])
     @pytest.mark.parametrize("kind", ["haar", "identity"])
-    def test_matches_entropy_loop(self, kind, log_base):
+    def test_matches_entropy_loop(self, kind):
         n = 3
         dim = 2 ** (n + 1)
         u = la.haar_unitary(dim, np.random.default_rng(20)) if kind == "haar" else np.eye(dim, dtype=complex)
@@ -210,35 +203,26 @@ class TestHolevoKernel:
             for node in range(n):
                 rho_p = local_channel(u, plus, n, node)
                 rho_m = local_channel(u, minus, n, node)
-                s_mix = la.von_neumann_entropy(0.5 * (rho_p + rho_m), log_base)
-                s_p = la.von_neumann_entropy(rho_p, log_base)
-                s_m = la.von_neumann_entropy(rho_m, log_base)
+                s_mix = la.von_neumann_entropy(0.5 * (rho_p + rho_m))
+                s_p = la.von_neumann_entropy(rho_p)
+                s_m = la.von_neumann_entropy(rho_m)
                 ref[node, ai] = s_mix - 0.5 * (s_p + s_m)
-        got = _holevo_from_columns(u[:, :2], n, log_base)
+        got = _holevo_from_columns(u[:, :2], n)
         assert np.max(np.abs(got.per_node_per_axis - ref)) <= 1e-13
         assert np.max(np.abs(got.per_node - ref.mean(axis=1))) <= 1e-13
         assert got.averaged == pytest.approx(ref.mean(), abs=1e-13)
 
-    @pytest.mark.parametrize("log_base", [2, "e"])
-    def test_closed_form_entropies(self, log_base):
+    def test_closed_form_entropies(self):
         rng = np.random.default_rng(21)
         mixed = [random_density(rng, 2) for _ in range(20)]
         pure = la.random_pure_qubit_states(rng, 20)
         rhos = np.array(mixed + list(pure) + [np.eye(2, dtype=complex) / 2, np.diag([1.0, 0.0]).astype(complex)])
-        ref = np.array([la.von_neumann_entropy(rho, log_base) for rho in rhos])
-        got = _qubit_entropies(rhos.reshape(2, -1, 2, 2), log_base).reshape(-1)
+        ref = np.array([la.von_neumann_entropy(rho) for rho in rhos])
+        got = _qubit_entropies(rhos.reshape(2, -1, 2, 2)).reshape(-1)
         assert np.max(np.abs(got - ref)) <= 1e-13
-        assert got[-2] == pytest.approx(1.0 if log_base == 2 else np.log(2.0), abs=1e-15)
+        assert got[-2] == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_non_hermitian_marginal(self):
         rhos = np.array([np.eye(2) / 2, [[0.5, 0.1], [0.0, 0.5]]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             _qubit_entropies(rhos)
-
-    def test_rejects_unknown_log_base(self):
-        u = la.haar_unitary(8, np.random.default_rng(22))
-        with pytest.raises(ValueError, match="log_base"):
-            local_holevo_profile(u, 2, log_base=10)
-        # nats are spelled "e" only, as in a sweep config
-        with pytest.raises(ValueError, match="log_base must be 2 or 'e'"):
-            local_holevo_profile(u, 2, log_base=np.e)
