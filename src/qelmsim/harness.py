@@ -1,9 +1,11 @@
 """Seeded ensemble sweeps over (topology, scheme, size, time) grids.
 
 A sweep runs one list of work units -- a Hamiltonian realization across the
-time grid, or, with the Haar baseline, one Haar draw -- and every unit derives
-its own random streams from the master seed, so the record set is a pure
-function of the configuration however the units are scheduled. A
+time grid, or, with the Haar baseline, one Haar draw. A unit is its key
+``(n, topology slot, scheme slot, realization)``: the key alone names the
+unit and addresses its random streams under the master seed, so
+``_run_unit(config, key)`` re-runs any unit by itself and the record set is
+a pure function of the configuration however the units are scheduled. A
 realization's Hamiltonian is diagonalized once; each grid time builds its
 propagator from that factorization. Every record comes from one per-unit loop
 around one evaluator.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -53,17 +56,19 @@ HAAR_LABEL = "RU"
 
 DEFAULT_TIME_GRID = tuple(float(t) for t in np.linspace(0.0, 5.0, 41))
 
-# Stream namespaces for derived generators; indices 3 / 2 in the topology /
-# scheme slots are reserved for the Haar baseline.
+# Stream namespaces for derived generators.
 _KIND_HAMILTONIAN = 0
 _KIND_STATES = 1
 _KIND_SHOTS = 2
 _KIND_HAAR = 3
 
-_TOPOLOGY_INDEX = {Topology.CHAIN: 0, Topology.RING: 1, Topology.FULLY_CONNECTED: 2}
-_SCHEME_INDEX = {CouplingScheme.SINGLE_LINK: 0, CouplingScheme.MULTI_LINK: 1}
-_HAAR_TOPOLOGY_INDEX = 3
-_HAAR_SCHEME_INDEX = 2
+# A unit key's topology and scheme slots are positions in these tuples, and
+# the streams every output depends on are addressed by them: never reorder
+# them. Haar keys carry the reserved slots 3 and 2.
+_TOPOLOGIES = (Topology.CHAIN, Topology.RING, Topology.FULLY_CONNECTED)
+_SCHEMES = (CouplingScheme.SINGLE_LINK, CouplingScheme.MULTI_LINK)
+_HAAR_TOPOLOGY = 3
+_HAAR_SCHEME = 2
 
 
 class ConfigError(ValueError):
@@ -143,8 +148,8 @@ class SweepConfig:
     """
 
     n_reservoir: tuple = (7,)
-    topologies: tuple = (Topology.CHAIN, Topology.RING, Topology.FULLY_CONNECTED)
-    schemes: tuple = (CouplingScheme.SINGLE_LINK, CouplingScheme.MULTI_LINK)
+    topologies: tuple = _TOPOLOGIES
+    schemes: tuple = _SCHEMES
     time_grid: tuple = DEFAULT_TIME_GRID
     n_realizations: int = 500
     n_train: int = 50
@@ -274,10 +279,10 @@ def _derived_seed(master_seed: int, *key) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _draw_inputs(cfg: SweepConfig, n: int, topo_i: int, scheme_i: int, realization: int) -> tuple:
-    """``(train, test, y_train, y_test)`` drawn from the realization's state
-    stream, with the Bloch targets of both sets; the targets draw nothing."""
-    rng = derive_rng(cfg.master_seed, _KIND_STATES, n, topo_i, scheme_i, realization)
+def _draw_inputs(cfg: SweepConfig, key: tuple) -> tuple:
+    """``(train, test, y_train, y_test)`` drawn from the unit's state stream,
+    with the Bloch targets of both sets; the targets draw nothing."""
+    rng = derive_rng(cfg.master_seed, _KIND_STATES, *key)
     states = la.random_pure_qubit_states(rng, cfg.n_train + cfg.n_test)
     train, test = states[: cfg.n_train], states[cfg.n_train :]
     return train, test, qelm.pauli_targets(train), qelm.pauli_targets(test)
@@ -356,32 +361,30 @@ def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, 
     }
 
 
-def _unit_outcomes(
-    cfg: SweepConfig, n: int, slots: tuple, labels: tuple, times, prepare, propagator, otoc_mean
-) -> tuple:
-    """``(records, failures)`` of one unit: one record per time, or its failure.
+def _unit_outcomes(cfg: SweepConfig, key: tuple, labels: tuple, times, prepare, otoc_mean) -> tuple:
+    """``(records, failures)`` of the unit ``key``: one record per time, or its
+    failure.
 
-    ``slots`` are the unit's (topology, scheme, realization) stream indices and
-    ``labels`` its (topology, scheme) names. ``prepare()`` returns the record
-    seed and the state that ``propagator(state, t)`` turns into the unitary at
+    ``labels`` are the unit's (topology, scheme) names. ``prepare()`` returns
+    the record seed and ``unitary``, where ``unitary(t)`` is the propagator at
     time ``t``; a set-up error fails every time of the unit, an error at one
     time fails only that time. Each time draws from its own shot stream.
     """
-    topo_i, scheme_i, realization = slots
+    n, realization = key[0], key[3]
 
     def failure(t, exc):
         return UnitFailure(realization, *labels, n, t, f"{type(exc).__name__}: {exc}")
 
     try:
-        seed, state = prepare()
-        inputs = _draw_inputs(cfg, n, topo_i, scheme_i, realization)
+        seed, unitary = prepare()
+        inputs = _draw_inputs(cfg, key)
     except Exception as exc:
         return [], [failure(t, exc) for t in times]
     records, failures = [], []
     for ti, t in enumerate(times):
         try:
-            shot_rng = derive_rng(cfg.master_seed, _KIND_SHOTS, n, topo_i, scheme_i, realization, ti)
-            fields = _evaluate(cfg, propagator(state, t), n, inputs, shot_rng, otoc_mean)
+            shot_rng = derive_rng(cfg.master_seed, _KIND_SHOTS, *key, ti)
+            fields = _evaluate(cfg, unitary(t), n, inputs, shot_rng, otoc_mean)
         except Exception as exc:
             failures.append(failure(t, exc))
             continue
@@ -389,34 +392,36 @@ def _unit_outcomes(
     return records, failures
 
 
-def _hamiltonian_unit(args) -> tuple:
+def _hamiltonian_unit(cfg: SweepConfig, key: tuple) -> tuple:
     """One (size, topology, scheme, realization) unit across the time grid."""
-    cfg, n, topology, scheme, realization = args
-    topo_i, scheme_i = _TOPOLOGY_INDEX[topology], _SCHEME_INDEX[scheme]
+    n, topo_i, scheme_i, _ = key
+    topology, scheme = _TOPOLOGIES[topo_i], _SCHEMES[scheme_i]
 
     def prepare():
-        seed = _derived_seed(cfg.master_seed, _KIND_HAMILTONIAN, n, topo_i, scheme_i, realization)
-        spec = HamiltonianSpec(n, topology, scheme, seed=seed)
-        return seed, la.herm_eig(sample_hamiltonian(spec).h_total)
+        seed = _derived_seed(cfg.master_seed, _KIND_HAMILTONIAN, *key)
+        eig = la.herm_eig(sample_hamiltonian(HamiltonianSpec(n, topology, scheme, seed=seed)).h_total)
+        return seed, lambda t: _propagator_columns(eig, t)
 
-    return _unit_outcomes(
-        cfg, n, (topo_i, scheme_i, realization), (topology.value, scheme.value), cfg.time_grid,
-        prepare, _propagator_columns, _otoc_per_pair_from_eig,
-    )
+    labels = (topology.value, scheme.value)
+    return _unit_outcomes(cfg, key, labels, cfg.time_grid, prepare, _otoc_per_pair_from_eig)
 
 
-def _haar_unit(args) -> tuple:
+def _haar_unit(cfg: SweepConfig, key: tuple) -> tuple:
     """One Haar-baseline realization: a fresh global unitary, no time grid."""
-    cfg, n, realization = args
+    n, _, _, realization = key
 
     def prepare():
         seed = _derived_seed(cfg.master_seed, _KIND_HAAR, n, realization)
-        return seed, la.haar_unitary(2 ** (n + 1), np.random.default_rng(seed))
+        u = la.haar_unitary(2 ** (n + 1), np.random.default_rng(seed))
+        return seed, lambda t: u
 
-    return _unit_outcomes(
-        cfg, n, (_HAAR_TOPOLOGY_INDEX, _HAAR_SCHEME_INDEX, realization), (HAAR_LABEL, HAAR_LABEL), (None,),
-        prepare, lambda u, t: u, _otoc_per_pair_from_unitary,
-    )
+    return _unit_outcomes(cfg, key, (HAAR_LABEL, HAAR_LABEL), (None,), prepare, _otoc_per_pair_from_unitary)
+
+
+def _run_unit(cfg: SweepConfig, key: tuple) -> tuple:
+    """``(records, failures)`` of the unit ``key`` of the sweep ``cfg``."""
+    unit = _haar_unit if key[1] == _HAAR_TOPOLOGY else _hamiltonian_unit
+    return unit(cfg, key)
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +430,14 @@ def _haar_unit(args) -> tuple:
 
 
 def _units(config: SweepConfig) -> list:
-    """``(worker, args)`` of every unit of a sweep: every configured (size,
-    topology, scheme) realization, then the Haar units when the config sets
+    """Key ``(n, topology slot, scheme slot, realization)`` of every unit of a
+    sweep, each once: per size, every configured (topology, scheme)
+    realization, then the Haar units when the config sets
     ``include_haar_baseline``."""
-    units = [
-        (_hamiltonian_unit, (config, n, topology, scheme, realization))
-        for n in config.n_reservoir
-        for topology in config.topologies
-        for scheme in config.schemes
-        for realization in range(config.n_realizations)
-    ]
+    slots = [(_TOPOLOGIES.index(t), _SCHEMES.index(s)) for t in config.topologies for s in config.schemes]
     if config.include_haar_baseline:
-        units += [(_haar_unit, (config, n, r)) for n in config.n_reservoir for r in range(config.n_realizations)]
-    return units
+        slots.append((_HAAR_TOPOLOGY, _HAAR_SCHEME))
+    return [(n, *pair, r) for n in config.n_reservoir for pair in slots for r in range(config.n_realizations)]
 
 
 def _pin_worker_blas() -> None:
@@ -449,19 +449,14 @@ def _pin_worker_blas() -> None:
         put(1)
 
 
-def _run_unit(unit) -> tuple:
-    worker, args = unit
-    return worker(args)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on; all of them where affinity is unknown."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _map_units(units, threads: int):
-    """Outcome of every ``(worker, args)`` unit, serially or on at most
+def _map_units(cfg: SweepConfig, units, threads: int):
+    """Outcome of every unit key of ``cfg``, serially or on at most
     ``threads`` processes, one per unit and per usable CPU.
 
     BLAS runs one thread throughout, so the worker count is the only source
@@ -470,14 +465,15 @@ def _map_units(units, threads: int):
     worker ends the run alone on a long chunk of the costliest units; the
     sort is stable, so Haar units follow the Hamiltonian units of their size.
     """
+    run = functools.partial(_run_unit, cfg)
     workers = min(threads, len(units), _usable_cpus())
     with la.single_blas_thread():
         if workers <= 1:
-            return [_run_unit(unit) for unit in units]
+            return [run(key) for key in units]
         chunk = min(16, max(1, len(units) // (workers * 4)))
-        ordered = sorted(units, key=lambda unit: unit[1][1], reverse=True)  # args (config, n, ...)
+        ordered = sorted(units, key=lambda key: key[0], reverse=True)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker_blas) as pool:
-            return list(pool.map(_run_unit, ordered, chunksize=chunk))
+            return list(pool.map(run, ordered, chunksize=chunk))
 
 
 def _time_key(t):
@@ -500,7 +496,7 @@ def run_time_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     silently; the record order (and every metric value) is independent of the
     worker count.
     """
-    outcomes = _map_units(_units(config), threads)
+    outcomes = _map_units(config, _units(config), threads)
     records = sorted((r for recs, _ in outcomes for r in recs), key=_unit_order)
     failures = sorted((f for _, fails in outcomes for f in fails), key=_unit_order)
     return SweepResult(records=tuple(records), failures=tuple(failures))
@@ -512,7 +508,7 @@ def expected_record_count(config: SweepConfig, command: str) -> int:
     # it leaves with ROADMAP item 1.
     if command != "sweep-time":
         raise ValueError(f"unknown command {command!r}")
-    return sum(1 if worker is _haar_unit else len(config.time_grid) for worker, _ in _units(config))
+    return sum(1 if key[1] == _HAAR_TOPOLOGY else len(config.time_grid) for key in _units(config))
 
 
 # ---------------------------------------------------------------------------

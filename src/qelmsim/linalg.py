@@ -10,7 +10,7 @@ or ``float64`` (spectra, probabilities). Conventions used across the package:
   reservoir starts in |0...0>, so a propagator acts on inputs through its
   first two columns (``_input_columns``);
 * hbar = 1, so ``exp(-1j * H * t)`` propagates for a time ``t``.
-* entropies are in bits (``log_base`` 2) or nats (``log_base`` "e").
+* entropies are in bits.
 
 All functions are pure: inputs are never mutated and random sampling takes an
 explicit ``numpy.random.Generator``. Returned arrays should be treated as
@@ -244,30 +244,18 @@ def partial_trace(rho: np.ndarray, n_qubits: int, keep) -> np.ndarray:
     return reduced.reshape(d_keep, d_keep)
 
 
-def _log_base(value):
-    """The entropy unit: 2 (bits) or the string "e" (nats)."""
-    if isinstance(value, str) and value == "e":
-        return "e"
-    if isinstance(value, numbers.Real) and value == 2:
-        return 2
-    raise ValueError(f"log_base must be 2 or 'e', got {value!r}")
-
-
 def von_neumann_entropy(rho: np.ndarray, log_base=2) -> float:
-    """Entropy ``-sum(w * log(w))`` over eigenvalues above ``ENTROPY_EIGENVALUE_CUTOFF``.
-
-    ``log_base`` is 2 (bits) or "e" (nats).
-    """
-    log_base = _log_base(log_base)
+    """Entropy ``-sum(w * log2(w))`` in bits over eigenvalues above
+    ``ENTROPY_EIGENVALUE_CUTOFF``. ``log_base`` accepts only 2."""
+    if not (isinstance(log_base, numbers.Real) and log_base == 2):
+        raise ValueError(f"log_base must be 2, got {log_base!r}")
     rho = np.asarray(rho)
     if rho.ndim != 2:
         raise ValueError(f"rho must be a square matrix, got shape {rho.shape}")
     require_hermitian(rho, name="rho")
     w = np.linalg.eigvalsh(rho)
     w = w[w > ENTROPY_EIGENVALUE_CUTOFF]
-    s = float(-(w * np.log(w)).sum()) if w.size else 0.0
-    if log_base == 2:
-        s /= np.log(2.0)
+    s = float(-(w * np.log(w)).sum()) / np.log(2.0) if w.size else 0.0
     return max(s, 0.0)
 
 

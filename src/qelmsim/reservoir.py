@@ -106,16 +106,8 @@ class HamiltonianSpec:
         edge_set(self.topology, self.n_reservoir)  # the cap and the ring size
 
     @property
-    def n_total(self) -> int:
-        return self.n_reservoir + 1
-
-    @property
-    def input_site(self) -> int:
-        return self.n_reservoir
-
-    @property
     def dim(self) -> int:
-        return 2**self.n_total
+        return 2 ** (self.n_reservoir + 1)
 
 
 _SPEC_RESOLVERS = {

@@ -124,7 +124,7 @@ def dense_hamiltonian(ham) -> np.ndarray:
     order as the package does, so the two agree bit for bit.
     """
     spec = ham.spec
-    n_tot = spec.n_total
+    n_tot = spec.n_reservoir + 1
     single = [
         [np.kron(np.kron(np.eye(2**site), p), np.eye(2 ** (n_tot - site - 1))) for p in _PAULIS]
         for site in range(n_tot)
@@ -140,5 +140,5 @@ def dense_hamiltonian(ham) -> np.ndarray:
     for k, jmat in ham.couplings_inj.items():
         for a in range(3):
             for b in range(3):
-                h += jmat[a, b] * single[k][a] @ single[spec.input_site][b]
+                h += jmat[a, b] * single[k][a] @ single[spec.n_reservoir][b]
     return h

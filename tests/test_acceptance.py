@@ -197,8 +197,8 @@ class TestCriterion6ConditionNumber:
         for rec in records:
             if rec.realization_index >= 8:
                 continue
-            topo_i = harness._TOPOLOGY_INDEX[Topology.parse(rec.topology)]
-            scheme_i = harness._SCHEME_INDEX[CouplingScheme.parse(rec.scheme)]
+            topo_i = harness._TOPOLOGIES.index(Topology.parse(rec.topology))
+            scheme_i = harness._SCHEMES.index(CouplingScheme.parse(rec.scheme))
             ham = sample_hamiltonian(
                 HamiltonianSpec(7, rec.topology, rec.scheme, seed=rec.seed)
             )

@@ -230,7 +230,7 @@ class TestParseConfig:
     def test_out_naming_a_file_fails_before_any_unit_runs(self, tmp_path, monkeypatch, capsys):
         calls = []
         unit = harness._hamiltonian_unit
-        monkeypatch.setattr(harness, "_hamiltonian_unit", lambda args: calls.append(args) or unit(args))
+        monkeypatch.setattr(harness, "_hamiltonian_unit", lambda cfg, key: calls.append(key) or unit(cfg, key))
         out = tmp_path / "taken"
         out.write_text("")
         argv = ["sweep-time", "--config", write_config(tmp_path, TINY_CONFIG), "--out", str(out)]

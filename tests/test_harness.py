@@ -184,6 +184,34 @@ class TestSweeps:
         cfg = dataclasses.replace(cfg, include_haar_baseline=True)
         assert run_time_sweep(cfg, threads=1) == run_time_sweep(cfg, threads=3)
 
+    def test_unit_reruns_from_its_key(self, monkeypatch):
+        """A sweep lists each unit key once, and ``_run_unit(cfg, key)`` alone
+        returns the records and failures the sweep reports for that unit."""
+        original = harness._propagator_columns
+
+        def flaky(eig, t):
+            if t == 1.0:
+                raise FloatingPointError("synthetic mid-grid failure")
+            return original(eig, t)
+
+        monkeypatch.setattr(harness, "_propagator_columns", flaky)
+        cfg = small_config(
+            n_reservoir=[2, 3], schemes=("SL", "ML"), shot_model=ShotModel("joint_bitstrings", 100),
+            include_haar_baseline=True,
+        )
+        keys = harness._units(cfg)
+        assert len(set(keys)) == len(keys) == 2 * 2 * 2 + 2 * 2  # sizes x schemes x realizations, plus Haar
+        out = run_time_sweep(cfg)
+        for key, labels, counts in (((3, 0, 1, 1), ("C", "ML"), (2, 1)), ((2, 3, 2, 1), ("RU", "RU"), (1, 0))):
+            assert key in keys
+            unit = (key[0], *labels, key[3])
+            expected = tuple(
+                [r for r in rows if (r.n_reservoir, r.topology, r.scheme, r.realization_index) == unit]
+                for rows in (out.records, out.failures)
+            )
+            assert tuple(map(len, expected)) == counts
+            assert harness._run_unit(cfg, key) == expected
+
     def test_pool_never_exceeds_one_worker_per_unit(self, monkeypatch):
         seen = []
 
@@ -200,16 +228,16 @@ class TestSweeps:
                 return False
 
             def map(self, fn, iterable, chunksize):
-                units = list(iterable)
-                seen.append(([(unit[0].__name__, unit[1][1]) for unit in units], chunksize))
-                return map(fn, units)
+                keys = list(iterable)
+                seen.append(([(haar if key[1:3] == (3, 2) else ham, key[0]) for key in keys], chunksize))
+                return map(fn, keys)
 
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert 1 <= harness._usable_cpus() <= (os.cpu_count() or 1)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+        ham, haar = "_hamiltonian_unit", "_haar_unit"
         cfg = small_config()  # 2 units: 2 realizations of one topology and scheme
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
-        ham, haar = "_hamiltonian_unit", "_haar_unit"
         assert seen == [(2, harness._pin_worker_blas), ([(ham, 3)] * 2, 1)]
         seen.clear()
         cfg = small_config(include_haar_baseline=True)  # plus 2 Haar units, in the same pool
@@ -329,7 +357,7 @@ class TestSweeps:
         (n,) = cfg.n_reservoir
         for record in records:
             spec = HamiltonianSpec(n, record.topology, record.scheme, seed=record.seed)
-            key = (n, harness._TOPOLOGY_INDEX[spec.topology], harness._SCHEME_INDEX[spec.scheme], record.realization_index)
+            key = (n, harness._TOPOLOGIES.index(spec.topology), harness._SCHEMES.index(spec.scheme), record.realization_index)
             u = la.evolve_unitary(la.herm_eig(sample_hamiltonian(spec).h_total), record.time)
             state_rng = derive_rng(cfg.master_seed, harness._KIND_STATES, *key)
             states = la.random_pure_qubit_states(state_rng, cfg.n_train + cfg.n_test)

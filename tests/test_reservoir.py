@@ -75,7 +75,6 @@ class TestHamiltonianSpec:
         assert spec.j_range == (-1.0, 1.0)
         assert spec.delta_range == (-0.1, 0.1)
         assert spec.dim == 256
-        assert spec.input_site == 7
 
     def test_rejects_ring_of_two(self):
         with pytest.raises(ValueError, match="ring"):
@@ -186,7 +185,7 @@ class TestSampleHamiltonian:
         ham = sample_hamiltonian(spec)
         assert injection_sites(spec.scheme, 4) == [0]
         assert list(ham.couplings_inj) == [0]
-        n_tot = spec.n_total
+        n_tot = spec.n_reservoir + 1
         h_inj = np.zeros((spec.dim, spec.dim), dtype=complex)
         for k, jmat in ham.couplings_inj.items():
             for a in range(3):
@@ -194,14 +193,14 @@ class TestSampleHamiltonian:
                     h_inj += (
                         jmat[a, b]
                         * la.embed_pauli("xyz"[a], k, n_tot)
-                        @ la.embed_pauli("xyz"[b], spec.input_site, n_tot)
+                        @ la.embed_pauli("xyz"[b], spec.n_reservoir, n_tot)
                     )
         # Commutes with every Pauli on uncoupled reservoir sites, not with
         # operators on the coupled site or the input.
         for site in (1, 2, 3):
             op = la.embed_pauli("z", site, n_tot)
             assert np.max(np.abs(h_inj @ op - op @ h_inj)) <= 1e-12
-        for site in (0, spec.input_site):
+        for site in (0, spec.n_reservoir):
             op = la.embed_pauli("z", site, n_tot)
             assert np.max(np.abs(h_inj @ op - op @ h_inj)) > 1e-3
 
