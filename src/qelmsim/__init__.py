@@ -13,51 +13,11 @@ topologies, coupling schemes, reservoir sizes, and evolution times.
 
 __version__ = "0.1.0"
 
-from .harness import (
-    ConfigError,
-    EnsembleStats,
-    ExperimentRecord,
-    SweepConfig,
-    SweepResult,
-    aggregate_records,
-    aggregate_stats,
-    run_time_sweep,
-)
-from .linalg import (
-    SpectralDecomposition,
-    embed_pauli,
-    evolve_unitary,
-    haar_unitary,
-    herm_eig,
-    partial_trace,
-    random_pure_qubit_states,
-    von_neumann_entropy,
-)
-from .qelm import (
-    ShotModel,
-    ShotMode,
-    TrainedReadout,
-    condition_number,
-    mse,
-    pauli_targets,
-    predict,
-    sample_features,
-    train_readout,
-)
-from .reservoir import (
-    CouplingScheme,
-    HamiltonianSpec,
-    ReservoirHamiltonian,
-    Topology,
-    edge_set,
-    sample_hamiltonian,
-)
-from .scrambling import (
-    HolevoResult,
-    OtocResult,
-    averaged_otoc,
-    local_channel,
-    local_holevo_profile,
-)
+# The root names are the modules' ``__all__`` lists and the modules themselves.
+from .harness import *
+from .linalg import *
+from .qelm import *
+from .reservoir import *
+from .scrambling import *
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -61,7 +61,7 @@ _CONFIG_KEYS = {f.name for f in dataclasses.fields(SweepConfig)}
 
 @dataclass(frozen=True)
 class RunManifest:
-    config_digest: str | None
+    config_digest: str
     tool_version: str
     started: str
     finished: str
@@ -161,24 +161,17 @@ def _stats_table(row_type, rows) -> tuple:
     return keys + _STAT_COLUMNS, body
 
 
-def emit_records(
-    records,
-    out_dir=".",
-    *,
-    failures=(),
-    config: SweepConfig | None = None,
-    started: str | None = None,
-    finished: str | None = None,
-) -> RunManifest:
-    """Write records, aggregate tables, per-node Holevo tables, and a manifest.
+def emit_records(result: SweepResult, out_dir, config: SweepConfig, started: str, finished: str) -> RunManifest:
+    """Write the records and failures of ``result``, their aggregate and
+    per-node Holevo tables, and a manifest of the sweep ``config`` that ran
+    from ``started`` to ``finished`` (ISO timestamps).
 
     The tables are computed from the records and written as CSV; the manifest
     is JSON. Each file replaces the one of an earlier run into ``out_dir``,
     and ``holevo_nodes.csv`` or ``failures.csv`` is removed when this run has
     no rows for it, so no table outlives the run that wrote it.
     """
-    records = list(records)
-    failures = list(failures)
+    records, failures = result.records, result.failures
     if not records and not failures:
         raise ValueError("nothing to emit: no records and no failure report")
     out = Path(out_dir)
@@ -195,12 +188,11 @@ def emit_records(
                 _write_csv(out / name, header, rows)
             else:
                 (out / name).unlink(missing_ok=True)
-        now = datetime.now(timezone.utc).isoformat()
         manifest = RunManifest(
-            config_digest=config_digest(config) if config is not None else None,
+            config_digest=config_digest(config),
             tool_version=__version__,
-            started=started or now,
-            finished=finished or now,
+            started=started,
+            finished=finished,
             record_count=len(records),
             failure_count=len(failures),
             blas_threads=1 if la._openblas_threads() is not None else None,
@@ -251,14 +243,7 @@ def _cmd_sweep(args) -> int:
     started = datetime.now(timezone.utc).isoformat()
     outcome: SweepResult = harness.run_time_sweep(cfg, threads=args.threads)
     finished = datetime.now(timezone.utc).isoformat()
-    emit_records(
-        outcome.records,
-        args.out,
-        failures=outcome.failures,
-        config=cfg,
-        started=started,
-        finished=finished,
-    )
+    emit_records(outcome, args.out, cfg, started, finished)
     if outcome.failures:
         print(f"{len(outcome.failures)} work unit(s) failed; see failures.csv under {args.out}", file=sys.stderr)
         return EXIT_PARTIAL

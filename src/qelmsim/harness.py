@@ -35,26 +35,17 @@ from .reservoir import (
 )
 
 __all__ = [
-    "HAAR_LABEL",
     "ConfigError",
     "SweepConfig",
     "EnsembleStats",
     "ExperimentRecord",
-    "UnitFailure",
     "SweepResult",
-    "AggregateRow",
-    "HolevoNodeRow",
-    "DEFAULT_TIME_GRID",
-    "derive_rng",
     "run_time_sweep",
     "aggregate_stats",
     "aggregate_records",
-    "expected_record_count",
 ]
 
 HAAR_LABEL = "RU"
-
-DEFAULT_TIME_GRID = tuple(float(t) for t in np.linspace(0.0, 5.0, 41))
 
 # Stream namespaces for derived generators.
 _KIND_HAMILTONIAN = 0
@@ -150,7 +141,7 @@ class SweepConfig:
     n_reservoir: tuple = (7,)
     topologies: tuple = _TOPOLOGIES
     schemes: tuple = _SCHEMES
-    time_grid: tuple = DEFAULT_TIME_GRID
+    time_grid: tuple = tuple(float(t) for t in np.linspace(0.0, 5.0, 41))
     n_realizations: int = 500
     n_train: int = 50
     n_test: int = 50
@@ -244,6 +235,8 @@ class UnitFailure:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """One sweep's records and failures, each in output order."""
+
     records: tuple
     failures: tuple
 
@@ -330,10 +323,9 @@ def _otoc_per_pair_from_unitary(u: np.ndarray, n_reservoir: int) -> float:
 _otoc_per_pair_from_eig = _otoc_per_pair_from_unitary
 
 
-def _propagator_columns(eig: la.SpectralDecomposition, t: float) -> np.ndarray:
-    """exp(-iHt) at one grid time. The evaluator reads its first two columns
-    for features and Holevo information, and all of it for the mean OTOC."""
-    return la.evolve_unitary(eig, t)
+# exp(-iHt) at one grid time, under its own name because bench/bench_trace.py
+# times the propagators of Hamiltonian units by wrapping this name.
+_propagator_columns = la.evolve_unitary
 
 
 def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, otoc_mean) -> dict:
@@ -494,8 +486,9 @@ def run_time_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
 
     Failed units are reported in ``failures`` with their keys, never dropped
     silently; the record order (and every metric value) is independent of the
-    worker count.
+    worker count. ``threads`` that is not an integer >= 1 raises ValueError.
     """
+    threads = _count(threads, name="threads")
     outcomes = _map_units(config, _units(config), threads)
     records = sorted((r for recs, _ in outcomes for r in recs), key=_unit_order)
     failures = sorted((f for _, fails in outcomes for f in fails), key=_unit_order)

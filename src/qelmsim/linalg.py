@@ -29,12 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MAX_DIM",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "PAULIS",
-    "PAULI_AXES",
     "SpectralDecomposition",
     "embed_pauli",
     "herm_eig",
@@ -43,9 +37,6 @@ __all__ = [
     "von_neumann_entropy",
     "haar_unitary",
     "random_pure_qubit_states",
-    "svd_pseudoinverse",
-    "require_hermitian",
-    "single_blas_thread",
 ]
 
 # Dense algebra on more than 12 qubits (dim 4096) is a usage error.

@@ -27,15 +27,9 @@ __all__ = [
     "CouplingScheme",
     "HamiltonianSpec",
     "ReservoirHamiltonian",
-    "DEFAULT_J_RANGE",
-    "DEFAULT_DELTA_RANGE",
     "edge_set",
-    "injection_sites",
     "sample_hamiltonian",
 ]
-
-DEFAULT_J_RANGE = (-1.0, 1.0)
-DEFAULT_DELTA_RANGE = (-0.1, 0.1)
 
 
 class Topology(enum.Enum):
@@ -91,8 +85,8 @@ class HamiltonianSpec:
     n_reservoir: int
     topology: Topology
     scheme: CouplingScheme
-    j_range: tuple[float, float] = DEFAULT_J_RANGE
-    delta_range: tuple[float, float] = DEFAULT_DELTA_RANGE
+    j_range: tuple[float, float] = (-1.0, 1.0)
+    delta_range: tuple[float, float] = (-0.1, 0.1)
     seed: int = 0
 
     def __post_init__(self):

@@ -379,7 +379,7 @@ class TestCriterion10OracleSuite:
         )
         for sub in ("a", "b"):
             out = run_time_sweep(cfg)
-            cli.emit_records(out.records, tmp_path / sub, config=cfg)
+            cli.emit_records(out, tmp_path / sub, cfg, "2024-01-01T00:00:00+00:00", "2024-01-01T00:00:01+00:00")
         checks["deterministic csv bodies"] = (tmp_path / "a" / "records.csv").read_bytes() == (
             tmp_path / "b" / "records.csv"
         ).read_bytes() and (tmp_path / "a" / "aggregates.csv").read_bytes() == (

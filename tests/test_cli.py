@@ -205,6 +205,8 @@ class TestParseConfig:
             ({"time_grid": {"start": 0, "stop": 5, "points": 41.0}}, "points"),
             # a key the config does not have: sweeps report Holevo information in bits
             ({"log_base": 2}, "log_base"),
+            ({"shot_model": {"mode": "exact", "shot": 5}}, "shot_model: unknown keys \\['shot'\\]"),
+            ([1, 2], "top-level config must be an object"),
         ],
     )
     def test_booleans_and_fractional_counts_rejected(self, tmp_path, payload, field):
@@ -264,6 +266,10 @@ class TestParseConfig:
         assert size.time_grid == (0.25, 5.0)
 
 
+# The start and finish times a test passes to ``emit_records``.
+STAMPS = ("2024-01-01T00:00:00+00:00", "2024-01-01T00:00:01+00:00")
+
+
 class TestEmitRecords:
     def run_tiny(self):
         cfg = SweepConfig(**TINY_CONFIG)
@@ -271,7 +277,7 @@ class TestEmitRecords:
 
     def test_csv_row_count_and_roundtrip(self, tmp_path):
         cfg, out = self.run_tiny()
-        manifest = emit_records(out.records, tmp_path, config=cfg)
+        manifest = emit_records(out, tmp_path, cfg, *STAMPS)
         lines = (tmp_path / "records.csv").read_text().splitlines()
         assert len(lines) == len(out.records) + 1  # header + one row per record
         assert manifest.record_count == 4 and manifest.failure_count == 0
@@ -284,25 +290,31 @@ class TestEmitRecords:
     def test_csv_bodies_bit_identical_across_runs(self, tmp_path):
         cfg, out1 = self.run_tiny()
         _, out2 = self.run_tiny()
-        emit_records(out1.records, tmp_path / "a", config=cfg)
-        emit_records(out2.records, tmp_path / "b", config=cfg)
+        emit_records(out1, tmp_path / "a", cfg, *STAMPS)
+        emit_records(out2, tmp_path / "b", cfg, *STAMPS)
         for name in ("records.csv", "aggregates.csv", "holevo_nodes.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_seventeen_significant_digits(self, tmp_path):
         cfg, out = self.run_tiny()
-        emit_records(out.records, tmp_path, config=cfg)
+        emit_records(out, tmp_path, cfg, *STAMPS)
         parsed = read_records_csv(tmp_path / "records.csv")
         for before, after in zip(out.records, parsed):
             assert after.mse == before.mse  # exact float round-trip
 
     def test_rejects_empty_emission(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to emit"):
-            emit_records([], tmp_path)
+            emit_records(harness.SweepResult((), ()), tmp_path, SweepConfig(**TINY_CONFIG), *STAMPS)
+
+    def test_out_dir_under_a_file_fails(self, tmp_path):
+        cfg, out = self.run_tiny()
+        (tmp_path / "file").write_text("")
+        with pytest.raises(RuntimeError, match="failed writing results"):
+            emit_records(out, tmp_path / "file" / "out", cfg, *STAMPS)
 
     def test_manifest_fields(self, tmp_path):
         cfg, out = self.run_tiny()
-        emit_records(out.records, tmp_path, config=cfg)
+        emit_records(out, tmp_path, cfg, *STAMPS)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config_digest"] == config_digest(cfg)
         assert manifest["tool_version"]
@@ -547,7 +559,8 @@ class TestEmissionFormat:
     )
 
     def emit(self, tmp_path):
-        manifest = emit_records(self.RECORDS, tmp_path, failures=self.FAILURES)
+        result = harness.SweepResult(tuple(self.RECORDS), tuple(self.FAILURES))
+        manifest = emit_records(result, tmp_path, SweepConfig(**TINY_CONFIG), *STAMPS)
         assert (manifest.record_count, manifest.failure_count) == (4, 2)
         return tmp_path
 

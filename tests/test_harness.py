@@ -161,6 +161,10 @@ class TestAggregateStats:
         with pytest.raises(ValueError, match="empty"):
             aggregate_stats([])
 
+    def test_nan_gives_nan(self):
+        stats = aggregate_stats([1.0, np.nan])
+        assert np.isnan([stats.q1, stats.median, stats.q3]).all() and stats.n == 2
+
 
 class TestSweeps:
     def test_zero_time_analytics(self):
@@ -264,6 +268,12 @@ class TestSweeps:
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
         assert seen == []
+
+    @pytest.mark.parametrize("threads", [2.5, "2", 0, -3, True])
+    def test_threads_must_be_a_count(self, monkeypatch, threads):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
+        with pytest.raises(ValueError, match=f"^threads must be an integer >= 1, got {threads!r}$"):
+            run_time_sweep(small_config(), threads=threads)
 
     def test_rerun_bit_identical(self):
         cfg = small_config(shot_model=ShotModel("joint_bitstrings", 500))

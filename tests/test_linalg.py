@@ -67,6 +67,18 @@ class TestHermEig:
         with pytest.raises(ValueError, match="Hermitian"):
             la.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 2, 2)])
+    def test_rejects_all_but_a_square_matrix(self, shape):
+        a = np.zeros(shape)
+        for fn in (la.herm_eig, la.von_neumann_entropy):
+            with pytest.raises(ValueError, match="must be a square matrix"):
+                fn(a)
+        if len(shape) == 3:  # a stack of square matrices passes the Hermiticity check
+            la.require_hermitian(a)
+        else:
+            with pytest.raises(ValueError, match="must be a square matrix"):
+                la.require_hermitian(a)
+
 
 class TestEvolveUnitary:
     def test_zero_time_is_identity(self):

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import qelmsim
 
-# The package-root names. Adding or removing one is an API change: edit this
-# tuple and list the change in the README's "Library use".
+# The package-root names. The root re-exports each module's ``__all__``, so
+# adding or removing one is an API change in three places: this tuple, the
+# module's ``__all__`` and the README's "Library use".
 PUBLIC_NAMES = (
     "ConfigError",
     "CouplingScheme",
@@ -53,6 +54,13 @@ PUBLIC_NAMES = (
 
 def test_public_surface_is_pinned():
     assert tuple(qelmsim.__all__) == PUBLIC_NAMES
+
+
+def test_root_names_are_the_module_lists():
+    """Each module's ``__all__`` names only package-root names, no name twice."""
+    modules = (qelmsim.harness, qelmsim.linalg, qelmsim.qelm, qelmsim.reservoir, qelmsim.scrambling)
+    names = [m.__name__.rpartition(".")[2] for m in modules] + [n for m in modules for n in m.__all__]
+    assert sorted(names) == sorted(PUBLIC_NAMES)
 
 
 def test_benchmark_trace_targets_exist():

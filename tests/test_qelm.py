@@ -353,6 +353,10 @@ class TestTrainPredictMse:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="states"):
             train_readout(np.ones((2, 3)), np.ones((3, 4)))
+        with pytest.raises(ValueError, match="must be 2-D"):
+            train_readout(np.ones(3), np.ones((3, 3)))
+        with pytest.raises(ValueError, match="at least one state"):
+            train_readout(np.ones((2, 0)), np.ones((3, 0)))
         trained = train_readout(np.ones((2, 3)), np.ones((3, 3)))
         with pytest.raises(ValueError, match="feature rows"):
             predict(trained, np.ones((5, 3)))

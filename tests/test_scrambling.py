@@ -141,6 +141,10 @@ class TestLocalChannel:
         with pytest.raises(ValueError, match="node"):
             local_channel(np.eye(16, dtype=complex), np.eye(2) / 2, 3, node=3)
 
+    def test_input_state_must_be_2x2(self):
+        with pytest.raises(ValueError, match="must be 2x2"):
+            local_channel(np.eye(16, dtype=complex), np.eye(3) / 3, 3, node=0)
+
 
 class TestLocalHolevoProfile:
     def test_identity_dynamics_zero(self):
