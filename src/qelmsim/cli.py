@@ -20,7 +20,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -167,39 +170,52 @@ def emit_records(result: SweepResult, out_dir, config: SweepConfig, started: str
     from ``started`` to ``finished`` (ISO timestamps).
 
     The tables are computed from the records and written as CSV; the manifest
-    is JSON. Each file replaces the one of an earlier run into ``out_dir``,
-    and ``holevo_nodes.csv`` or ``failures.csv`` is removed when this run has
-    no rows for it, so no table outlives the run that wrote it.
+    is JSON. Every file is written first into a hidden temporary directory in
+    ``out_dir``, so a failed write leaves an earlier run's files untouched.
+    Then the old manifest goes, each table replaces the one of an earlier run
+    (``holevo_nodes.csv`` or ``failures.csv`` is removed when this run has no
+    rows for it), and the manifest comes last: a directory whose manifest
+    matches its tables holds one whole run.
     """
     records, failures = result.records, result.failures
     if not records and not failures:
         raise ValueError("nothing to emit: no records and no failure report")
     out = Path(out_dir)
     agg_rows, node_rows = harness.aggregate_records(records)
+    tables = {
+        "records.csv": _records_table(records),
+        "aggregates.csv": _stats_table(AggregateRow, agg_rows),
+        "holevo_nodes.csv": _stats_table(HolevoNodeRow, node_rows) if node_rows else None,
+        "failures.csv": (_FAILURE_COLUMNS, [dataclasses.astuple(f) for f in failures]) if failures else None,
+    }
+    manifest = RunManifest(
+        config_digest=config_digest(config),
+        tool_version=__version__,
+        started=started,
+        finished=finished,
+        record_count=len(records),
+        failure_count=len(failures),
+        blas_threads=1 if la._openblas_threads() is not None else None,
+    )
     try:
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "records.csv", *_records_table(records))
-        _write_csv(out / "aggregates.csv", *_stats_table(AggregateRow, agg_rows))
-        for name, header, rows in (
-            ("holevo_nodes.csv", *_stats_table(HolevoNodeRow, node_rows)),
-            ("failures.csv", _FAILURE_COLUMNS, [dataclasses.astuple(f) for f in failures]),
-        ):
-            if rows:
-                _write_csv(out / name, header, rows)
-            else:
-                (out / name).unlink(missing_ok=True)
-        manifest = RunManifest(
-            config_digest=config_digest(config),
-            tool_version=__version__,
-            started=started,
-            finished=finished,
-            record_count=len(records),
-            failure_count=len(failures),
-            blas_threads=1 if la._openblas_threads() is not None else None,
-        )
-        with open(out / "manifest.json", "w") as fh:
-            json.dump(dataclasses.asdict(manifest), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        stage = Path(tempfile.mkdtemp(prefix=".emit-", dir=out))
+        try:
+            for name, table in tables.items():
+                if table:
+                    _write_csv(stage / name, *table)
+            with open(stage / "manifest.json", "w") as fh:
+                json.dump(dataclasses.asdict(manifest), fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            (out / "manifest.json").unlink(missing_ok=True)
+            for name, table in tables.items():
+                if table:
+                    os.replace(stage / name, out / name)
+                else:
+                    (out / name).unlink(missing_ok=True)
+            os.replace(stage / "manifest.json", out / "manifest.json")
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
     except OSError as exc:
         raise RuntimeError(f"failed writing results under {out}: {exc}") from exc
     return manifest

@@ -204,8 +204,8 @@ class ExperimentRecord:
     """Metrics of one realization at one grid point.
 
     ``time`` is None for the time-independent Haar baseline. ``seed``
-    reproduces the realization (Hamiltonian coefficients, or the Haar draw) on
-    its own.
+    reproduces the realization on its own: it is the ``HamiltonianSpec.seed``
+    whose one draw gives every coefficient, or the seed of the Haar draw.
     """
 
     realization_index: int
@@ -512,20 +512,21 @@ def expected_record_count(config: SweepConfig, command: str) -> int:
 def _quantile(x: list, q: float) -> float:
     """Type-7 sample quantile (Hyndman and Fan, 1996) of the ascending ``x``.
 
-    Equal bit for bit to ``np.quantile`` on finite values. Next to an infinite
-    neighbour it returns the limit of the interpolation, where numpy's
-    ``a + (b - a) * t`` gives nan; a nan anywhere gives nan.
+    Equal bit for bit to ``np.quantile`` on finite values: it interpolates
+    with numpy's arithmetic, whose weight at the top index is h + 1. (Where
+    ``x`` mixes -0.0 and 0.0, numpy's partition picks which zero it meets, so
+    there a zero result may differ in sign.) Next to an infinite neighbour it
+    returns the limit of the interpolation, where numpy's ``a + (b - a) * t``
+    gives nan; a nan anywhere gives nan.
     """
     if math.isnan(x[-1]):
         return x[-1]
     h = (len(x) - 1) * q
     lo = int(h)
-    t = h - lo
+    t = h - lo if lo < len(x) - 1 else h + 1
     a, b = x[lo], x[min(lo + 1, len(x) - 1)]
-    if t == 0 or a == b:
-        return a
-    if math.isinf(a) or math.isinf(b):
-        return a + b  # the infinite neighbour; nan between -inf and inf
+    if math.isinf(a) or math.isinf(b):  # the infinite neighbour; nan between -inf and inf
+        return a if t == 0 or a == b else a + b
     d = b - a
     return b - d * (1 - t) if t >= 0.5 else a + d * t
 

@@ -8,8 +8,9 @@ independent 3x3 block of Pauli-Pauli couplings, every reservoir site an
 independent local field; the input qubit carries no local field.
 
 Each Pauli string is a signed permutation, so the strings of one (topology,
-scheme, N) are cached once as an int8 sign plan (``_sign_plan``); a realization
-adds its coefficients, drawn in the order ``sample_hamiltonian`` documents, along it.
+scheme, N) are cached once as an int8 sign plan (``_sign_plan``). A realization
+is one ``uniform`` draw along that plan from a generator on its seed, so the
+seed alone gives back every coefficient and the matrix they build.
 """
 
 from __future__ import annotations
@@ -114,31 +115,27 @@ _SPEC_RESOLVERS = {
 
 @dataclass(frozen=True)
 class ReservoirHamiltonian:
-    """A sampled Hamiltonian together with the coefficients that built it.
+    """A sampled Hamiltonian and the spec that draws it again.
 
-    ``couplings_res`` maps reservoir edges (k, j) to 3x3 arrays J[alpha, beta],
-    ``couplings_inj`` maps reservoir sites to the 3x3 input-coupling blocks,
-    and ``local_fields`` is the (N, 3) array of per-site fields. ``h_total``
-    equals the sum rebuilt from these coefficients.
+    ``spec.seed`` fixes every coefficient: ``sample_hamiltonian(spec)`` gives
+    the same ``h_total`` bit for bit, so the coefficients are not kept.
     """
 
     spec: HamiltonianSpec
     h_total: np.ndarray
-    couplings_res: dict[tuple[int, int], np.ndarray]
-    couplings_inj: dict[int, np.ndarray]
-    local_fields: np.ndarray
 
 
 @lru_cache(maxsize=None)
 def _sign_plan(topology: Topology, scheme: CouplingScheme, n: int) -> tuple:
-    """``(flips, imag, signs)`` of every Pauli string of the model, in draw order.
+    """``(flips, imag, signs, field)`` of every Pauli string of the model, in draw order.
 
     A Pauli string is a signed permutation: X and Y flip the site's bit, Y and
     Z give each row a sign from the bit, and each Y a factor -i. So string s
     puts ``coeff * signs[s, r]`` at (r, r ^ flips[s]), in the imaginary part
     where ``imag[s]`` (one Y) and in the real part otherwise. The strings are
-    the (a, b) blocks of ``edge_set``, the (k, a) fields, then the (a, b)
-    blocks of ``injection_sites``; ``signs`` is int8, a byte per row.
+    the (a, b) blocks of ``edge_set``, the (k, a) fields (``field``, drawn
+    from ``delta_range``), then the (a, b) blocks of ``injection_sites``.
+    ``signs`` is int8, a byte per row.
     """
     rows, axes = np.arange(2 ** (n + 1)), la.PAULI_AXES
     blocks = [((k, a), (j, b)) for k, j in edge_set(topology, n) for a in axes for b in axes]
@@ -157,7 +154,8 @@ def _sign_plan(topology: Topology, scheme: CouplingScheme, n: int) -> tuple:
         flips.append(flip)
         imag.append(n_y == 1)
         signs.append(-sign if n_y else sign)  # (-i)**1 = -i, (-i)**2 = -1
-    plan = (np.array(flips), np.array(imag), np.array(signs, dtype=np.int8))
+    field = np.array([len(factors) == 1 for factors in blocks])
+    plan = (np.array(flips), np.array(imag), np.array(signs, dtype=np.int8), field)
     for part in plan:
         part.setflags(write=False)
     return plan
@@ -166,37 +164,23 @@ def _sign_plan(topology: Topology, scheme: CouplingScheme, n: int) -> tuple:
 def sample_hamiltonian(spec: HamiltonianSpec) -> ReservoirHamiltonian:
     """Draw the reservoir realization that ``spec.seed`` determines.
 
-    A fresh generator seeded from ``spec.seed`` draws, in this fixed order,
-    the per-edge 3x3 couplings in ``edge_set`` order, then the (N, 3) local
-    fields, then the per-link input couplings in ascending site order: one
-    call per block, which takes the stream as one call per edge or link would.
-    ``h_total`` is one ``bincount`` per part over the cached ``_sign_plan``.
-    ``bincount`` adds in input order, so each entry sums its strings in draw
-    order, as adding one string at a time would (the zero that a string adds
-    to its other part changes no sum).
+    One ``uniform`` call on a fresh generator seeded from ``spec.seed`` draws
+    every coefficient along ``_sign_plan``, each from its string's range: the
+    per-edge 3x3 couplings in ``edge_set`` order, the (N, 3) local fields, then
+    the per-link input couplings in ascending site order. That takes the
+    stream as one call per block would. ``h_total`` is one ``bincount`` per
+    part over the plan; ``bincount`` adds in input order, so each entry sums
+    its strings in draw order, as adding one string at a time would (the zero
+    that a string adds to its other part changes no sum).
     """
-    rng = np.random.default_rng(spec.seed)
-    n, dim = spec.n_reservoir, spec.dim
-    edges = edge_set(spec.topology, n)
-    links = injection_sites(spec.scheme, n)
-    j_edges = rng.uniform(spec.j_range[0], spec.j_range[1], size=(len(edges), 3, 3))
-    local_fields = rng.uniform(spec.delta_range[0], spec.delta_range[1], size=(n, 3))
-    j_links = rng.uniform(spec.j_range[0], spec.j_range[1], size=(len(links), 3, 3))
-
-    flips, imag, signs = _sign_plan(spec.topology, spec.scheme, n)
-    coeffs = np.concatenate([j_edges.ravel(), local_fields.ravel(), j_links.ravel()])
-    rows = np.arange(dim)
+    flips, imag, signs, field = _sign_plan(spec.topology, spec.scheme, spec.n_reservoir)
+    lo, hi = np.where(field[:, None], spec.delta_range, spec.j_range).T
+    coeffs = np.random.default_rng(spec.seed).uniform(lo, hi)
+    dim, rows = spec.dim, np.arange(spec.dim)
     h = np.empty((dim, dim), dtype=complex)
     for part, strings in ((h.real, ~imag), (h.imag, imag)):
         flat = rows ^ flips[strings, None]
         flat += rows * dim
         weights = coeffs[strings, None] * signs[strings]
         part[...] = np.bincount(flat.ravel(), weights.ravel(), minlength=dim * dim).reshape(h.shape)
-
-    return ReservoirHamiltonian(
-        spec=spec,
-        h_total=h,
-        couplings_res=dict(zip(edges, j_edges)),
-        couplings_inj=dict(zip(links, j_links)),
-        local_fields=local_fields,
-    )
+    return ReservoirHamiltonian(spec, h)

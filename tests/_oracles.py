@@ -114,31 +114,45 @@ _PAULIS = (
 )
 
 
-def dense_hamiltonian(ham) -> np.ndarray:
-    """The register Hamiltonian reassembled from ``ham``'s stored coefficients.
+def hamiltonian_terms(spec):
+    """Yield ``(sites, coefficient, string)`` for every term of ``spec``'s
+    Hamiltonian, in the documented draw order, with coefficients drawn here.
 
-    Every term is a coefficient times a product of Paulis that ``np.kron``
-    embeds one site at a time (qubit 0 leftmost), instead of the package's
-    bitmask construction: the reservoir couplings, then the local fields,
-    then the input links. Each term adds the same exact values in the same
-    order as the package does, so the two agree bit for bit.
+    A fresh generator on ``spec.seed`` draws one ``uniform`` 3x3 block per
+    reservoir edge (the chain's edges, then a ring's closing edge, or every
+    k < j pair in row order), one (N, 3) block of local fields, then one 3x3
+    block per input link (site 0, or every site in ascending order). ``sites``
+    is ``(k, j)`` for a coupling (j = N for a link) and ``(k,)`` for a field.
+    ``string`` is the dense Pauli product, each factor embedded by ``np.kron``
+    one site at a time (qubit 0 leftmost).
     """
-    spec = ham.spec
-    n_tot = spec.n_reservoir + 1
+    n = spec.n_reservoir
     single = [
-        [np.kron(np.kron(np.eye(2**site), p), np.eye(2 ** (n_tot - site - 1))) for p in _PAULIS]
-        for site in range(n_tot)
+        [np.kron(np.kron(np.eye(2**site), p), np.eye(2 ** (n - site))) for p in _PAULIS] for site in range(n + 1)
     ]
+    chain = [(k, k + 1) for k in range(n - 1)]
+    edges = {"C": chain, "R": chain + [(0, n - 1)], "FC": [(k, j) for k in range(n) for j in range(k + 1, n)]}
+    links = [(k, n) for k in ([0] if spec.scheme.value == "SL" else range(n))]
+    rng = np.random.default_rng(spec.seed)
+    for k, j in edges[spec.topology.value]:
+        jmat = rng.uniform(*spec.j_range, size=(3, 3))
+        yield from (((k, j), jmat[a, b], single[k][a] @ single[j][b]) for a in range(3) for b in range(3))
+    fields = rng.uniform(*spec.delta_range, size=(n, 3))
+    yield from (((k,), fields[k, a], single[k][a]) for k in range(n) for a in range(3))
+    for k, j in links:
+        jmat = rng.uniform(*spec.j_range, size=(3, 3))
+        yield from (((k, j), jmat[a, b], single[k][a] @ single[j][b]) for a in range(3) for b in range(3))
+
+
+def dense_hamiltonian(spec) -> np.ndarray:
+    """The register Hamiltonian of ``spec``: the sum of ``hamiltonian_terms``.
+
+    The coefficients come from one draw per block, not the package's one draw
+    along its bitmask plan, and the strings from ``np.kron``. Each term adds
+    the same exact values in the same order as the package does, so the two
+    agree bit for bit.
+    """
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for (k, j), jmat in ham.couplings_res.items():
-        for a in range(3):
-            for b in range(3):
-                h += jmat[a, b] * single[k][a] @ single[j][b]
-    for k in range(spec.n_reservoir):
-        for a in range(3):
-            h += ham.local_fields[k, a] * single[k][a]
-    for k, jmat in ham.couplings_inj.items():
-        for a in range(3):
-            for b in range(3):
-                h += jmat[a, b] * single[k][a] @ single[spec.n_reservoir][b]
+    for _, coeff, string in hamiltonian_terms(spec):
+        h += coeff * string
     return h

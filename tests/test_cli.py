@@ -320,6 +320,26 @@ class TestEmitRecords:
         assert manifest["tool_version"]
         assert manifest["record_count"] == len(out.records)
 
+    def test_failed_emit_leaves_the_earlier_run_whole(self, tmp_path, monkeypatch):
+        # a second emit whose aggregates.csv fails to write leaves exactly the
+        # first emit's files and bytes, and no temporary directory
+        cfg, out = self.run_tiny()
+        emit_records(harness.SweepResult(out.records[:2], ()), tmp_path, cfg, *STAMPS)
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(first) == ["aggregates.csv", "holevo_nodes.csv", "manifest.json", "records.csv"]
+        write_csv = cli._write_csv
+
+        def failing_on_aggregates(path, header, rows):
+            if Path(path).name == "aggregates.csv":
+                raise OSError("injected")
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", failing_on_aggregates)
+        with pytest.raises(RuntimeError, match="^failed writing results under .*injected"):
+            emit_records(harness.SweepResult(out.records[:3], ()), tmp_path, cfg, "later", "later")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(first)
+        assert {name: (tmp_path / name).read_bytes() for name in first} == first
+
 
 class TestCommands:
     def test_one_point_exact_sweep_at_zero_time(self, tmp_path):

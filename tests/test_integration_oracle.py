@@ -1,11 +1,12 @@
 """End-to-end check: one sweep record recomputed from scratch.
 
 Every quantity of a single exact-mode record is rebuilt here with independent
-routes -- the Hamiltonian from its stored coefficient arrays via products of
-singly-embedded Paulis, the propagator via scipy's Pade expm instead of the
-eigendecomposition, features via the full-space trace formula without partial
-traces, the readout via numpy's pinv, and the entropies from eigenvalues
-computed on explicitly reshaped marginals.
+routes -- the Hamiltonian from coefficients drawn block by block from the
+record seed, via products of singly-embedded Paulis, the propagator via
+scipy's Pade expm instead of the eigendecomposition, features via the
+full-space trace formula without partial traces, the readout via numpy's
+pinv, and the entropies from eigenvalues computed on explicitly reshaped
+marginals.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.linalg import expm
 from qelmsim import linalg as la
 from qelmsim.harness import SweepConfig, derive_rng, run_time_sweep
 from qelmsim.qelm import ShotModel
-from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
+from qelmsim.reservoir import HamiltonianSpec
 
 from _oracles import dense_hamiltonian
 
@@ -54,8 +55,7 @@ def test_full_record_against_scratch_recomputation():
     )
     record = run_time_sweep(cfg).records[0]
 
-    ham = sample_hamiltonian(HamiltonianSpec(N, "C", "SL", seed=record.seed))
-    h = dense_hamiltonian(ham)
+    h = dense_hamiltonian(HamiltonianSpec(N, "C", "SL", seed=record.seed))
     u = expm(-1j * h * T)
 
     state_rng = derive_rng(SEED, 1, N, 0, 0, 0)

@@ -223,6 +223,14 @@ class TestHaarUnitary:
         sigma = np.sqrt(1.0 / 12.0 / n)
         assert abs(vals.mean() - 0.5) <= 4 * sigma
 
+    def test_phase_invariance(self):
+        # Haar is invariant under U -> e^{i phi} U, so E[Re U_00] = 0. A QR
+        # draw without the R-diagonal phase correction biases Re U_00
+        # (Mezzadri 2007); the |U_00|^2 moments above cannot see that.
+        rng = np.random.default_rng(5)
+        vals = np.array([la.haar_unitary(2, rng)[0, 0].real for _ in range(5000)])
+        assert abs(vals.mean()) <= 4 * vals.std(ddof=1) / np.sqrt(vals.size)
+
 
 class TestRandomPureQubit:
     def test_purity(self):

@@ -1,0 +1,104 @@
+"""Property-based checks of invariants that docstrings promise.
+
+Every property runs under one profile: derandomized, with no example
+database and no deadline, so the suite stays deterministic and writes no
+``.hypothesis/`` directory. Each property stays at N <= 3.
+"""
+
+import json
+import math
+import os
+from pathlib import Path
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from qelmsim import linalg as la
+from qelmsim.cli import config_digest
+from qelmsim.harness import ConfigError, SweepConfig, _quantile
+from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
+
+from _oracles import dense_hamiltonian
+
+# Hypothesis also caches the constants it reads from local modules under its
+# home directory. A home under os.devnull cannot be made, so it keeps them in
+# memory and writes nothing.
+set_hypothesis_home_dir(Path(os.devnull) / "hypothesis")
+PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@PROFILE
+@given(st.lists(finite, min_size=1, max_size=30), st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.0, 1.0)))
+@example([-0.0, -0.0], 0.25)  # numpy gives 0.0 here, as -0.0 + (b - a) * t does
+@example([-0.0], 0.5)  # but -0.0 at the top index, where its weight is h + 1
+@example([-1e308, 1e308], 0.0)  # b - a overflows: nan in both
+def test_quantile_equals_numpy_bit_for_bit(values, q):
+    x = sorted(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.quantile(x, q)
+    got = _quantile(x, q)
+    if {math.copysign(1.0, v) for v in x if v == 0} == {1.0, -1.0}:
+        # numpy's partition picks which of -0.0 and 0.0 it meets, so the sign
+        # of a zero result is not a function of the values
+        assert got == expected
+    else:
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+@PROFILE
+@given(seeds, st.integers(min_value=1, max_value=20))
+def test_one_draw_of_k_states_equals_k_draws_of_one(seed, k):
+    together = la.random_pure_qubit_states(np.random.default_rng(seed), k)
+    rng = np.random.default_rng(seed)
+    one_by_one = np.concatenate([la.random_pure_qubit_states(rng, 1) for _ in range(k)])
+    assert np.array_equal(together, one_by_one)
+
+
+def _time_grids():
+    times = st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8, unique=True).map(sorted)
+    spans = st.tuples(st.floats(0.0, 50.0), st.floats(0.1, 50.0), st.integers(1, 41))
+    return st.one_of(times, spans.map(lambda s: {"start": s[0], "stop": s[0] + s[1], "points": s[2]}))
+
+
+@st.composite
+def sweep_configs(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    fields = {
+        "n_reservoir": sizes[0] if draw(st.booleans()) else sizes,
+        "topologies": draw(st.lists(st.sampled_from(["C", "R", "FC"]), min_size=1, max_size=3, unique=True)),
+        "schemes": draw(st.lists(st.sampled_from(["SL", "ML"]), min_size=1, max_size=2, unique=True)),
+        "time_grid": draw(_time_grids()),
+        "n_realizations": draw(st.integers(1, 1000)),
+        "n_train": draw(st.integers(1, 1000)),
+        "n_test": draw(st.integers(1, 1000)),
+        "shot_model": {"mode": draw(st.sampled_from(["exact", "joint_bitstrings"])), "shots": draw(st.integers(1, 2**63 - 1))},
+        "master_seed": draw(seeds),
+        "include_haar_baseline": draw(st.booleans()),
+    }
+    assume("R" not in fields["topologies"] or min(sizes) >= 3)
+    try:
+        return SweepConfig(**fields)
+    except ConfigError:  # a linspace grid that rounds two times together
+        assume(False)
+
+
+@PROFILE
+@given(sweep_configs())
+def test_config_round_trips_through_its_dict(cfg):
+    for form in (cfg.as_dict(), json.loads(json.dumps(cfg.as_dict()))):
+        again = SweepConfig(**form)
+        assert again == cfg
+        assert config_digest(again) == config_digest(cfg)
+
+
+@PROFILE
+@given(st.integers(1, 3), st.sampled_from(["C", "R", "FC"]), st.sampled_from(["SL", "ML"]), seeds)
+def test_hamiltonian_matches_dense_oracle(n, topology, scheme, seed):
+    assume(topology != "R" or n >= 3)
+    spec = HamiltonianSpec(n, topology, scheme, seed=seed)
+    assert np.array_equal(sample_hamiltonian(spec).h_total, dense_hamiltonian(spec))

@@ -8,12 +8,14 @@ from qelmsim.reservoir import (
     CouplingScheme,
     HamiltonianSpec,
     Topology,
+    _sign_plan,
     edge_set,
     injection_sites,
     sample_hamiltonian,
 )
 
-from _oracles import dense_hamiltonian
+from _oracles import dense_hamiltonian, hamiltonian_terms
+
 
 class TestEdgeSet:
     def test_chain(self):
@@ -120,17 +122,22 @@ class TestHamiltonianSpec:
             HamiltonianSpec(**spec)
 
 
+def projected_coefficients(h, terms) -> np.ndarray:
+    """Each term's coefficient recovered from ``h``: Tr(P_s h) / dim for its
+    Pauli string P_s (the strings are Hermitian and trace-orthogonal)."""
+    return np.array([np.vdot(string, h).real / h.shape[0] for _, _, string in terms])
+
+
 class TestSampleHamiltonian:
     def test_coefficient_count_n7_fc_ml(self):
-        ham = sample_hamiltonian(HamiltonianSpec(7, "FC", "ML", seed=5))
-        n_res = sum(m.size for m in ham.couplings_res.values())
-        n_inj = sum(m.size for m in ham.couplings_inj.values())
-        assert n_res + ham.local_fields.size + n_inj == 21 * 9 + 7 * 3 + 7 * 9
+        flips, imag, signs, field = _sign_plan(Topology.FULLY_CONNECTED, CouplingScheme.MULTI_LINK, 7)
+        assert len(flips) == len(imag) == len(signs) == len(field) == 21 * 9 + 7 * 3 + 7 * 9
+        assert field.sum() == 21 and field.dtype == bool
 
     def test_rebuild_matches_small(self):
         ham = sample_hamiltonian(HamiltonianSpec(2, "C", "SL", seed=6))
         assert ham.h_total.shape == (8, 8)
-        assert np.array_equal(ham.h_total, dense_hamiltonian(ham))
+        assert np.array_equal(ham.h_total, dense_hamiltonian(ham.spec))
 
     def test_rebuild_matches_all_variants(self):
         cases = [(3, topo, scheme, 7) for topo in ("C", "R", "FC") for scheme in ("SL", "ML")]
@@ -145,35 +152,25 @@ class TestSampleHamiltonian:
         ]
         for n, topo, scheme, seed in cases:
             ham = sample_hamiltonian(HamiltonianSpec(n, topo, scheme, seed=seed))
-            assert np.array_equal(ham.h_total, dense_hamiltonian(ham))
+            assert np.array_equal(ham.h_total, dense_hamiltonian(ham.spec))
 
     @pytest.mark.parametrize("n, topo, scheme", [(1, "C", "ML"), (3, "R", "SL"), (4, "FC", "ML"), (7, "C", "ML")])
     def test_draw_order(self, n, topo, scheme):
-        # one uniform call per edge block, then the fields, then one per link
-        # block, from a fresh generator on the spec's seed
+        # the one uniform call along the plan takes the stream as the oracle's
+        # one call per edge block, then the fields, then one per link block do
         spec = HamiltonianSpec(n, topo, scheme, seed=2024)
         ham = sample_hamiltonian(spec)
-        rng = np.random.default_rng(2024)
-        edges = edge_set(topo, n)
-        links = injection_sites(scheme, n)
-        expected_res = {edge: rng.uniform(-1.0, 1.0, size=(3, 3)) for edge in edges}
-        expected_fields = rng.uniform(-0.1, 0.1, size=(n, 3))
-        expected_inj = {k: rng.uniform(-1.0, 1.0, size=(3, 3)) for k in links}
-        assert list(ham.couplings_res) == edges and list(ham.couplings_inj) == links
-        for edge in edges:
-            assert np.array_equal(ham.couplings_res[edge], expected_res[edge])
-        assert np.array_equal(ham.local_fields, expected_fields)
-        for k in links:
-            assert np.array_equal(ham.couplings_inj[k], expected_inj[k])
+        assert np.array_equal(ham.h_total, dense_hamiltonian(spec))
+        terms = list(hamiltonian_terms(spec))
+        drawn = np.array([coeff for _, coeff, _ in terms])
+        assert np.max(np.abs(projected_coefficients(ham.h_total, terms) - drawn)) <= 1e-14
 
     def test_determinism(self):
         spec = HamiltonianSpec(3, "R", "ML", seed=123)
         h1 = sample_hamiltonian(spec)
         h2 = sample_hamiltonian(spec)
+        assert h1.spec == h2.spec == spec
         assert np.array_equal(h1.h_total, h2.h_total)
-        for key in h1.couplings_res:
-            assert np.array_equal(h1.couplings_res[key], h2.couplings_res[key])
-        assert np.array_equal(h1.local_fields, h2.local_fields)
 
     def test_hermiticity(self):
         for seed in range(4):
@@ -184,19 +181,16 @@ class TestSampleHamiltonian:
         spec = HamiltonianSpec(4, "C", "SL", seed=9)
         ham = sample_hamiltonian(spec)
         assert injection_sites(spec.scheme, 4) == [0]
-        assert list(ham.couplings_inj) == [0]
-        n_tot = spec.n_reservoir + 1
-        h_inj = np.zeros((spec.dim, spec.dim), dtype=complex)
-        for k, jmat in ham.couplings_inj.items():
-            for a in range(3):
-                for b in range(3):
-                    h_inj += (
-                        jmat[a, b]
-                        * la.embed_pauli("xyz"[a], k, n_tot)
-                        @ la.embed_pauli("xyz"[b], spec.n_reservoir, n_tot)
-                    )
+        # the link terms, with coefficients drawn from the seed in the documented order
+        links = [term for term in hamiltonian_terms(spec) if spec.n_reservoir in term[0]]
+        assert {sites for sites, _, _ in links} == {(0, spec.n_reservoir)}
+        h_inj = sum(coeff * string for _, coeff, string in links)
+        # and they are the link coefficients that h_total carries
+        drawn = np.array([coeff for _, coeff, _ in links])
+        assert np.max(np.abs(projected_coefficients(ham.h_total, links) - drawn)) <= 1e-14
         # Commutes with every Pauli on uncoupled reservoir sites, not with
         # operators on the coupled site or the input.
+        n_tot = spec.n_reservoir + 1
         for site in (1, 2, 3):
             op = la.embed_pauli("z", site, n_tot)
             assert np.max(np.abs(h_inj @ op - op @ h_inj)) <= 1e-12
@@ -205,17 +199,22 @@ class TestSampleHamiltonian:
             assert np.max(np.abs(h_inj @ op - op @ h_inj)) > 1e-3
 
     def test_no_field_on_input_qubit(self):
-        ham = sample_hamiltonian(HamiltonianSpec(3, "C", "ML", seed=10))
-        assert ham.local_fields.shape == (3, 3)
+        spec = HamiltonianSpec(3, "C", "ML", seed=10)
+        ham = sample_hamiltonian(spec)
+        for axis in la.PAULI_AXES:
+            op = la.embed_pauli(axis, spec.n_reservoir, spec.n_reservoir + 1)
+            assert abs(np.trace(op @ ham.h_total)) <= 1e-12
+        assert _sign_plan(spec.topology, spec.scheme, 3)[3].sum() == 3 * 3
 
     def test_coupling_uniformity_kolmogorov_smirnov(self):
-        js, deltas = [], []
-        for seed in range(500):
-            ham = sample_hamiltonian(HamiltonianSpec(3, "C", "SL", seed=seed))
-            js.extend(m.ravel() for m in ham.couplings_res.values())
-            js.extend(m.ravel() for m in ham.couplings_inj.values())
-            deltas.append(ham.local_fields.ravel())
-        js = np.concatenate(js)
-        deltas = np.concatenate(deltas)
+        # coefficients recovered from h_total by projection, split by the plan's field flag
+        terms = list(hamiltonian_terms(HamiltonianSpec(3, "C", "SL")))
+        field = _sign_plan(Topology.CHAIN, CouplingScheme.SINGLE_LINK, 3)[3]
+        assert np.array_equal(field, [len(sites) == 1 for sites, _, _ in terms])
+        coeffs = np.array([
+            projected_coefficients(sample_hamiltonian(HamiltonianSpec(3, "C", "SL", seed=seed)).h_total, terms)
+            for seed in range(500)
+        ])
+        js, deltas = coeffs[:, ~field].ravel(), coeffs[:, field].ravel()
         assert stats.kstest(js, stats.uniform(loc=-1.0, scale=2.0).cdf).pvalue > 0.01
         assert stats.kstest(deltas, stats.uniform(loc=-0.1, scale=0.2).cdf).pvalue > 0.01

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qelmsim import linalg as la
+from qelmsim.harness import _otoc_per_pair_from_unitary
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
 from qelmsim.scrambling import (
     _EIGENKETS,
@@ -115,6 +116,23 @@ class TestAveragedOtoc:
             values = [averaged_otoc(la.evolve_unitary(decomp, t), 3).averaged for t in times]
             assert values[0] <= 1e-4
             assert all(b > a for a, b in zip(values, values[1:]))
+
+
+class TestHaarLimit:
+    """The paper's long-time claim rests on the Haar ensemble: the RU draws
+    must give the OTOC mean a Haar second moment fixes."""
+
+    @pytest.mark.parametrize("n, draws", [(1, 4000), (2, 4000), (3, 2000)])
+    def test_otoc_mean_matches_haar_second_moment(self, n, draws):
+        # For traceless A, B with A^2 = B^2 = I on dimension d, Weingarten
+        # calculus gives E[Tr(A U B U^dag A U B U^dag)] = -d/(d^2 - 1) (Collins
+        # & Sniady 2006; Roberts & Yoshida 2017), so each per-pair OTOC, and
+        # their mean, averages to 1 + 1/(d^2 - 1) over Haar U.
+        dim = 2 ** (n + 1)
+        rng = np.random.default_rng(5)
+        vals = np.array([_otoc_per_pair_from_unitary(la.haar_unitary(dim, rng), n) for _ in range(draws)])
+        expected = 1.0 + 1.0 / (dim**2 - 1)
+        assert abs(vals.mean() - expected) <= 4 * vals.std(ddof=1) / np.sqrt(draws)
 
 
 class TestLocalChannel:
