@@ -267,6 +267,7 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
+    la._keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
         return _cmd_sweep(args)

@@ -88,16 +88,24 @@ def _sizes(value) -> tuple:
     return sizes
 
 
+# The object form builds its grid, so a few bytes of JSON could ask for an
+# array of any size; np.linspace fails on 2**63 points with IndexError.
+_MAX_GRID_POINTS = 10**6
+
+
 def _time_grid(value) -> tuple:
     """A strictly increasing list of times, or ``{start, stop, points}`` for
-    ``points`` uniform times on [start, stop]."""
+    ``points`` (at most ``_MAX_GRID_POINTS``) uniform times on [start, stop]."""
     if isinstance(value, dict):
         if set(value) != {"start", "stop", "points"}:
             keys = sorted(value, key=str)
             raise ValueError(f"an object needs exactly the keys start, stop and points, got {keys}")
         points = _count(value["points"], name="points")
+        if points > _MAX_GRID_POINTS:
+            raise ValueError(f"points must be an integer in [1, {_MAX_GRID_POINTS}], got {points!r}")
         start, stop = (_finite(value[key], key) for key in ("start", "stop"))
-        value = np.linspace(start, stop, points).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing span gives nan, rejected below
+            value = np.linspace(start, stop, points).tolist()
     times = tuple(_finite(t) for t in _entries(value))
     if not times:
         raise ValueError("must contain at least one time")
@@ -432,9 +440,11 @@ def _units(config: SweepConfig) -> list:
     return [(n, *pair, r) for n in config.n_reservoir for pair in slots for r in range(config.n_realizations)]
 
 
-def _pin_worker_blas() -> None:
-    """Pool initializer: one BLAS thread for the worker's life, whatever its
-    start method, so ``threads`` workers use ``threads`` cores."""
+def _init_worker() -> None:
+    """Pool initializer, the one per-worker set-up, whatever the start method:
+    one BLAS thread for the worker's life, so ``threads`` workers use
+    ``threads`` cores, and freed heap kept (``linalg._keep_freed_heap``)."""
+    la._keep_freed_heap()
     calls = la._openblas_threads()
     if calls is not None:
         _, put = calls
@@ -464,7 +474,7 @@ def _map_units(cfg: SweepConfig, units, threads: int):
             return [run(key) for key in units]
         chunk = min(16, max(1, len(units) // (workers * 4)))
         ordered = sorted(units, key=lambda key: key[0], reverse=True)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_pin_worker_blas) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
             return list(pool.map(run, ordered, chunksize=chunk))
 
 

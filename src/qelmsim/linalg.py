@@ -334,6 +334,31 @@ def _openblas_threads():
     return None
 
 
+# glibc's mallopt parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> bool:
+    """Keep freed heap in this process; True where ``mallopt`` was found.
+
+    Under glibc's defaults each 0.5-1 MB product of an N=7 record is mapped
+    and unmapped again, and its pages fault anew every time. Here blocks up
+    to 4 MiB come from the heap, and up to 256 MiB of freed heap stays.
+    Both thresholds are set: setting either alone turns off glibc's dynamic
+    thresholds, which faults more than the defaults. The CLI and the pool
+    workers call this; a library ``run_time_sweep`` leaves the caller's
+    allocator alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    return True
+
+
 @contextlib.contextmanager
 def single_blas_thread():
     """Run the body with OpenBLAS on one thread, then restore the caller's count.

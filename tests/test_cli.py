@@ -13,6 +13,7 @@ import pytest
 
 import qelmsim
 from qelmsim import cli, harness
+from qelmsim import linalg as la
 from qelmsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -44,6 +45,8 @@ TINY_CONFIG = {
 
 
 CSV_TABLES = ("records.csv", "aggregates.csv", "holevo_nodes.csv")
+# The variables OpenBLAS reads its thread count from, in its order.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _cell(name, text):
@@ -207,6 +210,9 @@ class TestParseConfig:
             ({"log_base": 2}, "log_base"),
             ({"shot_model": {"mode": "exact", "shot": 5}}, "shot_model: unknown keys \\['shot'\\]"),
             ([1, 2], "top-level config must be an object"),
+            # the object grid is built, so its size is capped
+            ({"time_grid": {"start": 0, "stop": 5, "points": 10**6 + 1}}, "points"),
+            ({"time_grid": {"start": 0, "stop": 5, "points": 2**63}}, "points"),
         ],
     )
     def test_booleans_and_fractional_counts_rejected(self, tmp_path, payload, field):
@@ -395,9 +401,10 @@ class TestCommands:
         config_path = write_config(tmp_path, payload)
         src = Path(cli.__file__).resolve().parent.parent
         outs = []
-        for blas in ("1", "2"):
+        for blas in ("1", "2", None):  # None: no thread variable, so qelmsim loads OpenBLAS with one
             out = tmp_path / f"blas{blas}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=str(src))
+            env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+            env.update(PYTHONPATH=str(src), **({"OPENBLAS_NUM_THREADS": blas} if blas else {}))
             done = subprocess.run(
                 [sys.executable, "-m", "qelmsim", "sweep-time", "--config", config_path, "--out", str(out)],
                 env=env,
@@ -407,7 +414,18 @@ class TestCommands:
             assert done.returncode == EXIT_OK, done.stderr.decode()
             outs.append(out)
         for name in CSV_TABLES:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
+    def test_without_mallopt_the_run_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        config_path = write_config(tmp_path, TINY_CONFIG)
+        la._openblas_threads()  # cached before ctypes.CDLL loses mallopt
+        monkeypatch.setattr(la.ctypes, "CDLL", lambda name: object())  # a C library without mallopt
+        assert la._keep_freed_heap() is False
+        assert main(["sweep-time", "--config", config_path, "--out", str(tmp_path / "without")]) == EXIT_OK
+        monkeypatch.undo()
+        assert main(["sweep-time", "--config", config_path, "--out", str(tmp_path / "with")]) == EXIT_OK
+        for name in CSV_TABLES:
+            assert (tmp_path / "without" / name).read_bytes() == (tmp_path / "with" / name).read_bytes(), name
 
     def test_sweep_size_run_and_partial_failure_exit(self, tmp_path, monkeypatch):
         original = harness.sample_hamiltonian

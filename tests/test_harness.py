@@ -242,32 +242,53 @@ class TestSweeps:
         ham, haar = "_hamiltonian_unit", "_haar_unit"
         cfg = small_config()  # 2 units: 2 realizations of one topology and scheme
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
-        assert seen == [(2, harness._pin_worker_blas), ([(ham, 3)] * 2, 1)]
+        assert seen == [(2, harness._init_worker), ([(ham, 3)] * 2, 1)]
         seen.clear()
         cfg = small_config(include_haar_baseline=True)  # plus 2 Haar units, in the same pool
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
-        assert seen == [(4, harness._pin_worker_blas), ([(ham, 3)] * 2 + [(haar, 3)] * 2, 1)]
+        assert seen == [(4, harness._init_worker), ([(ham, 3)] * 2 + [(haar, 3)] * 2, 1)]
         seen.clear()
         # largest size first, Haar units after the Hamiltonian units of their size
         cfg = small_config(n_reservoir=[2, 3], include_haar_baseline=True)
         assert run_time_sweep(cfg, threads=2) == run_time_sweep(cfg, threads=1)
         order = [(ham, 3)] * 2 + [(haar, 3)] * 2 + [(ham, 2)] * 2 + [(haar, 2)] * 2
-        assert seen == [(2, harness._pin_worker_blas), (order, 1)]
+        assert seen == [(2, harness._init_worker), (order, 1)]
         seen.clear()
         # the chunk size is capped at 16 units
         cfg = small_config(n_realizations=200, time_grid=(1.0,))
         assert run_time_sweep(cfg, threads=2) == run_time_sweep(cfg, threads=1)
-        assert seen == [(2, harness._pin_worker_blas), ([(ham, 3)] * 200, 16)]
+        assert seen == [(2, harness._init_worker), ([(ham, 3)] * 200, 16)]
         seen.clear()
         # never more workers than usable CPUs, and no pool on one CPU
         cfg = small_config(include_haar_baseline=True)  # 4 units
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
-        assert seen == [(2, harness._pin_worker_blas), ([(ham, 3)] * 2 + [(haar, 3)] * 2, 1)]
+        assert seen == [(2, harness._init_worker), ([(ham, 3)] * 2 + [(haar, 3)] * 2, 1)]
         seen.clear()
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
         assert seen == []
+
+    def test_worker_initializer_pins_blas_and_keeps_freed_heap(self, monkeypatch):
+        calls = la._openblas_threads()
+        if calls is None:
+            pytest.skip("no OpenBLAS thread setter found")
+        get, put = calls
+        settings = []
+
+        class Libc:
+            def __init__(self, name):
+                self.mallopt = lambda param, value: settings.append((param, value)) or 1
+
+        monkeypatch.setattr(la.ctypes, "CDLL", Libc)
+        original = get()
+        try:
+            put(2)
+            harness._init_worker()
+            assert get() == 1
+        finally:
+            put(original)
+        assert settings == [(-3, 4 << 20), (-1, 256 << 20)]
 
     @pytest.mark.parametrize("threads", [2.5, "2", 0, -3, True])
     def test_threads_must_be_a_count(self, monkeypatch, threads):

@@ -203,14 +203,15 @@ class TestHaarUnitary:
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-10
 
     def test_first_entry_moment(self):
-        # |U_00|^2 is uniform on [0, 1] for dim 2, so mean 1/2, variance 1/12.
+        # |U_00|^2 is uniform on [0, 1] for dim 2: E x = 1/2 with variance
+        # 1/12, and E x^2 = 1/3 with variance 1/5 - 1/9 = 4/45. A real
+        # orthogonal draw has the same mean but E cos^4 = 3/8, about 20 sigma
+        # from 1/3 here.
         rng = np.random.default_rng(2)
-        n = 10**5
-        vals = np.empty(n)
-        for i in range(n):
-            vals[i] = abs(la.haar_unitary(2, rng)[0, 0]) ** 2
-        sigma = np.sqrt(1.0 / 12.0 / n)
-        assert abs(vals.mean() - 0.5) <= 3 * sigma
+        n = 2 * 10**4
+        vals = np.array([abs(la.haar_unitary(2, rng)[0, 0]) ** 2 for _ in range(n)])
+        assert abs(vals.mean() - 0.5) <= 4 * np.sqrt(1.0 / 12.0 / n)
+        assert abs((vals**2).mean() - 1.0 / 3.0) <= 4 * np.sqrt(4.0 / 45.0 / n)
 
     def test_left_invariance(self):
         # Fixed V times Haar U keeps the |entry|^2 moment at 1/dim.
@@ -320,6 +321,44 @@ class TestSingleBlasThread:
             assert get() == 2
         finally:
             put(original)
+
+
+class TestBlasThreadsAtImport:
+    """Importing qelmsim before numpy loads OpenBLAS with one thread, unless
+    the caller chose a count or loaded numpy first."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    def child(self, first="qelmsim", **env):
+        """(OpenBLAS threads, tasks, OPENBLAS_NUM_THREADS) of a fresh interpreter
+        that imports ``first`` and then qelmsim, with the thread variables
+        unset apart from ``env``."""
+        if la._openblas_threads() is None:
+            pytest.skip("no OpenBLAS thread setter found")
+        code = (
+            f"import os, {first}, qelmsim\n"
+            "get, _ = qelmsim.linalg._openblas_threads()\n"
+            "print(get(), len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        child_env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        child_env.update(env, PYTHONPATH=str(Path(la.__file__).resolve().parent.parent))
+        done = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        threads, tasks, variable = done.stdout.split()
+        return int(threads), int(tasks), variable
+
+    def test_fresh_import_runs_one_thread_and_restores_the_environment(self):
+        assert self.child() == (1, 1, "None")
+
+    @pytest.mark.parametrize("name", VARS)
+    def test_callers_variable_keeps_its_count(self, name):
+        assert self.child(**{name: "2"}) == (2, 2, "2" if name == "OPENBLAS_NUM_THREADS" else "None")
+
+    def test_numpy_loaded_first_keeps_its_count(self):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("OpenBLAS starts one thread on one CPU anyway")
+        threads, tasks, variable = self.child(first="numpy")
+        assert threads >= 2 and tasks == threads and variable == "None"
 
 
 class TestRegisterCap:

@@ -5,6 +5,7 @@ database and no deadline, so the suite stays deterministic and writes no
 ``.hypothesis/`` directory. Each property stays at N <= 3.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -18,9 +19,10 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from qelmsim import linalg as la
 from qelmsim.cli import config_digest
 from qelmsim.harness import ConfigError, SweepConfig, _quantile
+from qelmsim.qelm import _reservoir_basis_probs
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
 
-from _oracles import dense_hamiltonian
+from _oracles import dense_hamiltonian, partial_trace_indexsum, random_density, random_unitary
 
 # Hypothesis also caches the constants it reads from local modules under its
 # home directory. A home under os.devnull cannot be made, so it keeps them in
@@ -102,3 +104,55 @@ def test_hamiltonian_matches_dense_oracle(n, topology, scheme, seed):
     assume(topology != "R" or n >= 3)
     spec = HamiltonianSpec(n, topology, scheme, seed=seed)
     assert np.array_equal(sample_hamiltonian(spec).h_total, dense_hamiltonian(spec))
+
+
+# Any value a JSON config can hold, with counts beyond every cap (2**63 does
+# not fit a C long) and keys that the object forms read.
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 50),
+    st.sampled_from([10**6 + 1, 2**63 - 1, 2**63, 2**100, -(2**100)]),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["C", "R", "FC", "SL", "ML", "exact", "joint_bitstrings"]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        st.fixed_dictionaries({"start": inner, "stop": inner, "points": inner}),
+        st.fixed_dictionaries({}, optional={"mode": inner, "shots": inner}),
+    ),
+    max_leaves=6,
+)
+
+
+@PROFILE
+@given(st.sampled_from([f.name for f in dataclasses.fields(SweepConfig)]), _json_values)
+@example("time_grid", {"start": 0, "stop": 1, "points": 2**63})  # was IndexError from np.linspace
+@example("time_grid", {"start": -1e308, "stop": 1e308, "points": 3})  # was linspace's overflow RuntimeWarning
+def test_every_field_value_resolves_or_names_its_field(name, value):
+    # a size below 3 is fine beside a chain; the ring rule would name topologies
+    base = {} if name == "topologies" else {"topologies": ["C"]}
+    try:
+        SweepConfig(**base, **{name: value})
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{name}: "), str(exc)
+
+
+@PROFILE
+@given(st.integers(1, 3), seeds, st.floats(-2.0, 3.0))
+def test_reservoir_probabilities_are_affine_and_the_dense_marginal(n, seed, weight):
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 2 ** (n + 1))
+    rho, sigma = random_density(rng, 2), random_density(rng, 2)
+    mix = weight * rho + (1.0 - weight) * sigma  # unit trace, Hermitian, not always positive
+    probs = _reservoir_basis_probs(u[:, :2], np.array([rho, sigma, mix]))
+    assert np.max(np.abs(probs[2] - (weight * probs[0] + (1.0 - weight) * probs[1]))) <= 1e-13
+    fiducial = np.zeros((2**n, 2**n))
+    fiducial[0, 0] = 1.0
+    for state, p in zip((rho, sigma), probs):
+        marginal = partial_trace_indexsum(u @ np.kron(fiducial, state) @ u.conj().T, n + 1, range(n))
+        assert np.max(np.abs(p - np.diag(marginal).real)) <= 1e-14
