@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -457,25 +456,36 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _map_units(cfg: SweepConfig, units, threads: int):
-    """Outcome of every unit key of ``cfg``, serially or on at most
-    ``threads`` processes, one per unit and per usable CPU.
+def _run_units(cfg: SweepConfig, keys: list) -> list:
+    """Outcomes of the unit ``keys`` of ``cfg``, in order: one pool task."""
+    return [_run_unit(cfg, key) for key in keys]
 
-    BLAS runs one thread throughout, so the worker count is the only source
-    of parallelism and every unit's bytes are the same on either path. The
-    pool takes the largest sizes first, in chunks of at most 16 units, so no
-    worker ends the run alone on a long chunk of the costliest units; the
-    sort is stable, so Haar units follow the Hamiltonian units of their size.
+
+def _map_units(cfg: SweepConfig, units, threads: int):
+    """Yield ``(key, outcome)`` for every unit key of ``cfg`` as it finishes:
+    in key order when serial, else chunk by chunk as chunks finish on at most
+    ``threads`` processes, one per unit and per usable CPU. A chunk holds up to
+    16 units, largest sizes first (Haar after the Hamiltonian units of their
+    size), so no worker ends the run alone on a costly chunk and the parent,
+    which shares the CPUs, handles few tasks. Stopping early, an error or an
+    interrupt cancels the chunks not yet started. BLAS runs one thread until
+    the end, so bytes match across paths; only ``run_time_sweep`` consumes it.
     """
-    run = functools.partial(_run_unit, cfg)
     workers = min(threads, len(units), _usable_cpus())
     with la.single_blas_thread():
         if workers <= 1:
-            return [run(key) for key in units]
-        chunk = min(16, max(1, len(units) // (workers * 4)))
+            yield from ((key, _run_unit(cfg, key)) for key in units)
+            return
+        size = min(16, max(1, len(units) // (workers * 4)))
         ordered = sorted(units, key=lambda key: key[0], reverse=True)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_init_worker) as pool:
-            return list(pool.map(run, ordered, chunksize=chunk))
+        chunks = [ordered[i : i + size] for i in range(0, len(ordered), size)]
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
+        try:
+            pending = {pool.submit(_run_units, cfg, keys): keys for keys in chunks}
+            for done in concurrent.futures.as_completed(pending):
+                yield from zip(pending.pop(done), done.result())
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _time_key(t):
@@ -499,7 +509,7 @@ def run_time_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     worker count. ``threads`` that is not an integer >= 1 raises ValueError.
     """
     threads = _count(threads, name="threads")
-    outcomes = _map_units(config, _units(config), threads)
+    outcomes = [outcome for _, outcome in _map_units(config, _units(config), threads)]
     records = sorted((r for recs, _ in outcomes for r in recs), key=_unit_order)
     failures = sorted((f for _, fails in outcomes for f in fails), key=_unit_order)
     return SweepResult(records=tuple(records), failures=tuple(failures))

@@ -91,10 +91,10 @@ def _finite(value, label: str = "each entry") -> float:
 
 
 def _entries(value, bare=()) -> tuple:
-    """The entries of a list value; a value of a ``bare`` type is a one-entry list."""
+    """The entries of a list, tuple or array; a value of a ``bare`` type is a one-entry list."""
     if isinstance(value, bare):
         return (value,)
-    if isinstance(value, (str, dict)) or not np.iterable(value):
+    if not isinstance(value, (list, tuple, np.ndarray)) or not np.iterable(value):
         raise ValueError(f"must be a list, got {value!r}")
     return tuple(value)
 

@@ -1,5 +1,8 @@
+import concurrent.futures
 import dataclasses
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -50,6 +53,47 @@ def fail_set_up_at_two(monkeypatch):
     monkeypatch.setattr(harness, "sample_hamiltonian", failing)
 
 
+class CompletingPool:
+    """Stands in for the process pool: hands out real futures and completes
+    them in this process, last submitted first (only the last ``complete``
+    of them when that is set). Its shutdown is recorded and honours
+    ``cancel_futures``."""
+
+    def __init__(self, complete=None):
+        self.tasks, self.shutdowns, self.complete = [], [], complete
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+
+    def submit(self, fn, *args):
+        self.tasks.append((concurrent.futures.Future(), fn, args))
+        return self.tasks[-1][0]
+
+    def _run(self):
+        # as_completed puts a waiter on each future it waits for, all at
+        # once and after the last submit, so from then on it sees every
+        # completion in order. A consumer that never calls it still gets its
+        # results after 5 s, so such a regression fails instead of hanging.
+        deadline = time.monotonic() + 5.0
+        while not self.tasks or not all(future._waiters for future, _, _ in self.tasks):
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.001)
+        for future, fn, args in list(reversed(self.tasks))[: self.complete]:
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(fn(*args))
+                except BaseException as exc:
+                    future.set_exception(exc)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
+        if cancel_futures:
+            for future, _, _ in self.tasks:
+                future.cancel()
+        if wait:
+            self.thread.join()
+
+
 class TestSweepConfig:
     def test_defaults_match_headline_parameters(self):
         cfg = SweepConfig()
@@ -87,6 +131,24 @@ class TestSweepConfig:
         for field, value in (("topologies", "FC"), ("schemes", "ML")):
             with pytest.raises(ConfigError, match=f"^{field}: must be a list, got '{value}'$"):
                 small_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("topologies", {"C", "FC", "R"}),
+            ("topologies", frozenset({"C"})),
+            ("schemes", {"SL": 0, "ML": 1}.keys()),
+            ("time_grid", {"a": 1.0, "b": 2.0}.values()),
+            ("time_grid", b"abc"),
+            ("time_grid", bytearray(b"abc")),
+            ("n_reservoir", b"\x03"),
+        ],
+        ids=["set", "frozenset", "keys-view", "values-view", "bytes", "bytearray", "bytes-size"],
+    )
+    def test_unordered_and_byte_lists_rejected(self, field, value):
+        # a set has no order (a set of strings iterates by the hash seed), and bytes iterate as integers
+        with pytest.raises(ConfigError, match=f"^{field}: must be a list, got "):
+            small_config(**{field: value})
 
     def test_as_dict_round_trips(self):
         cfg = small_config(n_reservoir=[2, 4], include_haar_baseline=True)
@@ -218,56 +280,92 @@ class TestSweeps:
 
     def test_pool_never_exceeds_one_worker_per_unit(self, monkeypatch):
         seen = []
+        ham, haar = "_hamiltonian_unit", "_haar_unit"
 
-        class RecordingPool:
-            """Stands in for the process pool: records its size, maps in-process."""
+        class RecordingPool(CompletingPool):
+            """Records its size, then at shutdown each unit's kind and size in
+            submission order and the length of each chunk."""
 
             def __init__(self, max_workers, initializer):
                 seen.append((max_workers, initializer))
+                super().__init__()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize):
-                keys = list(iterable)
-                seen.append(([(haar if key[1:3] == (3, 2) else ham, key[0]) for key in keys], chunksize))
-                return map(fn, keys)
+            def shutdown(self, wait=True, cancel_futures=False):
+                super().shutdown(wait, cancel_futures)
+                chunks = [args[1] for _, _, args in self.tasks]
+                units = [(haar if key[1:3] == (3, 2) else ham, key[0]) for keys in chunks for key in keys]
+                seen.append((units, [len(keys) for keys in chunks]))
 
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert 1 <= harness._usable_cpus() <= (os.cpu_count() or 1)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
-        ham, haar = "_hamiltonian_unit", "_haar_unit"
         cfg = small_config()  # 2 units: 2 realizations of one topology and scheme
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
-        assert seen == [(2, harness._init_worker), ([(ham, 3)] * 2, 1)]
+        assert seen == [(2, harness._init_worker), ([(ham, 3)] * 2, [1, 1])]
         seen.clear()
         cfg = small_config(include_haar_baseline=True)  # plus 2 Haar units, in the same pool
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
-        assert seen == [(4, harness._init_worker), ([(ham, 3)] * 2 + [(haar, 3)] * 2, 1)]
+        assert seen == [(4, harness._init_worker), ([(ham, 3)] * 2 + [(haar, 3)] * 2, [1] * 4)]
         seen.clear()
         # largest size first, Haar units after the Hamiltonian units of their size
         cfg = small_config(n_reservoir=[2, 3], include_haar_baseline=True)
         assert run_time_sweep(cfg, threads=2) == run_time_sweep(cfg, threads=1)
         order = [(ham, 3)] * 2 + [(haar, 3)] * 2 + [(ham, 2)] * 2 + [(haar, 2)] * 2
-        assert seen == [(2, harness._init_worker), (order, 1)]
+        assert seen == [(2, harness._init_worker), (order, [1] * 8)]
         seen.clear()
-        # the chunk size is capped at 16 units
+        # a chunk holds at most 16 units
         cfg = small_config(n_realizations=200, time_grid=(1.0,))
         assert run_time_sweep(cfg, threads=2) == run_time_sweep(cfg, threads=1)
-        assert seen == [(2, harness._init_worker), ([(ham, 3)] * 200, 16)]
+        assert seen == [(2, harness._init_worker), ([(ham, 3)] * 200, [16] * 12 + [8])]
         seen.clear()
         # never more workers than usable CPUs, and no pool on one CPU
         cfg = small_config(include_haar_baseline=True)  # 4 units
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
-        assert seen == [(2, harness._init_worker), ([(ham, 3)] * 2 + [(haar, 3)] * 2, 1)]
+        assert seen == [(2, harness._init_worker), ([(ham, 3)] * 2 + [(haar, 3)] * 2, [1] * 4)]
         seen.clear()
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
         assert seen == []
+
+    def test_units_are_yielded_as_their_chunks_finish(self, monkeypatch):
+        pools = []
+
+        class Pool(CompletingPool):
+            def __init__(self, max_workers, initializer):
+                pools.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        cfg = small_config(n_reservoir=[2, 3], n_realizations=5, time_grid=(1.0,))  # 10 units, chunks of 1
+        units = harness._units(cfg)
+        got = [key for key, _ in harness._map_units(cfg, units, threads=2)]
+        (pool,) = pools
+        submitted = [args[1] for _, _, args in pool.tasks]
+        assert len(submitted) == 10 and sorted(got) == sorted(units)
+        assert got == [key for keys in reversed(submitted) for key in keys]  # last chunk finished first
+        assert pool.shutdowns == [(True, True)]
+
+    def test_stopping_early_cancels_the_chunks_not_started(self, monkeypatch):
+        pools = []
+
+        class Pool(CompletingPool):
+            def __init__(self, max_workers, initializer):
+                pools.append(self)
+                super().__init__(complete=1)
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        cfg = small_config(n_realizations=8)
+        outcomes = harness._map_units(cfg, harness._units(cfg), threads=2)
+        _, (records, failures) = next(outcomes)
+        assert len(records) == 3 and not failures
+        (pool,) = pools
+        assert pool.shutdowns == []
+        outcomes.close()
+        assert pool.shutdowns == [(True, True)]
+        assert [future.cancelled() for future, _, _ in pool.tasks] == [True] * 7 + [False]
 
     def test_worker_initializer_pins_blas_and_keeps_freed_heap(self, monkeypatch):
         calls = la._openblas_threads()
@@ -289,6 +387,35 @@ class TestSweeps:
         finally:
             put(original)
         assert settings == [(-3, 4 << 20), (-1, 256 << 20)]
+
+    def test_caller_blas_threads_restored(self, monkeypatch):
+        calls = la._openblas_threads()
+        if calls is None:
+            pytest.skip("no OpenBLAS thread setter found")
+        get, put = calls
+        during = []
+        original = harness.sample_hamiltonian
+
+        def sample(spec):
+            during.append(get())
+            if spec.seed == interrupt_at:
+                raise KeyboardInterrupt
+            return original(spec)
+
+        monkeypatch.setattr(harness, "sample_hamiltonian", sample)
+        cfg = small_config(n_realizations=3)
+        before = get()
+        try:
+            put(2)
+            interrupt_at = None
+            assert len(run_time_sweep(cfg).records) == 9
+            assert get() == 2 and during == [1, 1, 1]
+            interrupt_at = harness._derived_seed(cfg.master_seed, 0, 3, 0, 0, 1)  # the second unit
+            with pytest.raises(KeyboardInterrupt):
+                run_time_sweep(cfg)
+            assert get() == 2 and during == [1] * 5
+        finally:
+            put(before)
 
     @pytest.mark.parametrize("threads", [2.5, "2", 0, -3, True])
     def test_threads_must_be_a_count(self, monkeypatch, threads):

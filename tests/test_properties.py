@@ -10,12 +10,14 @@ import json
 import math
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from qelmsim import harness
 from qelmsim import linalg as la
 from qelmsim.cli import config_digest
 from qelmsim.harness import ConfigError, SweepConfig, _quantile
@@ -156,3 +158,41 @@ def test_reservoir_probabilities_are_affine_and_the_dense_marginal(n, seed, weig
     for state, p in zip((rho, sigma), probs):
         marginal = partial_trace_indexsum(u @ np.kron(fiducial, state) @ u.conj().T, n + 1, range(n))
         assert np.max(np.abs(p - np.diag(marginal).real)) <= 1e-14
+
+
+@st.composite
+def tiny_sweeps(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+    codes = ["C", "R", "FC"] if min(sizes) >= 3 else ["C", "FC"]
+    return SweepConfig(
+        n_reservoir=sizes,
+        topologies=draw(st.lists(st.sampled_from(codes), min_size=1, max_size=2, unique=True)),
+        schemes=draw(st.lists(st.sampled_from(["SL", "ML"]), min_size=1, max_size=2, unique=True)),
+        time_grid=draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=2, unique=True).map(sorted)),
+        n_realizations=draw(st.integers(1, 2)),
+        n_train=draw(st.integers(1, 6)),
+        n_test=draw(st.integers(1, 6)),
+        shot_model={"mode": draw(st.sampled_from(["exact", "joint_bitstrings"])), "shots": draw(st.integers(1, 1000))},
+        master_seed=draw(seeds),
+        include_haar_baseline=draw(st.booleans()),
+    )
+
+
+@PROFILE
+@given(st.data())
+def test_sweep_result_does_not_depend_on_unit_order(data):
+    cfg = data.draw(tiny_sweeps())
+    keys = harness._units(cfg)
+    received = data.draw(st.permutations(keys))
+    yielded = data.draw(st.permutations(range(len(keys))))
+    map_units = harness._map_units
+
+    def reordered(cfg, units, threads):
+        assert units == keys
+        outcomes = list(map_units(cfg, received, threads))
+        assert [key for key, _ in outcomes] == received
+        yield from (outcomes[i] for i in yielded)
+
+    expected = harness.run_time_sweep(cfg)
+    with mock.patch.object(harness, "_map_units", reordered):
+        assert harness.run_time_sweep(cfg) == expected

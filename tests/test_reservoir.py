@@ -109,10 +109,14 @@ class TestHamiltonianSpec:
             ("delta_range", [0, 0.1, 0.2]),
             ("j_range", "12"),
             ("delta_range", "01"),
+            # nor a set, which has no order, or bytes
+            ("j_range", {0.0, 1.0}),
+            ("delta_range", b"\x00\x01"),
         ],
         ids=[
             "n-float", "n-bool", "j-strings", "j-triple", "delta-bool", "seed-bool", "seed-float", "seed-negative",
             "j-bool", "j-letter", "j-dict", "delta-dict", "delta-triple", "j-string", "delta-string",
+            "j-set", "delta-bytes",
         ],
     )
     def test_rejects_what_a_sweep_config_rejects(self, field, value):
