@@ -13,22 +13,7 @@ topologies, coupling schemes, reservoir sizes, and evolution times.
 
 __version__ = "0.1.0"
 
-import os as _os
-import sys as _sys
-
-# OpenBLAS starts its threads when numpy loads, and an idle one can spin for
-# about 0.1 s of CPU. Every qelmsim kernel runs under
-# ``linalg.single_blas_thread()``, so a second thread only ever spins: load
-# numpy with one, unless the caller chose a count or loaded numpy first. The
-# variable leaves again, so the caller and child processes see their own
-# environment.
-_BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
-if "numpy" not in _sys.modules and not _BLAS_THREAD_VARS & _os.environ.keys():
-    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as _numpy
-    finally:
-        del _os.environ["OPENBLAS_NUM_THREADS"]
+from . import _process  # noqa: F401 -- first: it loads numpy with one OpenBLAS thread
 
 # The root names are the modules' ``__all__`` lists and the modules themselves.
 from .harness import *

@@ -7,10 +7,10 @@ Exit codes: 0 success, 2 usage error, 3 config error, 4 runtime failure,
 5 partial failure (some work units failed; their keys are in failures.csv).
 Records are sorted deterministically and floats are serialized with 17
 significant digits, and sweeps run BLAS on one thread, so re-running a config
-into a fresh directory reproduces the CSV bodies byte for byte, at any
---threads and under any BLAS thread setting, whenever manifest.json records
-blas_threads 1 (null means no OpenBLAS thread setter was found and BLAS ran
-as the environment set it). Only manifest.json carries timestamps.
+into a fresh directory reproduces the CSV bodies byte for byte at any
+--threads and BLAS thread setting, under one numpy and OpenBLAS build and
+kernel: manifest.json records blas_core, and blas_threads 1 (null: no OpenBLAS
+was found and BLAS ran as set). Only manifest.json carries timestamps.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, harness
+from . import __version__, _process, harness
 from . import linalg as la
 from .harness import (
     AggregateRow,
@@ -71,6 +71,7 @@ class RunManifest:
     record_count: int
     failure_count: int
     blas_threads: int | None
+    blas_core: str | None
 
 
 def _unique_keys(pairs) -> dict:
@@ -188,6 +189,7 @@ def emit_records(result: SweepResult, out_dir, config: SweepConfig, started: str
         "holevo_nodes.csv": _stats_table(HolevoNodeRow, node_rows) if node_rows else None,
         "failures.csv": (_FAILURE_COLUMNS, [dataclasses.astuple(f) for f in failures]) if failures else None,
     }
+    blas = _process.openblas()
     manifest = RunManifest(
         config_digest=config_digest(config),
         tool_version=__version__,
@@ -195,7 +197,8 @@ def emit_records(result: SweepResult, out_dir, config: SweepConfig, started: str
         finished=finished,
         record_count=len(records),
         failure_count=len(failures),
-        blas_threads=1 if la._openblas_threads() is not None else None,
+        blas_threads=1 if blas else None,
+        blas_core=blas.core if blas else None,
     )
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -267,7 +270,7 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    la._keep_freed_heap()
+    _process.sweep_process()
     args = _build_parser().parse_args(argv)
     try:
         return _cmd_sweep(args)

@@ -16,14 +16,13 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
+from . import _process, qelm, scrambling
 from . import linalg as la
-from . import qelm, scrambling
 from .linalg import _count, _entries, _finite, _is_bool
 from .qelm import ShotMode, ShotModel
 from .reservoir import (
@@ -439,23 +438,6 @@ def _units(config: SweepConfig) -> list:
     return [(n, *pair, r) for n in config.n_reservoir for pair in slots for r in range(config.n_realizations)]
 
 
-def _init_worker() -> None:
-    """Pool initializer, the one per-worker set-up, whatever the start method:
-    one BLAS thread for the worker's life, so ``threads`` workers use
-    ``threads`` cores, and freed heap kept (``linalg._keep_freed_heap``)."""
-    la._keep_freed_heap()
-    calls = la._openblas_threads()
-    if calls is not None:
-        _, put = calls
-        put(1)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; all of them where affinity is unknown."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _run_units(cfg: SweepConfig, keys: list) -> list:
     """Outcomes of the unit ``keys`` of ``cfg``, in order: one pool task."""
     return [_run_unit(cfg, key) for key in keys]
@@ -471,15 +453,15 @@ def _map_units(cfg: SweepConfig, units, threads: int):
     interrupt cancels the chunks not yet started. BLAS runs one thread until
     the end, so bytes match across paths; only ``run_time_sweep`` consumes it.
     """
-    workers = min(threads, len(units), _usable_cpus())
-    with la.single_blas_thread():
+    workers = min(threads, len(units), _process.usable_cpus())
+    with _process.single_blas_thread():
         if workers <= 1:
             yield from ((key, _run_unit(cfg, key)) for key in units)
             return
         size = min(16, max(1, len(units) // (workers * 4)))
         ordered = sorted(units, key=lambda key: key[0], reverse=True)
         chunks = [ordered[i : i + size] for i in range(0, len(ordered), size)]
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_process.sweep_process)
         try:
             pending = {pool.submit(_run_units, cfg, keys): keys for keys in chunks}
             for done in concurrent.futures.as_completed(pending):

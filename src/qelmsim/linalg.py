@@ -12,16 +12,13 @@ or ``float64`` (spectra, probabilities). Conventions used across the package:
 * hbar = 1, so ``exp(-1j * H * t)`` propagates for a time ``t``.
 * entropies are in bits.
 
-All functions are pure: inputs are never mutated and random sampling takes an
-explicit ``numpy.random.Generator``. Returned arrays should be treated as
-immutable.
+All functions are pure: inputs are never mutated, random sampling takes an
+explicit ``numpy.random.Generator``, and no process setting changes (those are
+``_process``'s). Returned arrays should be treated as immutable.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -298,84 +295,3 @@ def svd_pseudoinverse(m: np.ndarray):
     pinv = (vh.conj().T * inv) @ u.conj().T
     return pinv, s
 
-
-# (getter, setter) symbol pairs of the OpenBLAS builds numpy ships or links:
-# the scipy-openblas64 wheel library first, then plain OpenBLAS.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _openblas_threads():
-    """``(get, set)`` thread-count calls of the OpenBLAS numpy loaded, or None.
-
-    The library is found among the process's mapped files, which lists it
-    only on Linux; elsewhere, or without OpenBLAS, the result is None.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and "/" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-# glibc's mallopt parameters (malloc.h).
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _keep_freed_heap() -> bool:
-    """Keep freed heap in this process; True where ``mallopt`` was found.
-
-    Under glibc's defaults each 0.5-1 MB product of an N=7 record is mapped
-    and unmapped again, and its pages fault anew every time. Here blocks up
-    to 4 MiB come from the heap, and up to 256 MiB of freed heap stays.
-    Both thresholds are set: setting either alone turns off glibc's dynamic
-    thresholds, which faults more than the defaults. The CLI and the pool
-    workers call this; a library ``run_time_sweep`` leaves the caller's
-    allocator alone.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return False
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-    return True
-
-
-@contextlib.contextmanager
-def single_blas_thread():
-    """Run the body with OpenBLAS on one thread, then restore the caller's count.
-
-    Yields the pinned count, 1, or None when no OpenBLAS thread setter was
-    found and BLAS runs as configured. Products summed by one thread do not
-    depend on how many threads the environment would give BLAS, so results
-    computed inside are the same bytes under any ``OPENBLAS_NUM_THREADS``.
-    """
-    calls = _openblas_threads()
-    if calls is None:
-        yield None
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield 1
-    finally:
-        put(before)

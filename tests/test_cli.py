@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 import qelmsim
-from qelmsim import cli, harness
-from qelmsim import linalg as la
+from qelmsim import _process, cli, harness
 from qelmsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -325,6 +324,9 @@ class TestEmitRecords:
         assert manifest["config_digest"] == config_digest(cfg)
         assert manifest["tool_version"]
         assert manifest["record_count"] == len(out.records)
+        blas = _process.openblas()
+        assert manifest["blas_threads"] == (1 if blas else None)
+        assert manifest["blas_core"] == (blas.core if blas else None)
 
     def test_failed_emit_leaves_the_earlier_run_whole(self, tmp_path, monkeypatch):
         # a second emit whose aggregates.csv fails to write leaves exactly the
@@ -418,9 +420,9 @@ class TestCommands:
 
     def test_without_mallopt_the_run_writes_the_same_bytes(self, tmp_path, monkeypatch):
         config_path = write_config(tmp_path, TINY_CONFIG)
-        la._openblas_threads()  # cached before ctypes.CDLL loses mallopt
-        monkeypatch.setattr(la.ctypes, "CDLL", lambda name: object())  # a C library without mallopt
-        assert la._keep_freed_heap() is False
+        _process.openblas()  # cached before ctypes.CDLL loses mallopt
+        monkeypatch.setattr(_process.ctypes, "CDLL", lambda name: object())  # a C library without mallopt
+        assert _process.sweep_process() is False
         assert main(["sweep-time", "--config", config_path, "--out", str(tmp_path / "without")]) == EXIT_OK
         monkeypatch.undo()
         assert main(["sweep-time", "--config", config_path, "--out", str(tmp_path / "with")]) == EXIT_OK

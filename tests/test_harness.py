@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qelmsim.harness as harness
+from qelmsim import _process
 from qelmsim import linalg as la
 from qelmsim import qelm
 from qelmsim.harness import (
@@ -297,34 +298,34 @@ class TestSweeps:
                 seen.append((units, [len(keys) for keys in chunks]))
 
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        assert 1 <= harness._usable_cpus() <= (os.cpu_count() or 1)
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+        assert 1 <= _process.usable_cpus() <= (os.cpu_count() or 1)
+        monkeypatch.setattr(_process, "usable_cpus", lambda: 64)
         cfg = small_config()  # 2 units: 2 realizations of one topology and scheme
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
-        assert seen == [(2, harness._init_worker), ([(ham, 3)] * 2, [1, 1])]
+        assert seen == [(2, _process.sweep_process), ([(ham, 3)] * 2, [1, 1])]
         seen.clear()
         cfg = small_config(include_haar_baseline=True)  # plus 2 Haar units, in the same pool
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
-        assert seen == [(4, harness._init_worker), ([(ham, 3)] * 2 + [(haar, 3)] * 2, [1] * 4)]
+        assert seen == [(4, _process.sweep_process), ([(ham, 3)] * 2 + [(haar, 3)] * 2, [1] * 4)]
         seen.clear()
         # largest size first, Haar units after the Hamiltonian units of their size
         cfg = small_config(n_reservoir=[2, 3], include_haar_baseline=True)
         assert run_time_sweep(cfg, threads=2) == run_time_sweep(cfg, threads=1)
         order = [(ham, 3)] * 2 + [(haar, 3)] * 2 + [(ham, 2)] * 2 + [(haar, 2)] * 2
-        assert seen == [(2, harness._init_worker), (order, [1] * 8)]
+        assert seen == [(2, _process.sweep_process), (order, [1] * 8)]
         seen.clear()
         # a chunk holds at most 16 units
         cfg = small_config(n_realizations=200, time_grid=(1.0,))
         assert run_time_sweep(cfg, threads=2) == run_time_sweep(cfg, threads=1)
-        assert seen == [(2, harness._init_worker), ([(ham, 3)] * 200, [16] * 12 + [8])]
+        assert seen == [(2, _process.sweep_process), ([(ham, 3)] * 200, [16] * 12 + [8])]
         seen.clear()
         # never more workers than usable CPUs, and no pool on one CPU
         cfg = small_config(include_haar_baseline=True)  # 4 units
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_process, "usable_cpus", lambda: 2)
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
-        assert seen == [(2, harness._init_worker), ([(ham, 3)] * 2 + [(haar, 3)] * 2, [1] * 4)]
+        assert seen == [(2, _process.sweep_process), ([(ham, 3)] * 2 + [(haar, 3)] * 2, [1] * 4)]
         seen.clear()
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_process, "usable_cpus", lambda: 1)
         assert run_time_sweep(cfg, threads=64) == run_time_sweep(cfg, threads=1)
         assert seen == []
 
@@ -337,7 +338,7 @@ class TestSweeps:
                 super().__init__()
 
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_process, "usable_cpus", lambda: 2)
         cfg = small_config(n_reservoir=[2, 3], n_realizations=5, time_grid=(1.0,))  # 10 units, chunks of 1
         units = harness._units(cfg)
         got = [key for key, _ in harness._map_units(cfg, units, threads=2)]
@@ -356,7 +357,7 @@ class TestSweeps:
                 super().__init__(complete=1)
 
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_process, "usable_cpus", lambda: 2)
         cfg = small_config(n_realizations=8)
         outcomes = harness._map_units(cfg, harness._units(cfg), threads=2)
         _, (records, failures) = next(outcomes)
@@ -368,31 +369,31 @@ class TestSweeps:
         assert [future.cancelled() for future, _, _ in pool.tasks] == [True] * 7 + [False]
 
     def test_worker_initializer_pins_blas_and_keeps_freed_heap(self, monkeypatch):
-        calls = la._openblas_threads()
-        if calls is None:
+        blas = _process.openblas()
+        if blas is None:
             pytest.skip("no OpenBLAS thread setter found")
-        get, put = calls
+        get, put = blas.get_threads, blas.set_threads
         settings = []
 
         class Libc:
             def __init__(self, name):
                 self.mallopt = lambda param, value: settings.append((param, value)) or 1
 
-        monkeypatch.setattr(la.ctypes, "CDLL", Libc)
+        monkeypatch.setattr(_process.ctypes, "CDLL", Libc)
         original = get()
         try:
             put(2)
-            harness._init_worker()
+            assert _process.sweep_process() is True
             assert get() == 1
         finally:
             put(original)
         assert settings == [(-3, 4 << 20), (-1, 256 << 20)]
 
     def test_caller_blas_threads_restored(self, monkeypatch):
-        calls = la._openblas_threads()
-        if calls is None:
+        blas = _process.openblas()
+        if blas is None:
             pytest.skip("no OpenBLAS thread setter found")
-        get, put = calls
+        get, put = blas.get_threads, blas.set_threads
         during = []
         original = harness.sample_hamiltonian
 
@@ -419,7 +420,7 @@ class TestSweeps:
 
     @pytest.mark.parametrize("threads", [2.5, "2", 0, -3, True])
     def test_threads_must_be_a_count(self, monkeypatch, threads):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(_process, "usable_cpus", lambda: 8)
         with pytest.raises(ValueError, match=f"^threads must be an integer >= 1, got {threads!r}$"):
             run_time_sweep(small_config(), threads=threads)
 

@@ -1,3 +1,4 @@
+import io
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qelmsim import _process
 from qelmsim import linalg as la
 from qelmsim.scrambling import local_channel
 from qelmsim.reservoir import edge_set, injection_sites
@@ -309,18 +311,42 @@ class TestPseudoinverse:
 
 class TestSingleBlasThread:
     def test_pins_one_thread_and_restores_the_callers_count(self):
-        calls = la._openblas_threads()
-        if calls is None:
+        blas = _process.openblas()
+        if blas is None:
             pytest.skip("no OpenBLAS thread setter found")
-        get, put = calls
+        get, put = blas.get_threads, blas.set_threads
         original = get()
         try:
             put(2)
-            with la.single_blas_thread() as pinned:
+            with _process.single_blas_thread() as pinned:
                 assert pinned == 1 and get() == 1
             assert get() == 2
         finally:
             put(original)
+
+
+class TestOpenBlasLookup:
+    def test_a_library_path_with_a_space_is_read_whole(self, tmp_path, monkeypatch):
+        # /proc/self/maps ends each line with the path, spaces and all
+        blas = _process.openblas()
+        if blas is None:
+            pytest.skip("no OpenBLAS thread setter found")
+        with open("/proc/self/maps") as fh:
+            paths = {line.rstrip("\n").split(maxsplit=5)[5] for line in fh if "openblas" in line.lower() and "/" in line}
+        link = tmp_path / "a b" / Path(sorted(paths)[0]).name
+        link.parent.mkdir()
+        link.symlink_to(sorted(paths)[0])
+        maps = f"7f0000000000-7f0000001000 r-xp 00000000 fe:00 1234                       {link}\n"
+        monkeypatch.setattr(_process, "open", lambda path: io.StringIO(maps), raising=False)
+        found = _process.openblas.__wrapped__()  # uncached
+        assert found is not None and found.core == blas.core
+        original = blas.get_threads()
+        try:
+            for count in (2, 1):
+                found.set_threads(count)
+                assert found.get_threads() == blas.get_threads() == count
+        finally:
+            blas.set_threads(original)
 
 
 class TestBlasThreadsAtImport:
@@ -333,11 +359,11 @@ class TestBlasThreadsAtImport:
         """(OpenBLAS threads, tasks, OPENBLAS_NUM_THREADS) of a fresh interpreter
         that imports ``first`` and then qelmsim, with the thread variables
         unset apart from ``env``."""
-        if la._openblas_threads() is None:
+        if _process.openblas() is None:
             pytest.skip("no OpenBLAS thread setter found")
         code = (
             f"import os, {first}, qelmsim\n"
-            "get, _ = qelmsim.linalg._openblas_threads()\n"
+            "get = qelmsim._process.openblas().get_threads\n"
             "print(get(), len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
         )
         child_env = {k: v for k, v in os.environ.items() if k not in self.VARS}

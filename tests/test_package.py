@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -61,6 +62,24 @@ def test_root_names_are_the_module_lists():
     modules = (qelmsim.harness, qelmsim.linalg, qelmsim.qelm, qelmsim.reservoir, qelmsim.scrambling)
     names = [m.__name__.rpartition(".")[2] for m in modules] + [n for m in modules for n in m.__all__]
     assert sorted(names) == sorted(PUBLIC_NAMES)
+
+
+def test_process_settings_stay_in_one_module():
+    """Only ``_process`` imports ``ctypes`` or reads ``/proc``, so how a sweep
+    process runs (its BLAS threads, heap and CPU count) is one module's
+    business."""
+    found = []
+    for path in sorted(Path(qelmsim.__file__).parent.glob("*.py")):
+        if path.name == "_process.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.name, a.name) for a in node.names if a.name.split(".")[0] == "ctypes"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes":
+                found.append((path.name, node.module))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("/proc"):
+                found.append((path.name, node.value))
+    assert found == []
 
 
 def test_benchmark_trace_targets_exist():

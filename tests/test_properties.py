@@ -2,7 +2,7 @@
 
 Every property runs under one profile: derandomized, with no example
 database and no deadline, so the suite stays deterministic and writes no
-``.hypothesis/`` directory. Each property stays at N <= 3.
+``.hypothesis/`` directory. Each property stays at N <= 4.
 """
 
 import dataclasses
@@ -20,8 +20,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from qelmsim import harness
 from qelmsim import linalg as la
 from qelmsim.cli import config_digest
-from qelmsim.harness import ConfigError, SweepConfig, _quantile
-from qelmsim.qelm import _reservoir_basis_probs
+from qelmsim.harness import ConfigError, SweepConfig, _otoc_per_pair_from_unitary, _quantile
+from qelmsim.qelm import ShotModel, _features_from_columns, _reservoir_basis_probs
+from qelmsim.scrambling import _holevo_from_columns
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
 
 from _oracles import dense_hamiltonian, partial_trace_indexsum, random_density, random_unitary
@@ -158,6 +159,49 @@ def test_reservoir_probabilities_are_affine_and_the_dense_marginal(n, seed, weig
     for state, p in zip((rho, sigma), probs):
         marginal = partial_trace_indexsum(u @ np.kron(fiducial, state) @ u.conj().T, n + 1, range(n))
         assert np.max(np.abs(p - np.diag(marginal).real)) <= 1e-14
+
+
+# The sweep kernels checked against identities that hold for every unitary u
+# of the register (N reservoir qubits, then the input qubit), so no second
+# implementation, and none of its conventions, is needed.
+ROUND_OFF = 1e-13
+
+
+def _exact_features(u, n, states):
+    return _features_from_columns(la._input_columns(u, n), states, n, ShotModel("exact"), None)
+
+
+@PROFILE
+@given(st.integers(1, 4), seeds)
+def test_a_frame_on_the_input_turns_the_state_and_keeps_the_otoc(n, seed):
+    # u (I x W) carries rho as u carries W rho W^dag. The mean OTOC is
+    # unchanged: sum_a sigma_a x sigma_a = 2 SWAP - I commutes with W x W
+    # (the twirl of Hosur, Qi, Roberts and Yoshida, JHEP 2016).
+    rng = np.random.default_rng(seed)
+    u, w = random_unitary(rng, 2 ** (n + 1)), random_unitary(rng, 2)
+    rhos = np.array([random_density(rng, 2) for _ in range(3)])
+    framed = (u.reshape(-1, 2**n, 2) @ w).reshape(u.shape)
+    turned = w @ rhos @ w.conj().T
+    assert np.max(np.abs(_exact_features(framed, n, rhos) - _exact_features(u, n, turned))) <= ROUND_OFF
+    assert abs(_otoc_per_pair_from_unitary(framed, n) - _otoc_per_pair_from_unitary(u, n)) <= ROUND_OFF
+
+
+@PROFILE
+@given(st.integers(1, 4), seeds)
+def test_permuting_the_reservoir_after_u_permutes_the_nodes(n, seed):
+    # P u, with P taking reservoir qubit perm[j] to site j: node j then sees
+    # what node perm[j] saw, and the mean over sites of the OTOC is unchanged.
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 2 ** (n + 1))
+    perm = rng.permutation(n)
+    axes = [*perm, n, n + 1]
+    permuted = u.reshape((2,) * (n + 1) + (-1,)).transpose(axes).reshape(u.shape)
+    rhos = np.array([random_density(rng, 2) for _ in range(3)])
+    assert np.max(np.abs(_exact_features(permuted, n, rhos) - _exact_features(u, n, rhos)[perm])) <= ROUND_OFF
+    before, after = (_holevo_from_columns(la._input_columns(v, n), n) for v in (u, permuted))
+    assert np.max(np.abs(after.per_node - before.per_node[perm])) <= ROUND_OFF
+    assert np.max(np.abs(after.per_node_per_axis - before.per_node_per_axis[perm])) <= ROUND_OFF
+    assert abs(_otoc_per_pair_from_unitary(permuted, n) - _otoc_per_pair_from_unitary(u, n)) <= ROUND_OFF
 
 
 @st.composite
