@@ -7,8 +7,9 @@ unit and addresses its random streams under the master seed, so
 ``_run_unit(config, key)`` re-runs any unit by itself and the record set is
 a pure function of the configuration however the units are scheduled. A
 realization's Hamiltonian is diagonalized once; each grid time builds its
-propagator from that factorization. Every record comes from one per-unit loop
-around one evaluator.
+propagator from that factorization. Every record comes from one two-pass
+evaluation of its unit (``_unit_outcomes``): the kernels that see only the
+propagators' input columns run once on the stack of the unit's times.
 """
 
 from __future__ import annotations
@@ -279,12 +280,13 @@ def _derived_seed(master_seed: int, *key) -> int:
 
 
 def _draw_inputs(cfg: SweepConfig, key: tuple) -> tuple:
-    """``(train, test, y_train, y_test)`` drawn from the unit's state stream,
-    with the Bloch targets of both sets; the targets draw nothing."""
+    """``(train, test, y_train, y_test)``: the coordinates
+    (``qelm._state_coords``) of the train and test states drawn from the
+    unit's state stream, and their Bloch targets, which draw nothing."""
     rng = derive_rng(cfg.master_seed, _KIND_STATES, *key)
     states = la.random_pure_qubit_states(rng, cfg.n_train + cfg.n_test)
     train, test = states[: cfg.n_train], states[cfg.n_train :]
-    return train, test, qelm.pauli_targets(train), qelm.pauli_targets(test)
+    return qelm._state_coords(train), qelm._state_coords(test), qelm.pauli_targets(train), qelm.pauli_targets(test)
 
 
 # ---------------------------------------------------------------------------
@@ -334,39 +336,17 @@ _otoc_per_pair_from_eig = _otoc_per_pair_from_unitary
 _propagator_columns = la.evolve_unitary
 
 
-def _evaluate(cfg: SweepConfig, u: np.ndarray, n: int, inputs: tuple, shot_rng, otoc_mean) -> dict:
-    """Metric fields of one record under the propagator ``u``.
-
-    Features and Holevo information see only the input columns of ``u``
-    (``la._input_columns``); the mean OTOC needs all of ``u`` and comes from
-    ``otoc_mean(u, n)``. One SVD of the training features gives the readout
-    and the condition number; the test features are drawn after them.
-    """
-    train, test, y_train, y_test = inputs
-    v01 = la._input_columns(u, n)
-    p_train = qelm._features_from_columns(v01, train, n, cfg.shot_model, shot_rng)
-    trained = qelm.train_readout(p_train, y_train)
-    p_test = qelm._features_from_columns(v01, test, n, cfg.shot_model, shot_rng)
-    mse = qelm.mse(y_test, qelm.predict(trained, p_test))
-    otoc = otoc_mean(u, n)
-    profile = scrambling._holevo_from_columns(v01, n)
-    return {
-        "mse": mse,
-        "condition_number": qelm._condition_from_singular_values(trained.singular_values),
-        "otoc_avg": otoc,
-        "holevo_avg": profile.averaged,
-        "holevo_per_node": tuple(float(x) for x in profile.per_node),
-    }
-
-
 def _unit_outcomes(cfg: SweepConfig, key: tuple, labels: tuple, times, prepare, otoc_mean) -> tuple:
-    """``(records, failures)`` of the unit ``key``: one record per time, or its
-    failure.
+    """``(records, failures)`` of the unit ``key``, one per time, in time order.
 
-    ``labels`` are the unit's (topology, scheme) names. ``prepare()`` returns
-    the record seed and ``unitary``, where ``unitary(t)`` is the propagator at
-    time ``t``; a set-up error fails every time of the unit, an error at one
-    time fails only that time. Each time draws from its own shot stream.
+    ``labels`` are the unit's (topology, scheme) names; ``prepare()`` returns
+    the record seed and ``unitary(t)``, the propagator at time ``t``. Pass 1
+    keeps each time's mean OTOC ``otoc_mean(u, n)`` and copies the input
+    columns of ``u`` into a (T, 2^(N+1), 2) stack, on which the column kernels
+    then run once. Pass 2 draws each time's train and test features from its
+    own shot stream, around the one SVD that gives the readout and the
+    condition number. A set-up error fails every time, an error in the stacked
+    step every time that reached it, any other only its time.
     """
     n, realization = key[0], key[3]
 
@@ -374,20 +354,38 @@ def _unit_outcomes(cfg: SweepConfig, key: tuple, labels: tuple, times, prepare, 
         return UnitFailure(realization, *labels, n, t, f"{type(exc).__name__}: {exc}")
 
     try:
+        # Allocated before the unit's larger arrays, which measured a lower N=7
+        # peak RSS; a failed time's columns stay zero.
+        columns = np.zeros((len(times), 2 ** (n + 1), 2), dtype=complex)
         seed, unitary = prepare()
-        inputs = _draw_inputs(cfg, key)
+        train, test, y_train, y_test = _draw_inputs(cfg, key)
     except Exception as exc:
         return [], [failure(t, exc) for t in times]
-    records, failures = [], []
+    rows, otocs = [None] * len(times), {}  # rows: each time's record or failure
     for ti, t in enumerate(times):
         try:
-            shot_rng = derive_rng(cfg.master_seed, _KIND_SHOTS, *key, ti)
-            fields = _evaluate(cfg, unitary(t), n, inputs, shot_rng, otoc_mean)
+            u = unitary(t)
+            otocs[ti], columns[ti] = otoc_mean(u, n), la._input_columns(u, n)
         except Exception as exc:
-            failures.append(failure(t, exc))
-            continue
-        records.append(ExperimentRecord(realization, *labels, n, t, seed, **fields))
-    return records, failures
+            rows[ti] = failure(t, exc)
+    try:
+        profile, weights = scrambling._holevo_from_columns(columns, n), qelm._reservoir_weights(columns)
+    except Exception as exc:
+        rows = [failure(t, exc) if ti in otocs else row for ti, (t, row) in enumerate(zip(times, rows))]
+        otocs = {}
+    for ti, otoc in otocs.items():
+        try:
+            shot_rng = derive_rng(cfg.master_seed, _KIND_SHOTS, *key, ti)
+            p_train = qelm._features_from_columns(weights[ti], train, n, cfg.shot_model, shot_rng)
+            trained = qelm.train_readout(p_train, y_train)
+            p_test = qelm._features_from_columns(weights[ti], test, n, cfg.shot_model, shot_rng)
+            mse = qelm.mse(y_test, qelm.predict(trained, p_test))
+            condition = qelm._condition_from_singular_values(trained.singular_values)
+            holevo = float(profile.averaged[ti]), tuple(float(x) for x in profile.per_node[ti])
+            rows[ti] = ExperimentRecord(realization, *labels, n, times[ti], seed, mse, condition, otoc, *holevo)
+        except Exception as exc:
+            rows[ti] = failure(times[ti], exc)
+    return [r for r in rows if isinstance(r, ExperimentRecord)], [r for r in rows if isinstance(r, UnitFailure)]
 
 
 def _hamiltonian_unit(cfg: SweepConfig, key: tuple) -> tuple:

@@ -83,24 +83,26 @@ def _z_sign_matrix(n_reservoir: int) -> np.ndarray:
     return signs
 
 
-def _reservoir_basis_probs(v01: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Diagonal of the reservoir marginal of ``v01 @ rho @ v01^dag`` per state.
+def _reservoir_weights(v01: np.ndarray) -> np.ndarray:
+    """(..., 4, 2^N) weights of the (..., 2^(N+1), 2) isometries ``v01``,
+    each entry of a stack bit for bit as alone.
 
-    ``rhos`` is one (2, 2) state or a (k, 2, 2) stack; the result has shape
-    (2^N,) or (k, 2^N). The map is affine in rho: with the input columns a
-    and b of ``v01`` and a Hermitian rho, row r of ``v01 @ rho @ v01^dag``
-    has diagonal rho00 |a_r|^2 + rho11 |b_r|^2 + 2 Re(rho01 a_r conj(b_r)).
-    So the probabilities are one real product of [rho00, rho11, 2 Re rho01,
-    2 Im rho01] per state with C = [|a|^2, |b|^2, Re(a conj b), -Im(a conj b)],
-    whose rows are summed over the input bit; mixed states included.
+    With the input columns a and b of ``v01`` and a Hermitian rho, row r of
+    ``v01 @ rho @ v01^dag`` has diagonal rho00 |a_r|^2 + rho11 |b_r|^2 +
+    2 Re(rho01 a_r conj(b_r)). So the reservoir basis probabilities are
+    ``_state_coords(rho) @ C`` with C = [|a|^2, |b|^2, Re(a conj b),
+    -Im(a conj b)] summed over the input bit; mixed states included.
     """
-    a, b = v01[:, 0], v01[:, 1]
+    a, b = v01[..., 0], v01[..., 1]
     ab = a * b.conj()
-    c = np.stack([a.real**2 + a.imag**2, b.real**2 + b.imag**2, ab.real, -ab.imag])
-    c = c.reshape(4, -1, 2).sum(axis=-1)
+    c = np.stack([a.real**2 + a.imag**2, b.real**2 + b.imag**2, ab.real, -ab.imag], axis=-2)
+    return c.reshape(*c.shape[:-1], -1, 2).sum(axis=-1)
+
+
+def _state_coords(rhos: np.ndarray) -> np.ndarray:
+    """(..., 4) coordinates [rho00, rho11, 2 Re rho01, 2 Im rho01] of (..., 2, 2) states."""
     rho01 = rhos[..., 0, 1]
-    coords = np.stack([rhos[..., 0, 0].real, rhos[..., 1, 1].real, 2.0 * rho01.real, 2.0 * rho01.imag], axis=-1)
-    return coords @ c
+    return np.stack([rhos[..., 0, 0].real, rhos[..., 1, 1].real, 2.0 * rho01.real, 2.0 * rho01.imag], axis=-1)
 
 
 def _qubit_states(states) -> np.ndarray:
@@ -128,13 +130,13 @@ def _qubit_states(states) -> np.ndarray:
 
 
 def _features_from_columns(
-    v01: np.ndarray,
-    states,
+    weights: np.ndarray,
+    coords: np.ndarray,
     n_reservoir: int,
     model: ShotModel,
     rng: np.random.Generator | None,
 ) -> np.ndarray:
-    """sigma_z feature columns computed from the input-subspace isometry.
+    """sigma_z feature columns of (k, 4) ``coords`` under one isometry's ``weights``.
 
     Joint-bitstring sampling draws the empirical counts of M computational
     basis measurements (a multinomial over the 2^N reservoir outcomes, which
@@ -143,7 +145,7 @@ def _features_from_columns(
     readouts within a shot are kept.
     """
     signs = _z_sign_matrix(n_reservoir)
-    q = _reservoir_basis_probs(v01, np.asarray(states, dtype=complex).reshape(-1, 2, 2))
+    q = coords @ weights
     qmin = q.min(initial=0.0)
     if qmin < _NEGATIVE_PROB_TOL:
         raise ValueError(
@@ -176,9 +178,9 @@ def sample_features(
     """
     if model.mode is not ShotMode.EXACT and rng is None:
         raise ValueError("sampled shot modes need an explicit random generator")
-    rhos = _qubit_states(states)
-    v01 = la._input_columns(u, n_reservoir)
-    return _features_from_columns(v01, rhos, n_reservoir, model, rng)
+    coords = _state_coords(_qubit_states(states))
+    weights = _reservoir_weights(la._input_columns(u, n_reservoir))
+    return _features_from_columns(weights, coords, n_reservoir, model, rng)
 
 
 def pauli_targets(states) -> np.ndarray:

@@ -3,9 +3,10 @@
 Both quantifiers live on the same (N+1)-qubit register as the estimation
 pipeline: ``sigma_z`` on each reservoir site plays the role of the readout
 operator, Paulis on the input qubit the role of the encoded degree of freedom.
-Sweeps compute Holevo information through ``_holevo_from_columns``, which
-``local_holevo_profile`` also calls, and record only the mean OTOC, which the
-closed-form kernel in ``harness`` computes from the Pauli twirl.
+Sweeps compute Holevo information through ``_holevo_from_columns``, once per
+unit on the stack of its times; ``local_holevo_profile`` calls it on one
+isometry. Sweeps record only the mean OTOC, which the closed-form kernel in
+``harness`` computes from the Pauli twirl.
 ``averaged_otoc``, ``local_channel`` and ``linalg.von_neumann_entropy`` stay
 dense references that sweeps do not call, because ``bench/bench_checks.py``
 recomputes records through them; the tests compare the kernels with them
@@ -58,7 +59,7 @@ class HolevoResult:
 
     ``per_node_per_axis[j, a]`` is computed for the equiprobable pair of
     eigenstates of the a-th input Pauli, ``per_node`` averages over the three
-    axes, ``averaged`` over the nodes.
+    axes, ``averaged`` over the nodes. A stack of isometries adds its axes in front.
     """
 
     per_node_per_axis: np.ndarray
@@ -121,23 +122,22 @@ def _qubit_entropies(rhos: np.ndarray) -> np.ndarray:
 
 
 def _holevo_from_columns(v01: np.ndarray, n_reservoir: int) -> HolevoResult:
-    """Holevo profile in bits from the (2^(N+1), 2) input-subspace isometry."""
-    phis = np.ascontiguousarray((v01 @ _EIGENKETS).T)
-    # rhos[a, 0 | 1 | 2, node]: the marginals of the plus and minus kets of
-    # axis a at that node, and their equal mixture.
-    rhos = np.empty((3, 3, n_reservoir, 2, 2), dtype=complex)
+    """Holevo profile in bits from (..., 2^(N+1), 2) input-subspace isometries,
+    each entry of a stack bit for bit as alone."""
+    lead = v01.shape[:-2]
+    phis = np.ascontiguousarray(np.swapaxes(v01 @ _EIGENKETS, -1, -2))
+    # rhos[..., a, 0 | 1 | 2, node]: the marginals of the plus and minus kets
+    # of axis a at that node, and their equal mixture.
+    rhos = np.empty((*lead, 3, 3, n_reservoir, 2, 2), dtype=complex)
     for node in range(n_reservoir):
-        psi = phis.reshape(6, 2**node, 2, 2 ** (n_reservoir - node))
-        rhos[:, :2, node] = np.einsum("kabc,kadc->kbd", psi, psi.conj()).reshape(3, 2, 2, 2)
-    rhos[:, 2] = 0.5 * (rhos[:, 0] + rhos[:, 1])
+        psi = phis.reshape(*lead, 6, 2**node, 2, 2 ** (n_reservoir - node))
+        marginals = np.einsum("...kabc,...kadc->...kbd", psi, psi.conj())
+        rhos[..., :2, node, :, :] = marginals.reshape(*lead, 3, 2, 2, 2)
+    rhos[..., 2, :, :, :] = 0.5 * (rhos[..., 0, :, :, :] + rhos[..., 1, :, :, :])
     s = _qubit_entropies(rhos)
-    per = (s[:, 2] - 0.5 * (s[:, 0] + s[:, 1])).T
-    per_node = per.mean(axis=1)
-    return HolevoResult(
-        per_node_per_axis=per,
-        per_node=per_node,
-        averaged=float(per_node.mean()),
-    )
+    per = np.swapaxes(s[..., 2, :] - 0.5 * (s[..., 0, :] + s[..., 1, :]), -1, -2)
+    per_node = per.mean(axis=-1)
+    return HolevoResult(per_node_per_axis=per, per_node=per_node, averaged=per_node.mean(axis=-1))
 
 
 def local_holevo_profile(u: np.ndarray, n_reservoir: int) -> HolevoResult:

@@ -207,7 +207,8 @@ class TestCriterion6ConditionNumber:
             srng = derive_rng(cfg.master_seed, 1, 7, topo_i, scheme_i, rec.realization_index)
             train = la.random_pure_qubit_states(srng, cfg.n_train)
             shot = derive_rng(cfg.master_seed, 2, 7, topo_i, scheme_i, rec.realization_index, 0)
-            p = qelm._features_from_columns(v01, train, 7, cfg.shot_model, shot)
+            weights, coords = qelm._reservoir_weights(v01), qelm._state_coords(train)
+            p = qelm._features_from_columns(weights, coords, 7, cfg.shot_model, shot)
             s = np.linalg.svd(p, compute_uv=False)
             sig_ratio[rec.scheme].append(s[0] / s[3])
         sig_medians = {s: float(np.median(v)) for s, v in sig_ratio.items()}

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qelmsim
-from qelmsim import _process, cli, harness
+from qelmsim import _process, cli, harness, scrambling
 from qelmsim.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -448,6 +448,33 @@ class TestCommands:
         failures = (out_dir / "failures.csv").read_text().splitlines()
         # header + (2 realizations x 2 grid times) of the failed n=2 units
         assert len(failures) == 1 + 4
+
+    def test_a_failing_stacked_step_fails_only_its_unit(self, tmp_path, monkeypatch):
+        # Holevo information runs once per unit, on the stack of its times:
+        # an error there fails every time of that unit, and no other unit's
+        # record moves
+        config_path = write_config(tmp_path, dict(TINY_CONFIG, topologies=["C", "FC"]))
+        assert main(["sweep-time", "--config", config_path, "--out", str(tmp_path / "clean")]) == EXIT_OK
+        original, stacks = scrambling._holevo_from_columns, []
+
+        def failing_for_the_second_unit(v01, n):
+            stacks.append(v01.shape)
+            if len(stacks) == 2:
+                raise FloatingPointError("synthetic stacked failure")
+            return original(v01, n)
+
+        monkeypatch.setattr(scrambling, "_holevo_from_columns", failing_for_the_second_unit)
+        out_dir = tmp_path / "out"
+        assert main(["sweep-time", "--config", config_path, "--out", str(out_dir)]) == EXIT_PARTIAL
+        assert stacks == [(2, 8, 2)] * 4  # units x (times, 2^(N+1), input columns)
+        with open(out_dir / "failures.csv", newline="") as fh:
+            failures = list(csv.DictReader(fh))
+        assert [(f["topology"], f["realization_index"], float(f["time"])) for f in failures] == [("C", "1", 0.0), ("C", "1", 1.0)]
+        assert all(f["error"] == "FloatingPointError: synthetic stacked failure" for f in failures)
+        clean = read_records_csv(tmp_path / "clean" / "records.csv")
+        kept = [r for r in clean if (r.topology, r.realization_index) != ("C", 1)]
+        assert len(kept) == 6
+        assert read_records_csv(out_dir / "records.csv") == kept
 
     def test_rerun_removes_stale_optional_tables(self, tmp_path, monkeypatch):
         def failing(spec):

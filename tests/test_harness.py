@@ -10,7 +10,7 @@ import pytest
 import qelmsim.harness as harness
 from qelmsim import _process
 from qelmsim import linalg as la
-from qelmsim import qelm
+from qelmsim import qelm, scrambling
 from qelmsim.harness import (
     ConfigError,
     SweepConfig,
@@ -468,7 +468,8 @@ class TestSweeps:
 
     def test_stage_call_counts_per_record_and_unit(self, monkeypatch):
         """Per record: two feature calls, one SVD and three readout calls; per
-        unit: one Hamiltonian build.
+        unit: one Holevo call on the stack of its times, and one Hamiltonian
+        build per Hamiltonian unit.
 
         ``bench/bench_trace.py`` times stages by wrapping the feature kernel,
         the Hamiltonian build and the readout names (``train_readout``,
@@ -480,7 +481,7 @@ class TestSweeps:
         SVD gives both the readout and the condition number, so a record
         takes one SVD and never calls ``condition_number``.
         """
-        calls = {"features": 0, "hamiltonian": 0, "svd": 0, "readout": 0}
+        calls = {"features": 0, "holevo": 0, "hamiltonian": 0, "svd": 0, "readout": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -490,6 +491,7 @@ class TestSweeps:
             return wrapper
 
         monkeypatch.setattr(qelm, "_features_from_columns", counting("features", qelm._features_from_columns))
+        monkeypatch.setattr(scrambling, "_holevo_from_columns", counting("holevo", scrambling._holevo_from_columns))
         monkeypatch.setattr(harness, "sample_hamiltonian", counting("hamiltonian", harness.sample_hamiltonian))
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
         for name in ("train_readout", "predict", "mse", "condition_number"):
@@ -502,7 +504,10 @@ class TestSweeps:
         assert not out.failures
         records = len(out.records)
         assert records == 4 * 2 * 2 + 2  # pairs x realizations x times, plus Haar
-        assert calls == {"features": 2 * records, "hamiltonian": 4 * 2, "svd": records, "readout": 3 * records}
+        units = 4 * 2 + 2
+        assert calls == {
+            "features": 2 * records, "holevo": units, "hamiltonian": 4 * 2, "svd": records, "readout": 3 * records,
+        }
 
     def test_condition_number_matches_training_features(self):
         """The record's condition number equals ``qelm.condition_number`` of

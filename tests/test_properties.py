@@ -2,13 +2,18 @@
 
 Every property runs under one profile: derandomized, with no example
 database and no deadline, so the suite stays deterministic and writes no
-``.hypothesis/`` directory. Each property stays at N <= 4.
+``.hypothesis/`` directory. Each property stays at N <= 4, except the
+stacked kernels' bit equality, which draws only isometries and runs to N = 7.
 """
 
 import dataclasses
+import functools
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +26,7 @@ from qelmsim import harness
 from qelmsim import linalg as la
 from qelmsim.cli import config_digest
 from qelmsim.harness import ConfigError, SweepConfig, _otoc_per_pair_from_unitary, _quantile
-from qelmsim.qelm import ShotModel, _features_from_columns, _reservoir_basis_probs
+from qelmsim.qelm import ShotModel, _features_from_columns, _reservoir_weights, _state_coords
 from qelmsim.scrambling import _holevo_from_columns
 from qelmsim.reservoir import HamiltonianSpec, sample_hamiltonian
 
@@ -152,7 +157,7 @@ def test_reservoir_probabilities_are_affine_and_the_dense_marginal(n, seed, weig
     u = random_unitary(rng, 2 ** (n + 1))
     rho, sigma = random_density(rng, 2), random_density(rng, 2)
     mix = weight * rho + (1.0 - weight) * sigma  # unit trace, Hermitian, not always positive
-    probs = _reservoir_basis_probs(u[:, :2], np.array([rho, sigma, mix]))
+    probs = _state_coords(np.array([rho, sigma, mix])) @ _reservoir_weights(u[:, :2])
     assert np.max(np.abs(probs[2] - (weight * probs[0] + (1.0 - weight) * probs[1]))) <= 1e-13
     fiducial = np.zeros((2**n, 2**n))
     fiducial[0, 0] = 1.0
@@ -168,7 +173,8 @@ ROUND_OFF = 1e-13
 
 
 def _exact_features(u, n, states):
-    return _features_from_columns(la._input_columns(u, n), states, n, ShotModel("exact"), None)
+    weights = _reservoir_weights(la._input_columns(u, n))
+    return _features_from_columns(weights, _state_coords(np.asarray(states)), n, ShotModel("exact"), None)
 
 
 @PROFILE
@@ -202,6 +208,109 @@ def test_permuting_the_reservoir_after_u_permutes_the_nodes(n, seed):
     assert np.max(np.abs(after.per_node - before.per_node[perm])) <= ROUND_OFF
     assert np.max(np.abs(after.per_node_per_axis - before.per_node_per_axis[perm])) <= ROUND_OFF
     assert abs(_otoc_per_pair_from_unitary(permuted, n) - _otoc_per_pair_from_unitary(u, n)) <= ROUND_OFF
+
+
+@PROFILE
+@given(st.integers(1, 4), seeds)
+def test_phases_after_u_keep_the_features_and_the_otoc(n, seed):
+    # D u with D diagonal in the computational basis: every reservoir
+    # probability is a squared modulus, and every Z_i commutes with D.
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 2 ** (n + 1))
+    phased = np.exp(2j * np.pi * rng.random(2 ** (n + 1)))[:, None] * u
+    rhos = np.array([random_density(rng, 2) for _ in range(3)])
+    assert np.max(np.abs(_exact_features(phased, n, rhos) - _exact_features(u, n, rhos))) <= ROUND_OFF
+    assert abs(_otoc_per_pair_from_unitary(phased, n) - _otoc_per_pair_from_unitary(u, n)) <= ROUND_OFF
+
+
+@PROFILE
+@given(st.integers(1, 4), seeds)
+def test_local_unitaries_after_u_keep_every_holevo_value(n, seed):
+    # (W_0 x ... x W_{N-1} x I) u conjugates node j's marginals by W_j, and
+    # entropy is unitarily invariant (Nielsen and Chuang, section 11.3).
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 2 ** (n + 1))
+    local = functools.reduce(np.kron, [random_unitary(rng, 2) for _ in range(n)] + [np.eye(2)])
+    before, after = (_holevo_from_columns(la._input_columns(v, n), n) for v in (u, local @ u))
+    assert np.max(np.abs(after.per_node_per_axis - before.per_node_per_axis)) <= ROUND_OFF
+
+
+@PROFILE
+@given(st.integers(1, 4), seeds)
+def test_permuting_the_reservoir_before_u_keeps_every_metric(n, seed):
+    # u P with P permuting reservoir qubits: P fixes |0...0> x rho and
+    # commutes with I x sigma_a.
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 2 ** (n + 1))
+    axes = [0, *(1 + rng.permutation(n)), n + 1]
+    permuted = u.reshape((-1,) + (2,) * (n + 1)).transpose(axes).reshape(u.shape)
+    rhos = np.array([random_density(rng, 2) for _ in range(3)])
+    assert np.max(np.abs(_exact_features(permuted, n, rhos) - _exact_features(u, n, rhos))) <= ROUND_OFF
+    before, after = (_holevo_from_columns(la._input_columns(v, n), n) for v in (u, permuted))
+    assert np.max(np.abs(after.per_node_per_axis - before.per_node_per_axis)) <= ROUND_OFF
+    assert abs(_otoc_per_pair_from_unitary(permuted, n) - _otoc_per_pair_from_unitary(u, n)) <= ROUND_OFF
+
+
+@PROFILE
+@given(st.integers(1, 4), seeds)
+def test_complex_conjugation_keeps_holevo_and_otoc_and_conjugates_the_state(n, seed):
+    # conj(u) maps each Pauli eigenstate pair to an equiprobable pair with
+    # the same marginal entropies (y's plus and minus swap), and carries
+    # conj(rho) as u carries rho.
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 2 ** (n + 1))
+    rhos = np.array([random_density(rng, 2) for _ in range(3)])
+    assert np.max(np.abs(_exact_features(u.conj(), n, rhos.conj()) - _exact_features(u, n, rhos))) <= ROUND_OFF
+    before, after = (_holevo_from_columns(la._input_columns(v, n), n) for v in (u, u.conj()))
+    assert np.max(np.abs(after.per_node_per_axis - before.per_node_per_axis)) <= ROUND_OFF
+    assert abs(_otoc_per_pair_from_unitary(u.conj(), n) - _otoc_per_pair_from_unitary(u, n)) <= ROUND_OFF
+
+
+@PROFILE
+@given(st.integers(1, 7), st.integers(1, 5), seeds, st.booleans())
+def test_stacked_column_kernels_equal_their_single_calls(n, times, seed, starts_at_zero_time):
+    # A sweep calls both kernels once per unit, on the stack of its times'
+    # input columns; the records must hold what each isometry alone gives,
+    # bit for bit (byte comparison, so the sign of a zero counts too). The
+    # first isometry may be the t = 0 one, whose Holevo values are zeros.
+    rng = np.random.default_rng(seed)
+    shape = (times, 2 ** (n + 1), 2)
+    stack = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    if starts_at_zero_time:
+        stack[0] = np.eye(2 ** (n + 1), 2)
+    profile, weights = _holevo_from_columns(stack, n), _reservoir_weights(stack)
+    assert weights.shape == (times, 4, 2**n) and profile.averaged.shape == (times,)
+    for k, v01 in enumerate(stack):
+        one = _holevo_from_columns(v01, n)
+        assert weights[k].tobytes() == _reservoir_weights(v01).tobytes()
+        assert profile.per_node_per_axis[k].tobytes() == one.per_node_per_axis.tobytes()
+        assert profile.per_node[k].tobytes() == one.per_node.tobytes()
+        assert profile.averaged[k].tobytes() == np.float64(one.averaged).tobytes()
+
+
+def test_a_failing_property_is_reported_as_a_failed_test(tmp_path):
+    # On a failing example, hypothesis's pytest plugin imports modules that
+    # warn DeprecationWarning; under the project's error::DeprecationWarning
+    # that aborted the whole session with INTERNALERROR, and the tests after
+    # it never ran.
+    (tmp_path / "test_throwaway.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(derandomize=True, database=None, deadline=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 5
+
+        def test_after():
+            pass
+    """))
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    argv = [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(pyproject), "--rootdir", str(tmp_path)]
+    run = subprocess.run([*argv, "test_throwaway.py"], cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    output = run.stdout + run.stderr
+    assert "INTERNALERROR" not in output, output
+    assert "FAILED test_throwaway.py::test_fails" in output and "1 failed, 1 passed" in output, output
+    assert run.returncode == 1, output
 
 
 @st.composite

@@ -159,7 +159,7 @@ class TestSampleFeatures:
         # the joint mode draws multinomial counts; sampling M explicit
         # bitstrings and averaging gives the same law, checked on first and
         # second moments over many repetitions
-        from qelmsim.qelm import _reservoir_basis_probs, _z_sign_matrix
+        from qelmsim.qelm import _reservoir_weights, _state_coords, _z_sign_matrix
 
         rng = np.random.default_rng(30)
         u = random_unitary(rng, 8)
@@ -170,7 +170,7 @@ class TestSampleFeatures:
         ours = np.array([sample_features(u, [state], 2, model, srng)[:, 0] for _ in range(reps)])
 
         v01 = la._input_columns(u, 2)
-        q = np.clip(_reservoir_basis_probs(v01, state), 0.0, None)
+        q = np.clip(_state_coords(state) @ _reservoir_weights(v01), 0.0, None)
         q /= q.sum()
         signs = _z_sign_matrix(2)
         orng = np.random.default_rng(32)
@@ -190,19 +190,20 @@ class TestSampleFeatures:
     def test_batched_features_match_per_state_loop(self, mode, n):
         # the batched kernel against one probability vector and one draw per
         # state, taking the generator stream in the same order
-        from qelmsim.qelm import _features_from_columns, _reservoir_basis_probs, _z_sign_matrix
+        from qelmsim.qelm import _features_from_columns, _reservoir_weights, _state_coords, _z_sign_matrix
 
         rng = np.random.default_rng(40 + n)
         v01 = random_unitary(rng, 2 ** (n + 1))[:, :2]
         states = [*la.random_pure_qubit_states(rng, 20), random_density(rng, 2)]
         model = ShotModel(mode, 1000)
-        got = _features_from_columns(v01, states, n, model, np.random.default_rng(41))
+        weights = _reservoir_weights(v01)
+        got = _features_from_columns(weights, _state_coords(np.array(states)), n, model, np.random.default_rng(41))
 
         signs = _z_sign_matrix(n)
         ref_rng = np.random.default_rng(41)
         ref = np.empty((n, len(states)))
         for k, rho in enumerate(states):
-            q = _reservoir_basis_probs(v01, rho)
+            q = _state_coords(rho) @ weights
             if model.mode is ShotMode.EXACT:
                 ref[:, k] = signs @ q
                 continue
@@ -234,18 +235,18 @@ class TestReservoirProbabilities:
         # the (k, 4) @ (4, 2^N) product against the diagonal of v01 rho v01^dag
         # summed over the input bit, for pure states, a mixed state, one (2, 2)
         # state and a (k, 2, 2) stack
-        from qelmsim.qelm import _reservoir_basis_probs
+        from qelmsim.qelm import _reservoir_weights, _state_coords
 
         rng = np.random.default_rng(50 + n)
         v01 = random_unitary(rng, 2 ** (n + 1))[:, :2]
         kets = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         kets /= np.linalg.norm(kets, axis=1, keepdims=True)
         states = [np.outer(ket, ket.conj()) for ket in kets] + [random_density(rng, 2), bloch_density(0.2, -0.5, 0.1)]
-        stack = _reservoir_basis_probs(v01, np.array(states))
+        stack = _state_coords(np.array(states)) @ _reservoir_weights(v01)
         assert stack.shape == (len(states), 2**n)
         for k, rho in enumerate(states):
             ref = reservoir_probabilities(v01, rho)
-            single = _reservoir_basis_probs(v01, rho)
+            single = _state_coords(rho) @ _reservoir_weights(v01)
             assert single.shape == (2**n,)
             assert np.max(np.abs(single - ref)) <= 1e-15
             assert np.max(np.abs(stack[k] - ref)) <= 1e-15
