@@ -14,7 +14,6 @@ propagators' input columns run once on the stack of the unit's times.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -450,6 +449,8 @@ def _map_units(cfg: SweepConfig, units, threads: int):
     which shares the CPUs, handles few tasks. Stopping early, an error or an
     interrupt cancels the chunks not yet started. BLAS runs one thread until
     the end, so bytes match across paths; only ``run_time_sweep`` consumes it.
+    The pool's modules (``concurrent.futures``, which loads ``logging``) are
+    imported only here, so a serial run never loads them.
     """
     workers = min(threads, len(units), _process.usable_cpus())
     with _process.single_blas_thread():
@@ -459,6 +460,8 @@ def _map_units(cfg: SweepConfig, units, threads: int):
         size = min(16, max(1, len(units) // (workers * 4)))
         ordered = sorted(units, key=lambda key: key[0], reverse=True)
         chunks = [ordered[i : i + size] for i in range(0, len(ordered), size)]
+        import concurrent.futures
+
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=_process.sweep_process)
         try:
             pending = {pool.submit(_run_units, cfg, keys): keys for keys in chunks}

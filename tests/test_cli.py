@@ -418,6 +418,22 @@ class TestCommands:
         for name in CSV_TABLES:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
+    def test_serial_sweep_loads_no_pool_modules(self, tmp_path):
+        # The process pool's modules cost a serial run memory and start-up
+        # time, so only a run that starts workers imports them.
+        config_path = write_config(tmp_path, TINY_CONFIG)
+        code = (
+            "import sys\nimport qelmsim.cli\n"
+            f"argv = ['sweep-time', '--config', {config_path!r}, '--out', {str(tmp_path / 'out')!r}, '--threads', '1']\n"
+            "assert qelmsim.cli.main(argv) == 0\n"
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
     def test_without_mallopt_the_run_writes_the_same_bytes(self, tmp_path, monkeypatch):
         config_path = write_config(tmp_path, TINY_CONFIG)
         _process.openblas()  # cached before ctypes.CDLL loses mallopt

@@ -297,7 +297,7 @@ class TestSweeps:
                 units = [(haar if key[1:3] == (3, 2) else ham, key[0]) for keys in chunks for key in keys]
                 seen.append((units, [len(keys) for keys in chunks]))
 
-        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert 1 <= _process.usable_cpus() <= (os.cpu_count() or 1)
         monkeypatch.setattr(_process, "usable_cpus", lambda: 64)
         cfg = small_config()  # 2 units: 2 realizations of one topology and scheme
@@ -337,7 +337,7 @@ class TestSweeps:
                 pools.append(self)
                 super().__init__()
 
-        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(_process, "usable_cpus", lambda: 2)
         cfg = small_config(n_reservoir=[2, 3], n_realizations=5, time_grid=(1.0,))  # 10 units, chunks of 1
         units = harness._units(cfg)
@@ -356,7 +356,7 @@ class TestSweeps:
                 pools.append(self)
                 super().__init__(complete=1)
 
-        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(_process, "usable_cpus", lambda: 2)
         cfg = small_config(n_realizations=8)
         outcomes = harness._map_units(cfg, harness._units(cfg), threads=2)
@@ -475,11 +475,14 @@ class TestSweeps:
         the Hamiltonian build and the readout names (``train_readout``,
         ``predict``, ``mse``, ``condition_number``), and reports a stage's
         ``ms_p90`` only from 100 calls up. The traced ensemble-n7 run has 56
-        records: 112 feature calls and 168 readout calls. A change that merged
+        records: 112 feature calls and 168 readout calls; the traced grid-n7
+        run has 164 records and so 492 readout calls. A change that merged
         the train and test feature calls left 56, the key dropped out of the
-        result and the run's last line was no longer a result. The training
-        SVD gives both the readout and the condition number, so a record
-        takes one SVD and never calls ``condition_number``.
+        result and the run's last line was no longer a result. Fitting the
+        readout once per unit instead of once per record would leave grid-n7
+        12 readout calls (4 units of 3 calls each), below the same floor.
+        The training SVD gives both the readout and the condition number, so
+        a record takes one SVD and never calls ``condition_number``.
         """
         calls = {"features": 0, "holevo": 0, "hamiltonian": 0, "svd": 0, "readout": 0}
 
